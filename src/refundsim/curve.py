@@ -1,12 +1,28 @@
 """Short-Weierstrass group arithmetic with injectable curve parameters.
 
 Points are affine ``(x, y)`` tuples and ``None`` is the identity element.
-The hot paths (scalar multiplication) run in Jacobian coordinates, and each
-``CurveGroup`` carries a fixed-base window table for its generator so that
-``g_mul`` is several times faster than a generic multiplication.
+Only curves with ``a = 0`` (``y^2 = x^3 + b``, as secp256k1 is) are
+supported.  Internally the arithmetic follows Bitcoin Core's libsecp256k1:
 
-The protocol always runs on :data:`SECP256K1`; tests additionally exercise a
-tiny brute-forceable group to cross-check the arithmetic exhaustively.
+* Scalar multiplications accumulate in Jacobian coordinates ``(X, Y, Z)``
+  and add affine table points by mixed Jacobian+affine addition.  Doubling
+  uses the a = 0 formula.
+* ``g_mul`` walks a fixed-base comb for the generator (``ecmult_gen``):
+  4-bit windows, and for window ``i`` the 15 affine points ``d * 16^i * G``.
+* ``mul`` runs one interleaved width-5 wNAF loop (``ecmult``) that adds the
+  affine odd multiples ``P, 3P, ..., 15P``.  A curve given the
+  Gallant-Lambert-Vanstone endomorphism ``(x, y) -> (beta * x, y) = lambda * P``
+  splits the scalar into two halves of half the length and runs both in the
+  same loop; the table for ``lambda * P`` is the table for ``P`` with every
+  x multiplied by beta.  Without it the loop runs one stream.
+* Tables are summed on the isomorphic curve on which the step point is
+  affine (libsecp256k1's "effective affine"), then brought to affine form
+  with one inversion: a Montgomery batch inversion over their Z ratios.
+
+Every public result is the canonical affine point, so results do not depend
+on the internal representation.  The protocol always runs on
+:data:`SECP256K1`; tests additionally exercise a tiny brute-forceable group
+to cross-check the arithmetic exhaustively.
 """
 
 from __future__ import annotations
@@ -15,112 +31,196 @@ from typing import Optional, Tuple
 
 Point = Optional[Tuple[int, int]]
 
-_JINF = (0, 1, 0)
+_JINF = (0, 1, 0, 0)
+_COMB_BITS = 4
+_COMB_SIZE = (1 << _COMB_BITS) - 1
+_WNAF_BITS = 5
+_WNAF_TABLE = 1 << (_WNAF_BITS - 2)  # odd multiples P, 3P, ..., 15P
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 NAF digits of ``k`` (either sign), least significant first."""
+    digits = []
+    while k:
+        if k & 1:
+            d = k & ((1 << _WNAF_BITS) - 1)
+            if d >> (_WNAF_BITS - 1):
+                d -= 1 << _WNAF_BITS
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 class CurveGroup:
-    """y^2 = x^3 + a*x + b over GF(p) with generator of prime order n."""
+    """y^2 = x^3 + b over GF(p) with generator of prime order n.
 
-    def __init__(self, name: str, p: int, a: int, b: int, n: int, gx: int, gy: int):
+    ``beta``, ``lam`` and ``basis`` describe the GLV endomorphism:
+    ``(beta * x, y) = lam * (x, y)``, and ``basis`` is two short vectors
+    ``(a1, b1), (a2, b2)`` with ``a + b * lam = 0 (mod n)``.  Give all three
+    or none.
+    """
+
+    def __init__(self, name: str, p: int, a: int, b: int, n: int, gx: int, gy: int,
+                 beta: Optional[int] = None, lam: Optional[int] = None,
+                 basis: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None):
         if p % 4 != 3:
             raise ValueError("square roots require p % 4 == 3")
+        if a % p:
+            raise ValueError("only curves with a = 0 are supported")
+        if n <= 1 << _COMB_BITS:
+            raise ValueError("group order must exceed the window tables")
         self.name = name
         self.p = p
-        self.a = a % p
         self.b = b % p
         self.n = n
         self.g: Point = (gx, gy)
         self.coord_bytes = (p.bit_length() + 7) // 8
         self.scalar_bytes = (n.bit_length() + 7) // 8
-        self._window = 4
         self._comb = self._build_comb()
+        self._beta = None
+        if (beta, lam, basis) != (None, None, None):
+            self._set_endomorphism(beta, lam, basis)
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.name})"
 
+    def _set_endomorphism(self, beta, lam, basis):
+        if beta is None or lam is None or basis is None:
+            raise ValueError("the endomorphism needs beta, lam and basis together")
+        (a1, b1), (a2, b2) = basis
+        if (a1 + b1 * lam) % self.n or (a2 + b2 * lam) % self.n:
+            raise ValueError("basis vectors must satisfy a + b * lam = 0 (mod n)")
+        if self.g_mul(lam) != (beta * self.g[0] % self.p, self.g[1]):
+            raise ValueError("lam * G != (beta * gx, gy)")
+        self._beta = beta % self.p
+        self._basis = (a1, b1, a2, b2)
+
     # -- Jacobian internals --------------------------------------------------
+    #
+    # A Jacobian point is ``(X, Y, Z, ratio)``: ``(X / Z^2, Y / Z^3)`` in
+    # affine form, and ``ratio`` is Z divided by the Z of the point it was
+    # computed from.  Table building needs the ratios; the loops ignore them.
 
-    def _jdouble(self, pt):
-        x1, y1, z1 = pt
+    def _double(self, pt):
+        """2 * pt for a = 0; the identity (Z = 0) stays the identity."""
+        x, y, z, _ = pt
         p = self.p
-        if z1 == 0 or y1 == 0:
-            return _JINF
-        y1_2 = y1 * y1 % p
-        y1_4 = y1_2 * y1_2 % p
-        s = 4 * x1 * y1_2 % p
-        m = 3 * x1 * x1
-        if self.a:
-            m += self.a * pow(z1, 4, p)
-        m %= p
+        yy = y * y % p
+        s = 4 * x * yy % p
+        m = 3 * x * x % p
         x3 = (m * m - 2 * s) % p
-        y3 = (m * (s - x3) - 8 * y1_4) % p
-        z3 = 2 * y1 * z1 % p
-        return (x3, y3, z3)
+        return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p, 2 * y)
 
-    def _jadd(self, p1, p2):
-        x1, y1, z1 = p1
-        x2, y2, z2 = p2
-        p = self.p
+    def _madd(self, pt, q):
+        """Mixed addition: Jacobian ``pt`` plus affine ``q``."""
+        x1, y1, z1, _ = pt
+        x2, y2 = q
         if z1 == 0:
-            return p2
-        if z2 == 0:
-            return p1
-        z1_2 = z1 * z1 % p
-        z2_2 = z2 * z2 % p
-        u1 = x1 * z2_2 % p
-        u2 = x2 * z1_2 % p
-        s1 = y1 * z2_2 * z2 % p
-        s2 = y2 * z1_2 * z1 % p
-        if u1 == u2:
-            if s1 != s2:
-                return _JINF
-            return self._jdouble(p1)
-        h = (u2 - u1) % p
-        r = (s2 - s1) % p
-        h2 = h * h % p
-        h3 = h2 * h % p
-        u1h2 = u1 * h2 % p
-        x3 = (r * r - h3 - 2 * u1h2) % p
-        y3 = (r * (u1h2 - x3) - s1 * h3) % p
-        z3 = h * z1 * z2 % p
-        return (x3, y3, z3)
-
-    def _to_jacobian(self, pt: Point):
-        if pt is None:
-            return _JINF
-        return (pt[0], pt[1], 1)
+            return (x2, y2, 1, 1)
+        p = self.p
+        zz = z1 * z1 % p
+        h = (x2 * zz - x1) % p
+        r = (y2 * zz % p * z1 - y1) % p
+        if h == 0:
+            return self._double(pt) if r == 0 else _JINF
+        hh = h * h % p
+        hhh = hh * h % p
+        v = x1 * hh % p
+        x3 = (r * r - hhh - 2 * v) % p
+        return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p, h)
 
     def _to_affine(self, pt) -> Point:
-        x, y, z = pt
-        if z == 0:
-            return None
+        return self._chain_to_affine([pt], pt[2])[0] if pt[2] else None
+
+    def _chain_to_affine(self, chain, last_z):
+        """Replace a chain of points by their affine forms, with one inversion.
+
+        Each point's Z is the Z of the point before it times its ratio, and
+        ``last_z`` is the Z of the last point.  The Z values are then the
+        prefix products of Montgomery's batch inversion of the ratios:
+        invert ``last_z`` and walk back multiplying by ratios.  The points'
+        ``(X, Y)`` may be taken on a curve isomorphic to this one as long as
+        the chained Z values map them here.
+        """
         p = self.p
-        zinv = pow(z, -1, p)
-        zinv2 = zinv * zinv % p
-        return (x * zinv2 % p, y * zinv2 * zinv % p)
+        inv = pow(last_z, -1, p)
+        for i in range(len(chain) - 1, -1, -1):
+            x, y, _, ratio = chain[i]
+            inv2 = inv * inv % p
+            chain[i] = (x * inv2 % p, y * inv2 % p * inv % p)
+            inv = inv * ratio % p
+        return chain
+
+    # A Jacobian step (X, Y, Z) is the affine point (X, Y) of the isomorphic
+    # curve y^2 = x^3 + b * Z^6, to which (x, y, z) maps as (x, y, z * Z).
+    # The a = 0 formulas do not involve b, so a table of sums of a step is
+    # built there by mixed addition ("effective affine" in libsecp256k1).
 
     def _build_comb(self):
-        # table[i][w-1] = (w << (window*i)) * G for each window position
-        bits = self.n.bit_length()
-        w = self._window
-        windows = (bits + w - 1) // w
-        table = []
-        base = self._to_jacobian(self.g)
+        """``comb[i][d - 1] = d * 16^i * G`` for ``d = 1..15``, affine.
+
+        Row i sums its base ``B = 16^i * G`` on the curve where B is affine,
+        up to ``16 * B``, the next row's base; ``zbase`` is B's Z here.
+        """
+        p = self.p
+        windows = -(-self.n.bit_length() // _COMB_BITS)
+        chain = []
+        point = (*self.g, 1, 1)
+        zbase = 1
         for _ in range(windows):
-            row = []
-            acc = _JINF
-            for _ in range((1 << w) - 1):
-                acc = self._jadd(acc, base)
-                row.append(acc)
-            table.append(row)
-            for _ in range(w):
-                base = self._jdouble(base)
-        return table
+            step = point[:2]
+            point = (*step, 1, point[3])
+            for _ in range(_COMB_SIZE):
+                chain.append(point)
+                point = self._madd(point, step)
+            zbase = zbase * point[2] % p
+        chain.append(point)
+        flat = self._chain_to_affine(chain, zbase)
+        return [flat[i:i + _COMB_SIZE] for i in range(0, len(flat) - 1, _COMB_SIZE)]
+
+    def _odd_multiples(self, pt):
+        """Affine ``P, 3P, ..., 15P``: sums of ``2P`` on the curve where it is affine."""
+        p = self.p
+        x, y = pt
+        two = self._double((x, y, 1, 1))
+        zz = two[2] * two[2] % p
+        point = (x * zz % p, y * zz % p * two[2] % p, 1, 1)
+        step = two[:2]
+        chain = [point]
+        for _ in range(_WNAF_TABLE - 1):
+            point = self._madd(point, step)
+            chain.append(point)
+        return self._chain_to_affine(chain, point[2] * two[2] % p)
+
+    def _split(self, k: int) -> Tuple[int, int]:
+        """GLV halves ``(k1, k2)``, either sign, with ``k1 + k2 * lam = k (mod n)``."""
+        a1, b1, a2, b2 = self._basis
+        n = self.n
+        c1 = (b2 * k + (n >> 1)) // n
+        c2 = (-b1 * k + (n >> 1)) // n
+        return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
     # -- public API ----------------------------------------------------------
 
     def add(self, p1: Point, p2: Point) -> Point:
-        return self._to_affine(self._jadd(self._to_jacobian(p1), self._to_jacobian(p2)))
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        p = self.p
+        x1, y1 = p1
+        x2, y2 = p2
+        if (x1 - x2) % p == 0:
+            if (y1 + y2) % p == 0:
+                return None
+            slope = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (slope * slope - x1 - x2) % p
+        return (x3, (slope * (x1 - x3) - y1) % p)
 
     def negate(self, pt: Point) -> Point:
         if pt is None:
@@ -128,45 +228,63 @@ class CurveGroup:
         return (pt[0], (self.p - pt[1]) % self.p)
 
     def mul(self, k: int, pt: Point) -> Point:
-        """Generic scalar multiplication (left-to-right, Jacobian)."""
+        """Generic scalar multiplication: interleaved wNAF, GLV-split if known."""
         k %= self.n
         if k == 0 or pt is None:
             return None
+        odd = self._odd_multiples(pt)
+        p = self.p
+        if self._beta is None:
+            streams = [(k, odd)]
+        else:
+            k1, k2 = self._split(k)
+            beta = self._beta
+            streams = [(k1, odd), (k2, [(beta * x % p, y) for x, y in odd])]
+        # adds[i]: the table points added after the doubling for bit i
+        adds = []
+        for scalar, table in streams:
+            # lookup[d] for signed odd d; negative d index from the end
+            lookup = [None] * (1 << _WNAF_BITS)
+            for j, (x, y) in enumerate(table):
+                lookup[2 * j + 1] = (x, y)
+                lookup[-2 * j - 1] = (x, p - y)
+            digits = _wnaf(scalar)
+            adds += [[] for _ in range(len(digits) - len(adds))]
+            for i, d in enumerate(digits):
+                if d:
+                    adds[i].append(lookup[d])
         acc = _JINF
-        base = self._to_jacobian(pt)
-        for i in range(k.bit_length() - 1, -1, -1):
-            acc = self._jdouble(acc)
-            if (k >> i) & 1:
-                acc = self._jadd(acc, base)
+        double, madd = self._double, self._madd
+        for points in reversed(adds):
+            acc = double(acc)
+            for q in points:
+                acc = madd(acc, q)
         return self._to_affine(acc)
 
     def g_mul(self, k: int) -> Point:
         """Fixed-base multiplication of the generator via the comb table."""
         k %= self.n
-        if k == 0:
-            return None
         acc = _JINF
-        w = self._window
-        mask = (1 << w) - 1
-        i = 0
-        while k:
-            digit = k & mask
+        madd = self._madd
+        for row in self._comb:
+            if not k:
+                break
+            digit = k & _COMB_SIZE
             if digit:
-                acc = self._jadd(acc, self._comb[i][digit - 1])
-            k >>= w
-            i += 1
+                acc = madd(acc, row[digit - 1])
+            k >>= _COMB_BITS
         return self._to_affine(acc)
 
     def on_curve(self, pt: Point) -> bool:
         if pt is None:
             return True
         x, y = pt
-        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
+        return (y * y - x * x * x - self.b) % self.p == 0
 
     def lift_x(self, x: int, parity: int) -> Point:
         """Recover the point with the given x and y-parity, or None."""
         p = self.p
-        rhs = (x * x * x + self.a * x + self.b) % p
+        rhs = (x * x * x + self.b) % p
         y = pow(rhs, (p + 1) // 4, p)
         if y * y % p != rhs:
             return None
@@ -185,6 +303,8 @@ class CurveGroup:
         if len(data) != 1 + self.coord_bytes or data[0] not in (2, 3):
             raise ValueError("malformed compressed point")
         x = int.from_bytes(data[1:], "big")
+        if x >= self.p:
+            raise ValueError("x is not a canonical field element")
         pt = self.lift_x(x, data[0] & 1)
         if pt is None:
             raise ValueError("x is not on the curve")
@@ -202,4 +322,10 @@ SECP256K1 = CurveGroup(
     n=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+    beta=0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE,
+    lam=0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72,
+    basis=(
+        (0x3086D221A7D46BCDE86C90E49284EB15, -0xE4437ED6010E88286F547FA90ABFE4C3),
+        (0x114CA50F7A8E2F3F657C1108D9D44CFD8, 0x3086D221A7D46BCDE86C90E49284EB15),
+    ),
 )

@@ -917,7 +917,7 @@ class Merchant:
                     issue.records[pos] = updated
                     self.records[self.records.index(record)] = updated
                     session.state = SessionState.REDEEMED
-            self._persist_records()
+        self._persist_records()
 
     def _persist_records(self) -> None:
         if self.store is not None:

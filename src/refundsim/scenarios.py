@@ -715,6 +715,8 @@ def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
 
 
 def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
+    if scenario.resolved_config()["sessions"] < 3:
+        raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
     env = Env(scenario, merchant_wallet_size=2 ** scenario.resolved_config()["wallet_k"])
     cfg = env.config
     db_path = os.path.join(out_dir or ".", f"recovery_seed{scenario.seed}.db")

@@ -109,7 +109,7 @@ class NOfNScript:
     @classmethod
     def decode(cls, data: bytes) -> "NOfNScript":
         count = data[0]
-        if len(data) != 1 + count * POINT_SIZE:
+        if not 2 <= count <= MULTISIG_MAX_KEYS or len(data) != 1 + count * POINT_SIZE:
             raise ValueError("malformed multisig script")
         keys = tuple(
             SECP256K1.decode_point(data[1 + i * POINT_SIZE : 1 + (i + 1) * POINT_SIZE])
@@ -303,7 +303,10 @@ def deserialize_tx(data: bytes) -> Transaction:
         elif tag == 2:
             script = ScriptHash(r.take(20))
         elif tag == 3:
-            script = DataCarrier(r.take(r.u8()))
+            size = r.u8()
+            if size > DATA_CARRIER_LIMIT:
+                raise ValueError(f"data carrier over {DATA_CARRIER_LIMIT} bytes")
+            script = DataCarrier(r.take(size))
         else:
             raise ValueError(f"unknown script tag {tag}")
         outputs.append(TxOutput(value, script))

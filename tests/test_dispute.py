@@ -255,3 +255,34 @@ def test_recovery_matches_monitor_choice_on_multi_redeem(harness):
     assert [r.serialize() for r in result.records] == sorted(
         r.serialize() for r in harness.merchant.records
     )
+
+
+def test_monitor_rewrites_record_file_once(harness, tmp_path, monkeypatch):
+    """One monitor pass over three sessions writes the record file once."""
+    path = tmp_path / "records.db"
+    harness.merchant.store = RecordStore(str(path))
+    rewrites = []
+    original = RecordStore.rewrite
+
+    def counting_rewrite(self, records):
+        rewrites.append(len(records))
+        original(self, records)
+
+    monkeypatch.setattr(RecordStore, "rewrite", counting_rewrite)
+    real_monitor = harness.merchant.monitor
+    monitor_rewrites = []
+
+    def counted_monitor():
+        before = len(rewrites)
+        real_monitor()
+        monitor_rewrites.append(len(rewrites) - before)
+
+    monkeypatch.setattr(harness.merchant, "monitor", counted_monitor)
+    run_sessions(harness, 3, ["joint", "joint", "fallback"])
+    assert monitor_rewrites == [1]
+    data = path.read_bytes()
+    assert data == b"".join(r.serialize() for r in harness.merchant.records)
+    assert all(r.redeem_txid != bytes(32) for r in harness.merchant.records)
+    harness.merchant.monitor()
+    assert monitor_rewrites == [1, 1]
+    assert path.read_bytes() == data

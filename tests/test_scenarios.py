@@ -146,3 +146,12 @@ def test_search_completeness_against_scenario_keys(tmp_path):
     for pub, wanted_txid in expected:
         found = {loc.txid for loc in ledger.find_by_pubkey(pub)}
         assert wanted_txid in found
+
+
+@pytest.mark.parametrize("sessions", [1, 2])
+def test_recovery_too_few_sessions_rejected(sessions):
+    """Recovery replays two joint redeems and a fallback, so it needs three sessions."""
+    with pytest.raises(ConfigError):
+        run_scenario(
+            Scenario(ScenarioName.RECOVERY, config={"sessions": sessions}), out_dir=None
+        )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+from refundsim.curve import SECP256K1
 from refundsim.keys import ExtendedPublicKey, keygen, mask_child, unmask_child_private
 from refundsim.ledger import SimLedger
 from refundsim.transactions import (
@@ -429,3 +430,33 @@ def test_nofn_script_bounds():
     three = NOfNScript((C_PUB, M_PUB, R_PUB))
     assert len(three.script_hash()) == 20
     assert NOfNScript.decode(three.encode()) == three
+
+
+def _with_reveal(script_bytes):
+    """A one-input transaction whose input reveals the given script bytes."""
+    script = two_of_two(C_PUB, M_PUB)
+    tx = Transaction(
+        (TxInput(bytes(32), 0, (), script),), (TxOutput(1_000, PayToPubkeyHash(bytes(20))),)
+    )
+    raw = serialize_tx(tx)
+    assert raw.count(script.encode()) == 1
+    return raw.replace(script.encode(), script_bytes)
+
+
+@pytest.mark.parametrize("keys", [(C_PUB,), (C_PUB, M_PUB, R_PUB, C_PUB, M_PUB)])
+def test_deserialize_multisig_key_count_raises_value_error(keys):
+    raw = _with_reveal(bytes([len(keys)]) + b"".join(SECP256K1.encode_point(k) for k in keys))
+    with pytest.raises(ValueError):
+        deserialize_tx(raw)
+
+
+def test_deserialize_oversized_data_carrier_raises_value_error():
+    payload = b"\x5a" * 80
+    tx = Transaction((), (TxOutput(0, DataCarrier(payload)),))
+    raw = serialize_tx(tx)
+    assert deserialize_tx(raw) == tx
+    carrier = b"\x03" + bytes([80]) + payload
+    assert raw.count(carrier) == 1
+    raw = raw.replace(carrier, b"\x03" + bytes([81]) + payload + b"\x5a")
+    with pytest.raises(ValueError):
+        deserialize_tx(raw)
