@@ -10,11 +10,11 @@ supported.  Internally the arithmetic follows Bitcoin Core's libsecp256k1:
 * ``g_mul`` walks a fixed-base comb for the generator (``ecmult_gen``):
   4-bit windows, and for window ``i`` the 15 affine points ``d * 16^i * G``.
 * ``mul`` runs one interleaved width-5 wNAF loop (``ecmult``) that adds the
-  affine odd multiples ``P, 3P, ..., 15P``.  A curve given the
-  Gallant-Lambert-Vanstone endomorphism ``(x, y) -> (beta * x, y) = lambda * P``
-  splits the scalar into two halves of half the length and runs both in the
-  same loop; the table for ``lambda * P`` is the table for ``P`` with every
-  x multiplied by beta.  Without it the loop runs one stream.
+  affine odd multiples ``P, 3P, ..., 15P``.  It first splits the scalar with
+  the Gallant-Lambert-Vanstone endomorphism ``(x, y) -> (beta * x, y) =
+  lambda * P`` into two halves of half the length and runs both in the same
+  loop; the table for ``lambda * P`` is the table for ``P`` with every x
+  multiplied by beta.
 * Tables are summed on the isomorphic curve on which the step point is
   affine (libsecp256k1's "effective affine"), then brought to affine form
   with one inversion: a Montgomery batch inversion over their Z ratios.
@@ -59,19 +59,21 @@ class CurveGroup:
 
     ``beta``, ``lam`` and ``basis`` describe the GLV endomorphism:
     ``(beta * x, y) = lam * (x, y)``, and ``basis`` is two short vectors
-    ``(a1, b1), (a2, b2)`` with ``a + b * lam = 0 (mod n)``.  Give all three
-    or none.
+    ``(a1, b1), (a2, b2)`` with ``a + b * lam = 0 (mod n)`` and
+    ``a1 * b2 - a2 * b1 = n``.
     """
 
     def __init__(self, name: str, p: int, a: int, b: int, n: int, gx: int, gy: int,
-                 beta: Optional[int] = None, lam: Optional[int] = None,
-                 basis: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None):
+                 beta: int, lam: int, basis: Tuple[Tuple[int, int], Tuple[int, int]]):
         if p % 4 != 3:
             raise ValueError("square roots require p % 4 == 3")
         if a % p:
             raise ValueError("only curves with a = 0 are supported")
         if n <= 1 << _COMB_BITS:
             raise ValueError("group order must exceed the window tables")
+        (a1, b1), (a2, b2) = basis
+        if (a1 + b1 * lam) % n or (a2 + b2 * lam) % n or a1 * b2 - a2 * b1 != n:
+            raise ValueError("basis must be a + b * lam = 0 (mod n) vectors of determinant n")
         self.name = name
         self.p = p
         self.b = b % p
@@ -80,23 +82,13 @@ class CurveGroup:
         self.coord_bytes = (p.bit_length() + 7) // 8
         self.scalar_bytes = (n.bit_length() + 7) // 8
         self._comb = self._build_comb()
-        self._beta = None
-        if (beta, lam, basis) != (None, None, None):
-            self._set_endomorphism(beta, lam, basis)
+        if self.g_mul(lam) != (beta * gx % p, gy):
+            raise ValueError("lam * G != (beta * gx, gy)")
+        self._beta = beta % p
+        self._basis = (a1, b1, a2, b2)
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.name})"
-
-    def _set_endomorphism(self, beta, lam, basis):
-        if beta is None or lam is None or basis is None:
-            raise ValueError("the endomorphism needs beta, lam and basis together")
-        (a1, b1), (a2, b2) = basis
-        if (a1 + b1 * lam) % self.n or (a2 + b2 * lam) % self.n:
-            raise ValueError("basis vectors must satisfy a + b * lam = 0 (mod n)")
-        if self.g_mul(lam) != (beta * self.g[0] % self.p, self.g[1]):
-            raise ValueError("lam * G != (beta * gx, gy)")
-        self._beta = beta % self.p
-        self._basis = (a1, b1, a2, b2)
 
     # -- Jacobian internals --------------------------------------------------
     #
@@ -228,21 +220,17 @@ class CurveGroup:
         return (pt[0], (self.p - pt[1]) % self.p)
 
     def mul(self, k: int, pt: Point) -> Point:
-        """Generic scalar multiplication: interleaved wNAF, GLV-split if known."""
+        """Generic scalar multiplication: GLV split, interleaved wNAF."""
         k %= self.n
         if k == 0 or pt is None:
             return None
-        odd = self._odd_multiples(pt)
         p = self.p
-        if self._beta is None:
-            streams = [(k, odd)]
-        else:
-            k1, k2 = self._split(k)
-            beta = self._beta
-            streams = [(k1, odd), (k2, [(beta * x % p, y) for x, y in odd])]
+        beta = self._beta
+        odd = self._odd_multiples(pt)
+        k1, k2 = self._split(k)
         # adds[i]: the table points added after the doubling for bit i
         adds = []
-        for scalar, table in streams:
+        for scalar, table in ((k1, odd), (k2, [(beta * x % p, y) for x, y in odd])):
             # lookup[d] for signed odd d; negative d index from the end
             lookup = [None] * (1 << _WNAF_BITS)
             for j, (x, y) in enumerate(table):

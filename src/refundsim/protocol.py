@@ -887,7 +887,9 @@ class Merchant:
 
         The earliest confirmed spend (ties broken by txid) of a record's
         joint-refund outputs or fallback output becomes its redeem entry.
+        The record file is rewritten once, and only if a slot was filled.
         """
+        changed = False
         for session in self.sessions.values():
             issue = session.refund
             if issue is None:
@@ -917,7 +919,9 @@ class Merchant:
                     issue.records[pos] = updated
                     self.records[self.records.index(record)] = updated
                     session.state = SessionState.REDEEMED
-        self._persist_records()
+                    changed = True
+        if changed:
+            self._persist_records()
 
     def _persist_records(self) -> None:
         if self.store is not None:

@@ -16,7 +16,7 @@ from refundsim.transactions import FundingOutpoint, build_seed_tx, txid
 @pytest.fixture(scope="session")
 def toy_curve():
     """Tiny prime-order group, small enough to brute force."""
-    return CurveGroup("toy", ref.TOY_P, 0, 7, ref.TOY_N, *ref.TOY_G)
+    return CurveGroup("toy", **ref.TOY_PARAMS)
 
 
 class Harness:

@@ -21,6 +21,13 @@ G = (GX, GY)
 TOY_P = 211
 TOY_N = 199
 TOY_G = (3, 178)
+# its GLV endomorphism (14 * x, y) = 106 * (x, y), and a basis of the
+# vectors (a, b) with a + 106 * b = 0 (mod 199)
+TOY_BETA = 14
+TOY_LAM = 106
+TOY_BASIS = ((13, -2), (2, 15))
+TOY_PARAMS = dict(p=TOY_P, a=0, b=7, n=TOY_N, gx=TOY_G[0], gy=TOY_G[1],
+                  beta=TOY_BETA, lam=TOY_LAM, basis=TOY_BASIS)
 
 
 def ref_add(p1, p2, p=P):

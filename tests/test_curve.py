@@ -135,18 +135,34 @@ def test_wrong_endomorphism_parameters_rejected():
         secp256k1(lam=LAM * LAM % N)
     with pytest.raises(ValueError):
         secp256k1(basis=(BASIS[0], (BASIS[1][0] + 1, BASIS[1][1])))
-    with pytest.raises(ValueError):
-        secp256k1(basis=None)
+    with pytest.raises(ValueError):  # determinant -n
+        secp256k1(basis=(BASIS[1], BASIS[0]))
 
 
 def test_unsupported_curves_rejected():
     with pytest.raises(ValueError):
-        CurveGroup("a3", ref.TOY_P, 3, 7, ref.TOY_N, *ref.TOY_G)
+        CurveGroup("a3", **{**ref.TOY_PARAMS, "a": 3})
     with pytest.raises(ValueError):  # 13 * G, a comb entry, would be the identity
-        CurveGroup("n13", ref.TOY_P, 0, 7, 13, *ref.TOY_G)
+        CurveGroup("n13", **{**ref.TOY_PARAMS, "n": 13})
+
+
+def test_toy_wrong_beta_rejected():
+    with pytest.raises(ValueError):  # the other cube root of unity
+        CurveGroup("toy", **{**ref.TOY_PARAMS, "beta": 196})
 
 
 # -- toy group, exhaustively ------------------------------------------------------
+
+
+def test_toy_glv_halves_are_short(toy_curve):
+    """Every toy scalar splits into two halves of at most 4 bits, of every sign pairing."""
+    halves = [toy_curve._split(k) for k in range(toy_curve.n)]
+    for k, (k1, k2) in enumerate(halves):
+        assert (k1 + k2 * ref.TOY_LAM - k) % ref.TOY_N == 0
+        assert max(abs(k1), abs(k2)) < 16
+    assert {(k1 < 0, k2 < 0) for k1, k2 in halves if k1 and k2} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
 
 
 def test_toy_mul_every_scalar_and_point(toy_curve):

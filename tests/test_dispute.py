@@ -258,7 +258,8 @@ def test_recovery_matches_monitor_choice_on_multi_redeem(harness):
 
 
 def test_monitor_rewrites_record_file_once(harness, tmp_path, monkeypatch):
-    """One monitor pass over three sessions writes the record file once."""
+    """A monitor pass that fills slots writes the record file once; one that
+    fills none leaves it alone."""
     path = tmp_path / "records.db"
     harness.merchant.store = RecordStore(str(path))
     rewrites = []
@@ -284,5 +285,14 @@ def test_monitor_rewrites_record_file_once(harness, tmp_path, monkeypatch):
     assert data == b"".join(r.serialize() for r in harness.merchant.records)
     assert all(r.redeem_txid != bytes(32) for r in harness.merchant.records)
     harness.merchant.monitor()
-    assert monitor_rewrites == [1, 1]
+    assert monitor_rewrites == [1, 0]
     assert path.read_bytes() == data
+
+
+def test_monitor_without_updates_keeps_existing_record_file(harness, tmp_path):
+    """A merchant opened on an existing record file does not truncate it."""
+    path = tmp_path / "records.db"
+    path.write_bytes(b"\x01" * 128)
+    harness.merchant.store = RecordStore(str(path))
+    harness.merchant.monitor()
+    assert path.read_bytes() == b"\x01" * 128
