@@ -119,9 +119,19 @@ class RecordStore:
         ]
 
     def rewrite(self, records: list[RefundRecord]) -> None:
-        with open(self.path, "wb") as fh:
-            for record in records:
-                fh.write(record.serialize())
+        """Replace the records via a synced temporary file renamed over the old one."""
+        tmp = self.path + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                for record in records:
+                    fh.write(record.serialize())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def wipe(self) -> None:
         if os.path.exists(self.path):

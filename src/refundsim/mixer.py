@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .curve import SECP256K1, Point
 from .keys import (
@@ -46,9 +46,8 @@ from .transactions import (
     PayToPubkeyHash,
     ScriptHash,
     Transaction,
-    TxInput,
     TxOutput,
-    _sign_all,
+    build_funded_tx,
     build_redeem,
     key_hash,
     txid,
@@ -125,7 +124,6 @@ class MixBatch:
     timeout_blocks: int = 20
     created_height: int = 0
     entries: list[MixChunk] = field(default_factory=list)
-    schedule: list[tuple[int, Transaction]] = field(default_factory=list)
 
     def add(self, chunk: MixChunk) -> int:
         self.entries.append(chunk)
@@ -146,13 +144,11 @@ class MixBatch:
         return height >= self.created_height + self.timeout_blocks
 
 
-def _interleave_by_origin(
-    entries: Sequence, origin_of, rng: random.Random
-) -> list:
+def _interleave_by_origin(entries: Sequence, rng: random.Random) -> list:
     """Round-robin across origins so no emission groups a single customer."""
     by_origin: dict[bytes, list] = {}
     for entry in entries:
-        by_origin.setdefault(origin_of(entry), []).append(entry)
+        by_origin.setdefault(entry.origin, []).append(entry)
     queues = [list(group) for _origin, group in sorted(by_origin.items())]
     for queue in queues:
         rng.shuffle(queue)
@@ -164,7 +160,7 @@ def _interleave_by_origin(
     return interleaved
 
 
-def _partition(interleaved: Sequence, outputs_per_tx: int, origin_of) -> list[list]:
+def _partition(interleaved: Sequence, outputs_per_tx: int) -> list[list]:
     """Cut the interleaved sequence into per-transaction groups.
 
     Contiguous blocks of an origin-interleaved sequence keep every group
@@ -174,26 +170,41 @@ def _partition(interleaved: Sequence, outputs_per_tx: int, origin_of) -> list[li
         list(interleaved[i : i + outputs_per_tx])
         for i in range(0, len(interleaved), outputs_per_tx)
     ]
-    all_origins = {origin_of(e) for e in interleaved}
+    all_origins = {e.origin for e in interleaved}
     if len(all_origins) < 2:
         return groups
     for gi, group in enumerate(groups):
-        if len({origin_of(e) for e in group}) > 1:
+        if len({e.origin for e in group}) > 1:
             continue
-        lone = origin_of(group[0])
+        lone = group[0].origin
         for hj, other in enumerate(groups):
             if hj == gi:
                 continue
             for k, entry in enumerate(other):
-                if origin_of(entry) != lone and len(
-                    {origin_of(e) for e in other}
-                ) > 1:
+                if entry.origin != lone and len({e.origin for e in other}) > 1:
                     group[0], other[k] = other[k], group[0]
                     break
             else:
                 continue
             break
     return groups
+
+
+def _mixed_groups(
+    entries: Sequence,
+    rng: random.Random,
+    outputs_per_tx: int,
+    jitter_window: int,
+    base_height: int,
+) -> Iterator[tuple[list, int]]:
+    """Yield (shuffled group, lock height) per emission transaction.
+
+    Draws from `rng` in a fixed order: the origin interleave first, then per
+    group the output shuffle and the lock jitter in [0, jitter_window).
+    """
+    for group in _partition(_interleave_by_origin(entries, rng), outputs_per_tx):
+        rng.shuffle(group)
+        yield group, base_height + rng.randrange(jitter_window)
 
 
 @dataclass(frozen=True)
@@ -302,53 +313,27 @@ class MixerService:
             raise MixerError("empty batch")
         if len(batch.origins()) < batch.min_customers:
             self.emitted_unmixed = True
-        interleaved = _interleave_by_origin(batch.entries, lambda e: e.origin, self.rng)
-        groups = _partition(interleaved, self.outputs_per_tx, lambda e: e.origin)
         emitted = []
-        for group in groups:
-            ordered = list(group)
-            self.rng.shuffle(ordered)
-            lock = self.ledger.height + 1 + self.rng.randrange(self.jitter_window)
-            tx = self._emit_group(ordered, lock)
-            emitted.append(tx)
+        for chunks, lock in _mixed_groups(
+            batch.entries, self.rng, self.outputs_per_tx, self.jitter_window,
+            self.ledger.height + 1,
+        ):
+            priv, pub, funding = self.merchant.reserve_funded_key(
+                sum(c.value for c in chunks), "mix-funding"
+            )
+            outs = [
+                TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point)))
+                for c in chunks
+            ]
+            tx = build_funded_tx(outs, funding, (priv, pub), lock)
+            emitted.append(self.merchant.broadcast(tx, "emission"))
             tid = txid(tx)
-            for vout, chunk in enumerate(ordered):
+            for vout, chunk in enumerate(chunks):
                 self.truth.chunk_facts.append(
-                    ChunkFact(
-                        tid,
-                        vout,
-                        chunk.value,
-                        chunk.origin,
-                        lock,
-                    )
+                    ChunkFact(tid, vout, chunk.value, chunk.origin, lock)
                 )
-        batch.schedule = [(tx.lock_height, tx) for tx in emitted]
         batch.entries.clear()
         return emitted
-
-    def _emit_group(self, chunks: Sequence[MixChunk], lock: int) -> Transaction:
-        total = sum(c.value for c in chunks)
-        idx = self.merchant.wallet.allocate(funded=True, min_value=total)
-        priv, pub = self.merchant.wallet.key(idx)
-        self.merchant.key_log.register(pub, "mix-funding")
-        funding = self.merchant.wallet.consume(idx)
-        outs = [
-            TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point)))
-            for c in chunks
-        ]
-        change = sum(f.value for f in funding) - total
-        if change > 0:
-            outs.append(TxOutput(change, PayToPubkeyHash(key_hash(pub))))
-        tx = Transaction(
-            tuple(TxInput(f.txid, f.index) for f in funding),
-            tuple(outs),
-            lock_height=lock,
-        )
-        tx = _sign_all(tx, [([(priv, pub)], None)] * len(funding))
-        result = self.ledger.broadcast(tx)
-        if not result:
-            raise MixerError(f"emission rejected: {result.reason}")
-        return tx
 
 
 def sweep_chunks(
@@ -438,15 +423,15 @@ def analyze_linkage(
     ledger: SimLedger,
     truth: MixGroundTruth,
     rng_seed: int = 0,
-    observed_channel_msgs: Optional[Sequence[bytes]] = None,
 ) -> LinkageReport:
     """Best-effort origin assignment by a global passive observer.
 
     The adversary holds the emitted chunk outputs (values, heights), each
-    customer's refund total and payment height, and optionally the raw
-    channel bytes; it never sees session ids or wallet internals.  It
-    enumerates every value/causality-consistent assignment and picks one at
-    random — with equal chunks and mixed emission that is the best it can do.
+    customer's refund total and payment height; it never sees session ids or
+    wallet internals.  It enumerates every value/causality-consistent
+    assignment and picks one at random — with equal chunks and mixed
+    emission that is the best it can do.  `ledger` is not read: the chunk
+    facts already carry everything the chain shows.
     """
     rng = random.Random(rng_seed)
     outputs = sorted(truth.chunk_facts, key=lambda f: (f.txid, f.vout))
@@ -593,41 +578,55 @@ class AggregateService:
         """Emit all queued chunks as mixed joint and fallback transactions."""
         if not self.pending_joint:
             raise MixerError("nothing queued")
-        joint_groups = _partition(
-            _interleave_by_origin(self.pending_joint, lambda c: c.origin, self.rng),
-            self.outputs_per_tx,
-            lambda c: c.origin,
-        )
+        height = self.ledger.height
         joint_txs = []
-        placements: dict[tuple[bytes, int], tuple[bytes, int, int, NOfNScript, Point, Point]] = {}
-        for group in joint_groups:
-            ordered = list(group)
-            self.rng.shuffle(ordered)
-            lock = self.ledger.height + 1 + self.rng.randrange(self.jitter_window)
-            joint_txs.append(self._emit_joint_group(ordered, lock, placements))
+        placements: dict[tuple[bytes, int], tuple[bytes, int, int, NOfNScript]] = {}
+        for chunks, lock in _mixed_groups(
+            self.pending_joint, self.rng, self.outputs_per_tx, self.jitter_window, height + 1
+        ):
+            priv, pub, funding = self.merchant.reserve_funded_key(
+                sum(c.value for c in chunks), "aggregate-joint-funding"
+            )
+            scripts = []
+            for c in chunks:
+                child_c = derive_child_public(c.customer_xpub, c.flat_index)
+                masked_c = mask_child(child_c, priv, index=c.flat_index).masked_point
+                child_r = derive_child_public(c.refundee_xpub, c.chunk_index)
+                masked_r = mask_child(child_r, priv, index=c.chunk_index).masked_point
+                scripts.append(NOfNScript((masked_c, masked_r)))
+            outs = [
+                TxOutput(c.value, ScriptHash(script.script_hash()))
+                for c, script in zip(chunks, scripts)
+            ]
+            tx = build_funded_tx(outs, funding, (priv, pub), lock)
+            joint_txs.append(self.merchant.broadcast(tx, "aggregate joint emission"))
+            tid = txid(tx)
+            for vout, (c, script) in enumerate(zip(chunks, scripts)):
+                placements[(c.origin, c.flat_index)] = (tid, vout, priv, script)
+                self.truth.chunk_facts.append(ChunkFact(tid, vout, c.value, c.origin, lock))
         fallback_txs = []
         fallback_place: dict[tuple[bytes, int], bytes] = {}
-        fallback_groups = _partition(
-            _interleave_by_origin(self.pending_fallback, lambda c: c.origin, self.rng),
-            self.outputs_per_tx,
-            lambda c: c.origin,
-        )
-        for group in fallback_groups:
-            ordered = list(group)
-            self.rng.shuffle(ordered)
-            lock = (
-                self.ledger.height
-                + self.merchant.lock_blocks
-                + self.rng.randrange(self.jitter_window)
+        for chunks, lock in _mixed_groups(
+            self.pending_fallback, self.rng, self.outputs_per_tx, self.jitter_window,
+            height + self.merchant.lock_blocks,
+        ):
+            priv, pub, funding = self.merchant.reserve_funded_key(
+                sum(c.value for c in chunks), "aggregate-fallback-funding"
             )
-            tx = self._emit_fallback_group(ordered, lock, fallback_place)
-            fallback_txs.append(tx)
+            outs = []
+            for c in chunks:
+                child = derive_child_public(c.customer_xpub, c.flat_index)
+                masked = mask_child(child, priv, index=c.flat_index).masked_point
+                outs.append(TxOutput(c.value, PayToPubkeyHash(key_hash(masked))))
+            tx = build_funded_tx(outs, funding, (priv, pub), lock)
+            fallback_txs.append(self.merchant.broadcast(tx, "aggregate fallback emission"))
+            tid = txid(tx)
+            for c in chunks:
+                fallback_place[(c.origin, c.flat_index % self.k)] = tid
         # assemble per-chunk records: a chunk's fallback is its session's
         # fallback chunk with the same chunk position
         for chunk in self.pending_joint:
-            joint_txid, vout, priv, script, masked_c, masked_r = placements[
-                (chunk.origin, chunk.flat_index)
-            ]
+            joint_txid, vout, priv, script = placements[(chunk.origin, chunk.flat_index)]
             session = self.merchant.sessions[chunk.origin]
             fb_txid = fallback_place[(chunk.origin, chunk.chunk_index)]
             record = dispute.RefundRecord(session.main_txid, joint_txid, fb_txid)
@@ -638,85 +637,14 @@ class AggregateService:
                     masking_priv=priv,
                     joint_txid=joint_txid,
                     joint_vout=vout,
-                    masked_customer=masked_c,
-                    masked_refundee=masked_r,
+                    masked_customer=script.keys[0],
+                    masked_refundee=script.keys[1],
                     script=script,
                 )
             )
         self.pending_joint.clear()
         self.pending_fallback.clear()
         return joint_txs, fallback_txs
-
-    def _emit_joint_group(self, chunks, lock, placements):
-        total = sum(c.value for c in chunks)
-        idx = self.merchant.wallet.allocate(funded=True, min_value=total)
-        priv, pub = self.merchant.wallet.key(idx)
-        self.merchant.key_log.register(pub, "aggregate-joint-funding")
-        funding = self.merchant.wallet.consume(idx)
-        outs = []
-        metas = []
-        for c in chunks:
-            child_c = derive_child_public(c.customer_xpub, c.flat_index)
-            masked_c = mask_child(child_c, priv, index=c.flat_index).masked_point
-            child_r = derive_child_public(c.refundee_xpub, c.chunk_index)
-            masked_r = mask_child(child_r, priv, index=c.chunk_index).masked_point
-            script = NOfNScript((masked_c, masked_r))
-            outs.append(TxOutput(c.value, ScriptHash(script.script_hash())))
-            metas.append((c, script, masked_c, masked_r))
-        change = sum(f.value for f in funding) - total
-        if change > 0:
-            outs.append(TxOutput(change, PayToPubkeyHash(key_hash(pub))))
-        tx = Transaction(
-            tuple(TxInput(f.txid, f.index) for f in funding),
-            tuple(outs),
-            lock_height=lock,
-        )
-        tx = _sign_all(tx, [([(priv, pub)], None)] * len(funding))
-        result = self.ledger.broadcast(tx)
-        if not result:
-            raise MixerError(f"aggregate joint emission rejected: {result.reason}")
-        tid = txid(tx)
-        for vout, (c, script, masked_c, masked_r) in enumerate(metas):
-            placements[(c.origin, c.flat_index)] = (
-                tid,
-                vout,
-                priv,
-                script,
-                masked_c,
-                masked_r,
-            )
-            self.truth.chunk_facts.append(
-                ChunkFact(tid, vout, c.value, c.origin, lock)
-            )
-        return tx
-
-    def _emit_fallback_group(self, chunks, lock, fallback_place):
-        total = sum(c.value for c in chunks)
-        idx = self.merchant.wallet.allocate(funded=True, min_value=total)
-        priv, pub = self.merchant.wallet.key(idx)
-        self.merchant.key_log.register(pub, "aggregate-fallback-funding")
-        funding = self.merchant.wallet.consume(idx)
-        outs = []
-        for c in chunks:
-            child = derive_child_public(c.customer_xpub, c.flat_index)
-            masked = mask_child(child, priv, index=c.flat_index).masked_point
-            outs.append(TxOutput(c.value, PayToPubkeyHash(key_hash(masked))))
-        change = sum(f.value for f in funding) - total
-        if change > 0:
-            outs.append(TxOutput(change, PayToPubkeyHash(key_hash(pub))))
-        tx = Transaction(
-            tuple(TxInput(f.txid, f.index) for f in funding),
-            tuple(outs),
-            lock_height=lock,
-        )
-        tx = _sign_all(tx, [([(priv, pub)], None)] * len(funding))
-        result = self.ledger.broadcast(tx)
-        if not result:
-            raise MixerError(f"aggregate fallback emission rejected: {result.reason}")
-        tid = txid(tx)
-        for c in chunks:
-            fallback_place[(c.origin, c.flat_index % self.k)] = tid
-        return tx
 
     def joint_redeem_all(
         self,

@@ -51,9 +51,8 @@ from .transactions import (
     PayToPubkeyHash,
     ScriptHash,
     Transaction,
-    TxInput,
     TxOutput,
-    _sign_all,
+    build_funded_tx,
     build_main_tc,
     build_redeem,
     build_refund_tc1,
@@ -415,10 +414,6 @@ class KeyRoleLog:
             )
         self._roles.setdefault(enc, (role, context))
 
-    def role_of(self, pub: Point) -> Optional[str]:
-        entry = self._roles.get(SECP256K1.encode_point(pub))
-        return entry[0] if entry else None
-
 
 class IdentityRegistry:
     """Static stand-in for merchant certificates: name -> identity key."""
@@ -719,11 +714,25 @@ class Merchant:
 
     # -- refund issuance ---------------------------------------------------------
 
-    def _fund_refund_key(self, total: int, role: str) -> tuple[int, int, Point, list]:
+    def reserve_funded_key(
+        self, total: int, role: str
+    ) -> tuple[int, Point, list[FundingOutpoint]]:
+        """Take the next unused wallet key holding at least `total` for `role`.
+
+        Returns the key pair and its funding outpoints, which are consumed:
+        the caller spends them all in one `build_funded_tx` transaction.
+        """
         index = self.wallet.allocate(funded=True, min_value=total)
         priv, pub = self.wallet.key(index)
         self.key_log.register(pub, role, self.name)
-        return index, priv, pub, self.wallet.consume(index)
+        return priv, pub, self.wallet.consume(index)
+
+    def broadcast(self, tx: Transaction, what: str) -> Transaction:
+        """Submit a merchant-signed transaction; a rejection is a BadTransaction."""
+        result = self.ledger.broadcast(tx)
+        if not result:
+            raise BadTransaction(f"{what} rejected: {result.reason}")
+        return tx
 
     def _lock_all_cosigners(self, session: MerchantSession) -> bool:
         if not session.multi_signer:
@@ -750,7 +759,7 @@ class Merchant:
         if not session.entries:
             raise RefundNotFound("no refund entries on file")
         total = sum(e.value for e in session.entries)
-        m1_idx, m1_priv, m1_pub, m1_funding = self._fund_refund_key(
+        m1_priv, m1_pub, m1_funding = self.reserve_funded_key(
             total, "refund-joint-funding"
         )
 
@@ -798,9 +807,7 @@ class Merchant:
             entry_owner.append(owners[0])
 
         tc1 = build_refund_tc1(refund_rows, m1_funding, m1_pub, m1_priv)
-        result = self.ledger.broadcast(tc1)
-        if not result:
-            raise BadTransaction(f"joint refund rejected: {result.reason}")
+        self.broadcast(tc1, "joint refund")
 
         # one fallback per signer, valued at that signer's entries
         fallback_totals: dict[bytes, int] = {}
@@ -812,7 +819,7 @@ class Merchant:
         lock_height = self.ledger.height + self.lock_blocks
         tc1_id = txid(tc1)
         for owner_enc, owner_total in fallback_totals.items():
-            m2_idx, m2_priv, m2_pub, m2_funding = self._fund_refund_key(
+            m2_priv, m2_pub, m2_funding = self.reserve_funded_key(
                 owner_total, "refund-fallback-funding"
             )
             idx = take_index(owner_enc)
@@ -828,9 +835,7 @@ class Merchant:
                 lock_height,
                 self.ledger.height,
             )
-            result = self.ledger.broadcast(tc2)
-            if not result:
-                raise BadTransaction(f"fallback refund rejected: {result.reason}")
+            self.broadcast(tc2, "fallback refund")
             tc2s.append(tc2)
             fallback_keys.append(masked)
             record = dispute.RefundRecord(session.main_txid, tc1_id, txid(tc2))
@@ -862,21 +867,12 @@ class Merchant:
         if not self.refundable(merchant_data):
             raise WindowExpired("session is not refundable")
         total = sum(e.value for e in session.entries)
-        _idx, priv, pub, funding = self._fund_refund_key(total, "refund-direct-funding")
+        priv, pub, funding = self.reserve_funded_key(total, "refund-direct-funding")
         outs = [
             TxOutput(e.value, PayToPubkeyHash(key_hash(e.refundee_point)))
             for e in session.entries
         ]
-        change = sum(f.value for f in funding) - total
-        if change > 0:
-            outs.append(TxOutput(change, PayToPubkeyHash(key_hash(pub))))
-        tx = Transaction(
-            tuple(TxInput(f.txid, f.index) for f in funding), tuple(outs)
-        )
-        tx = _sign_all(tx, [([(priv, pub)], None)] * len(funding))
-        result = self.ledger.broadcast(tx)
-        if not result:
-            raise BadTransaction(f"direct refund rejected: {result.reason}")
+        tx = self.broadcast(build_funded_tx(outs, funding, (priv, pub)), "direct refund")
         session.state = SessionState.REFUND_ISSUED
         return tx
 

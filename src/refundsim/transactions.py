@@ -108,7 +108,7 @@ class NOfNScript:
 
     @classmethod
     def decode(cls, data: bytes) -> "NOfNScript":
-        count = data[0]
+        count = data[0] if data else 0
         if not 2 <= count <= MULTISIG_MAX_KEYS or len(data) != 1 + count * POINT_SIZE:
             raise ValueError("malformed multisig script")
         keys = tuple(
@@ -433,6 +433,30 @@ def build_main_tc(
     return _sign_all(tx, [([signer], None) for signer in funding_signers])
 
 
+def build_funded_tx(
+    outputs: Sequence[TxOutput],
+    funding: Sequence[FundingOutpoint],
+    signer: tuple[int, Point],
+    lock_height: int = 0,
+) -> Transaction:
+    """Spend one key's funding outpoints to `outputs`, change back to that key.
+
+    Every merchant-signed refund and emission is this transaction: the
+    funding key (priv, pub) signs each input, and whatever the funding holds
+    beyond the outputs returns to the key's hash as a final change output.
+    """
+    total_out = sum(o.value for o in outputs)
+    total_in = sum(f.value for f in funding)
+    if total_in < total_out:
+        raise InsufficientFunds(f"need {total_out}, have {total_in}")
+    outputs = list(outputs)
+    change = total_in - total_out
+    if change > 0:
+        outputs.append(TxOutput(change, PayToPubkeyHash(key_hash(signer[1]))))
+    tx = Transaction(_funding_inputs(funding), tuple(outputs), lock_height)
+    return _sign_all(tx, [([signer], None)] * len(funding))
+
+
 def build_refund_tc1(
     refunds: Sequence[tuple],
     merchant_funding: Sequence[FundingOutpoint],
@@ -457,17 +481,7 @@ def build_refund_tc1(
             customer_keys = (customer_keys,)
         script = NOfNScript(customer_keys + (refundee_key,))
         outputs.append(TxOutput(value, ScriptHash(script.script_hash())))
-    total_out = sum(o.value for o in outputs)
-    total_in = sum(f.value for f in merchant_funding)
-    if total_in < total_out:
-        raise InsufficientFunds(f"need {total_out}, have {total_in}")
-    if total_in > total_out:
-        outputs.append(
-            TxOutput(total_in - total_out, PayToPubkeyHash(key_hash(merchant_key_m1)))
-        )
-    tx = Transaction(_funding_inputs(merchant_funding), tuple(outputs))
-    signer = (merchant_priv_m1, merchant_key_m1)
-    return _sign_all(tx, [([signer], None)] * len(merchant_funding))
+    return build_funded_tx(outputs, merchant_funding, (merchant_priv_m1, merchant_key_m1))
 
 
 def build_refund_tc2(
@@ -484,17 +498,12 @@ def build_refund_tc2(
         raise BadLockHeight(f"lock {lock_height} not past height {current_height}")
     if value <= 0:
         raise ValueError("refund value must be positive")
-    total_in = sum(f.value for f in merchant_funding)
-    if total_in < value:
-        raise InsufficientFunds(f"need {value}, have {total_in}")
-    outputs = [TxOutput(value, PayToPubkeyHash(key_hash(masked_customer_key)))]
-    if total_in > value:
-        outputs.append(
-            TxOutput(total_in - value, PayToPubkeyHash(key_hash(merchant_key_m2)))
-        )
-    tx = Transaction(_funding_inputs(merchant_funding), tuple(outputs), lock_height)
-    signer = (merchant_priv_m2, merchant_key_m2)
-    return _sign_all(tx, [([signer], None)] * len(merchant_funding))
+    return build_funded_tx(
+        [TxOutput(value, PayToPubkeyHash(key_hash(masked_customer_key)))],
+        merchant_funding,
+        (merchant_priv_m2, merchant_key_m2),
+        lock_height,
+    )
 
 
 def build_redeem(

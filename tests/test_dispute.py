@@ -85,6 +85,23 @@ def test_store_roundtrip(tmp_path):
     assert store.load() == []
 
 
+def test_store_rewrite_failure_keeps_old_file(tmp_path):
+    """A rewrite that fails part-way leaves the old file intact and no temp file."""
+
+    class Unserializable:
+        def serialize(self):
+            raise RuntimeError("serialization failed")
+
+    path = tmp_path / "records.db"
+    store = RecordStore(str(path))
+    store.rewrite([make_record(1), make_record(2)])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        store.rewrite([make_record(3), Unserializable()])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.db"]
+
+
 def test_store_drops_torn_tail(tmp_path):
     path = tmp_path / "torn.db"
     store = RecordStore(str(path))

@@ -24,6 +24,7 @@ from refundsim.transactions import (
     Transaction,
     TxInput,
     TxOutput,
+    build_funded_tx,
     build_main_tc,
     build_redeem,
     build_refund_tc1,
@@ -190,6 +191,23 @@ def test_main_tc_change():
     )
     assert tx.outputs[-1].value == 30_000
     assert ledger.broadcast(tx)
+
+
+def test_funded_tx_change_and_signatures():
+    ledger, _, sid = fresh_chain([(M_PUB, 30_000), (M_PUB, 20_000)])
+    funding = [FundingOutpoint(sid, 0, 30_000), FundingOutpoint(sid, 1, 20_000)]
+    outs = [TxOutput(40_000, PayToPubkeyHash(key_hash(R_PUB)))]
+    tx = build_funded_tx(outs, funding, (M_PRIV, M_PUB), lock_height=1)
+    assert tx.outputs == (outs[0], TxOutput(10_000, PayToPubkeyHash(key_hash(M_PUB))))
+    assert tx.lock_height == 1
+    assert all(txin.witness[0][1] == M_PUB for txin in tx.inputs)
+    assert ledger.broadcast(tx)
+    exact = build_funded_tx(
+        [TxOutput(30_000, PayToPubkeyHash(key_hash(R_PUB)))], funding[:1], (M_PRIV, M_PUB)
+    )
+    assert len(exact.outputs) == 1  # no zero-value change
+    with pytest.raises(InsufficientFunds):
+        build_funded_tx(outs, funding[1:], (M_PRIV, M_PUB))
 
 
 def test_refund_tc1_output_counts():
