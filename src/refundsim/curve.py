@@ -263,12 +263,6 @@ class CurveGroup:
             k >>= _COMB_BITS
         return self._to_affine(acc)
 
-    def on_curve(self, pt: Point) -> bool:
-        if pt is None:
-            return True
-        x, y = pt
-        return (y * y - x * x * x - self.b) % self.p == 0
-
     def lift_x(self, x: int, parity: int) -> Point:
         """Recover the point with the given x and y-parity, or None."""
         p = self.p

@@ -4,6 +4,11 @@ One owner mutates the ledger through `broadcast` and `advance_height`;
 reads are safe from anywhere.  Confirmation policy: first-seen wins on
 conflicting spends, every height step produces one block containing all
 mempool transactions whose locks are satisfied, in broadcast order.
+
+Admission is final: only `broadcast` checks a transaction and computes its
+txid.  It admits a new txid whose inputs are confirmed, unspent and claimed
+by no pending transaction.  Nothing else can then spend those inputs, and no
+witness or value changes, so confirmation re-checks nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .transactions import (
     key_hash,
     serialize_tx,
     txid,
-    validate,
+    validate_spend,
 )
 
 
@@ -46,25 +51,11 @@ class TxLocator:
     role: LocatorRole
 
 
-class _HeightView:
-    """Read view with an overridden height, for lock-neutral validation."""
-
-    def __init__(self, ledger: "SimLedger", height: int):
-        self._ledger = ledger
-        self.height = height
-
-    def output_exists(self, tx_id, index):
-        return self._ledger.output_exists(tx_id, index)
-
-    def unspent_output(self, tx_id, index):
-        return self._ledger.unspent_output(tx_id, index)
-
-
 class SimLedger:
     def __init__(self):
         self.height = 0
         self.blocks: list[tuple[int, tuple[Transaction, ...]]] = []
-        self.mempool: list[Transaction] = []
+        self.mempool: dict[bytes, Transaction] = {}
         self._outputs: dict[tuple[bytes, int], TxOutput] = {}
         self._spent_by: dict[tuple[bytes, int], bytes] = {}
         self._tx_index: dict[bytes, tuple[Transaction, int]] = {}
@@ -103,9 +94,9 @@ class SimLedger:
         }
 
     def all_confirmed(self) -> Iterator[tuple[int, bytes, Transaction]]:
-        for height, block in self.blocks:
-            for tx in block:
-                yield height, txid(tx), tx
+        """(height, txid, tx) for every confirmed transaction, in chain order."""
+        for tid, (tx, height) in self._tx_index.items():
+            yield height, tid, tx
 
     # -- mutations ---------------------------------------------------------
 
@@ -113,51 +104,41 @@ class SimLedger:
         """Admit a transaction to the mempool.
 
         Structural validity is required now; a future lock height is not a
-        rejection (the transaction waits in the mempool).  An outpoint
-        already claimed by a pending transaction rejects the newcomer.
+        rejection (the transaction waits in the mempool).  A known txid, or
+        an outpoint claimed by a pending transaction, rejects the newcomer.
         """
+        tid = txid(tx)
+        if tid in self._tx_index or tid in self.mempool:
+            return ValidationResult(
+                False, RejectReason.DOUBLE_SPEND, "txid already known"
+            )
         for txin in tx.inputs:
             if (txin.prev_txid, txin.prev_index) in self._pending_outpoints:
                 return ValidationResult(
                     False, RejectReason.DOUBLE_SPEND, "outpoint claimed in mempool"
                 )
-        view = _HeightView(self, max(self.height, tx.lock_height))
-        result = validate(tx, view)
+        result = validate_spend(tx, self)
         if not result:
             return result
-        self.mempool.append(tx)
+        self.mempool[tid] = tx
         for txin in tx.inputs:
             self._pending_outpoints.add((txin.prev_txid, txin.prev_index))
-        return ValidationResult(True)
+        return result
 
     def advance_height(self, n: int = 1) -> int:
-        """Advance the clock, confirming eligible mempool transactions."""
+        """Advance the clock, confirming every mempool transaction whose lock passed."""
         if n < 1:
             raise ValueError("advance must be >= 1")
         for _ in range(n):
             self.height += 1
-            block: list[Transaction] = []
-            remaining: list[Transaction] = []
-            for tx in self.mempool:
-                if tx.lock_height > self.height:
-                    remaining.append(tx)
-                    continue
-                result = validate(tx, self)
-                if result:
-                    self._confirm(tx)
-                    block.append(tx)
-                else:
-                    # became unconfirmable (e.g. input spent meanwhile): drop
-                    for txin in tx.inputs:
-                        self._pending_outpoints.discard(
-                            (txin.prev_txid, txin.prev_index)
-                        )
-            self.mempool = remaining
-            self.blocks.append((self.height, tuple(block)))
+            ready = [t for t, tx in self.mempool.items() if tx.lock_height <= self.height]
+            block = tuple(self.mempool.pop(tid) for tid in ready)
+            for tid, tx in zip(ready, block):
+                self._confirm(tid, tx)
+            self.blocks.append((self.height, block))
         return self.height
 
-    def _confirm(self, tx: Transaction) -> None:
-        tid = txid(tx)
+    def _confirm(self, tid: bytes, tx: Transaction) -> None:
         self._tx_index[tid] = (tx, self.height)
         for txin in tx.inputs:
             key = (txin.prev_txid, txin.prev_index)

@@ -890,18 +890,17 @@ class Merchant:
             issue = session.refund
             if issue is None:
                 continue
-            tc1_id = txid(issue.tc1)
             # map each record to the entry outputs covered by its fallback owner
             for pos, record in enumerate(issue.records):
                 if record.redeem_txid != bytes(32):
                     continue
+                tc1_id, tc2_id = record.refund_tc1_txid, record.refund_tc2_txid
                 candidates = []
                 for out_idx, out in enumerate(issue.tc1.outputs):
                     if isinstance(out.script, ScriptHash):
                         spent, spender = self.ledger.is_spent(tc1_id, out_idx)
                         if spent:
                             candidates.append(spender)
-                tc2_id = txid(issue.tc2s[pos])
                 if self.ledger.output_exists(tc2_id, 0):  # confirmed once lock passes
                     spent, spender = self.ledger.is_spent(tc2_id, 0)
                     if spent:
@@ -981,9 +980,6 @@ class Customer:
         self.wallet = CustomerWallet(seed)
         self.fallback_priv, self.fallback_pub = keygen(seed + b"/fallback-dest")
         self.sessions: dict[bytes, CustomerSession] = {}
-
-    def owned_keys(self) -> list[Point]:
-        return [self.wallet.pub, self.fallback_pub]
 
     def verify_request(self, request: PaymentRequest) -> None:
         if not schnorr_verify(
@@ -1130,14 +1126,12 @@ class Customer:
         located = self.find_fallback()
         if located is None:
             mempool_locked = any(
-                tx.lock_height > self.ledger.height for tx in self.ledger.mempool
+                tx.lock_height > self.ledger.height for tx in self.ledger.mempool.values()
             )
             if mempool_locked:
                 raise Locked("fallback refund still time-locked")
             raise RefundNotFound("no fallback refund addressed to this wallet")
         source_id = txid(located.tx)
-        if located.tx.lock_height > self.ledger.height:
-            raise Locked(f"fallback locked until {located.tx.lock_height}")
         spent, _ = self.ledger.is_spent(source_id, located.output_index)
         if spent:
             raise AlreadySpent("fallback already claimed")
@@ -1149,8 +1143,6 @@ class Customer:
         )
         result = self.ledger.broadcast(redeem)
         if not result:
-            if result.reason is not None and result.reason.value == "locked":
-                raise Locked(result.detail)
             raise BadTransaction(f"fallback redeem rejected: {result.reason}")
         return redeem
 

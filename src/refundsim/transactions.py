@@ -38,7 +38,7 @@ import enum
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .curve import SECP256K1, Point
@@ -594,16 +594,20 @@ def _witness_satisfies(txin: TxInput, out: TxOutput, digest: bytes) -> bool:
 
 
 def validate(tx: Transaction, ledger_view) -> ValidationResult:
-    """Full acceptance check against a ledger view.
+    """Full acceptance check against a ledger view: the lock, then `validate_spend`.
 
     The view must expose `height`, `output_exists(txid, index)` and
-    `unspent_output(txid, index) -> TxOutput | None`.  Seed transactions
-    (no inputs) are exempt from value conservation.
+    `unspent_output(txid, index) -> TxOutput | None`.
     """
     if tx.lock_height > ledger_view.height:
         return ValidationResult(
             False, RejectReason.LOCKED, f"locked until {tx.lock_height}"
         )
+    return validate_spend(tx, ledger_view)
+
+
+def validate_spend(tx: Transaction, ledger_view) -> ValidationResult:
+    """Every check but the lock; seed transactions skip value conservation."""
     if tx.is_seed:
         return ValidationResult(True)
     digest = signing_digest(tx)

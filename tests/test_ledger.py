@@ -202,3 +202,75 @@ def test_dump_lines_shape():
     from refundsim.transactions import deserialize_tx
 
     assert txid(deserialize_tx(bytes.fromhex(raw_hex))) == sid
+
+
+def test_duplicate_txid_rejected_when_confirmed():
+    ledger = SimLedger()
+    seed = build_seed_tx([(C_PUB, 100_000), (M_PUB, 100_000)])
+    assert ledger.broadcast(seed)
+    ledger.advance_height(1)
+    again = ledger.broadcast(seed)
+    assert not again and again.reason is RejectReason.DOUBLE_SPEND
+    ledger.advance_height(1)
+    assert [tid for _h, tid, _tx in ledger.all_confirmed()] == [txid(seed)]
+    assert sum(out.value for out in ledger.utxo_snapshot().values()) == 200_000
+
+
+def test_duplicate_txid_rejected_in_same_mempool():
+    ledger = SimLedger()
+    seed = build_seed_tx([(C_PUB, 100_000), (M_PUB, 100_000)])
+    assert ledger.broadcast(seed)
+    again = ledger.broadcast(seed)
+    assert not again and again.reason is RejectReason.DOUBLE_SPEND
+    ledger.advance_height(1)
+    assert [len(block) for _h, block in ledger.blocks] == [1]
+    assert [tid for _h, tid, _tx in ledger.all_confirmed()] == [txid(seed)]
+    assert ledger.confirmation_height(txid(seed)) == 1
+
+
+def test_each_signature_verified_once(monkeypatch):
+    """Admission checks every witness; confirmation re-checks nothing."""
+    from refundsim import transactions
+
+    ledger, sid = seeded_ledger()
+    masked_key = mask_child(C_PUB, M_PRIV)
+    tc1 = build_refund_tc1(
+        [(masked_key.masked_point, R_PUB, 30_000)],
+        [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
+    )
+    calls = 0
+    real_verify = transactions.schnorr_verify
+
+    def counting_verify(*args):
+        nonlocal calls
+        calls += 1
+        return real_verify(*args)
+
+    monkeypatch.setattr(transactions, "schnorr_verify", counting_verify)
+    admitted = []  # (tx, height when broadcast)
+
+    def admit(tx):
+        assert ledger.broadcast(tx)
+        admitted.append((tx, ledger.height))
+
+    admit(tc1)
+    ledger.advance_height(1)
+    admit(build_main_tc(  # P2PKH spend
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+    ))
+    admit(build_redeem(  # 2-of-2 redeem
+        tc1, 0,
+        [(unmask_child_private(C_PRIV, M_PUB), masked_key.masked_point), (R_PRIV, R_PUB)],
+        R_PUB, two_of_two(masked_key.masked_point, R_PUB),
+    ))
+    admit(build_refund_tc2(  # time-locked fallback
+        masked_key.masked_point, 30_000, [FundingOutpoint(sid, 2, 100_000)],
+        M2_PUB, M2_PRIV, lock_height=6, current_height=ledger.height,
+    ))
+    ledger.advance_height(6)
+
+    signatures = sum(len(txin.witness) for tx, _h in admitted for txin in tx.inputs)
+    assert signatures == 5
+    assert calls == signatures
+    for tx, height in admitted:
+        assert ledger.confirmation_height(txid(tx)) == max(height + 1, tx.lock_height)
