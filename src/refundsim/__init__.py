@@ -8,7 +8,6 @@ merchant-as-mixer anonymity protocol, all over an in-memory ledger.
 from .curve import SECP256K1, CurveGroup
 from .keys import (
     ExtendedPublicKey,
-    MaskedChildKey,
     derive_child_private,
     derive_child_public,
     dh_shared,
@@ -26,7 +25,6 @@ __all__ = [
     "SECP256K1",
     "CurveGroup",
     "ExtendedPublicKey",
-    "MaskedChildKey",
     "derive_child_private",
     "derive_child_public",
     "dh_shared",

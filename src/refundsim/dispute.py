@@ -186,7 +186,6 @@ def generate_linkage_proof(
     masking_priv: int,
     ledger: SimLedger,
     child_index: Optional[int] = None,
-    customer_xpub: Optional[ExtendedPublicKey] = None,
 ) -> LinkageProof:
     """Build the derivation transcript for a jointly redeemed refund.
 
@@ -194,8 +193,7 @@ def generate_linkage_proof(
     refund transaction.  The child index defaults to the position of the
     spent output (index assignment starts at 0 and follows output order);
     batched chunk refunds pass it explicitly.  The customer's extended key is
-    read from the payment transaction unless supplied (multi-party payments
-    embed several).
+    the first one the payment transaction embeds.
     """
     if record.redeem_txid == _ZERO_ID:
         raise NotRedeemed("record has no redeem transaction")
@@ -209,13 +207,12 @@ def generate_linkage_proof(
     )
     if spend is None or spend.reveal_script is None:
         raise NotRedeemed("redeem transaction does not spend the joint refund")
-    if customer_xpub is None:
-        customer_xpub = extract_xpub(main)
+    customer_xpub = extract_xpub(main)
     if customer_xpub is None:
         raise ChainDataMissing("payment transaction carries no extended key")
     index = spend.prev_index if child_index is None else child_index
     child = derive_child_public(customer_xpub, index)
-    masked = mask_child(child, masking_priv, index=index).masked_point
+    masked = mask_child(child, masking_priv)
     return LinkageProof(
         record=record,
         child_index=index,
@@ -254,7 +251,7 @@ def verify_linkage_proof(proof: LinkageProof, ledger: SimLedger) -> ProofCheck:
         return ProofCheck(False, "degenerate-child")
     if child != proof.child_point:
         return ProofCheck(False, "child-mismatch")
-    masked = mask_child(child, proof.masking_priv, index=proof.child_index).masked_point
+    masked = mask_child(child, proof.masking_priv)
     if masked != proof.masked_point:
         return ProofCheck(False, "mask-mismatch")
     # the disclosed key must be the joint refund's own funding key
@@ -321,7 +318,7 @@ def _match_masked_key(
             child = derive_child_public(xpub, index)
         except DegenerateChild:
             continue
-        masked = mask_child(child, masking_priv, index=index).masked_point
+        masked = mask_child(child, masking_priv)
         if target_check(index, masked):
             return index, masked
     return None

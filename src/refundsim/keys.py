@@ -3,9 +3,10 @@
 A parent public key plus a 32-byte chain code (an extended public key) lets
 anyone derive child public keys, while only the parent private-key holder can
 derive the matching child private keys.  A merchant holding a private key m
-can additionally *mask* a child key as ``child + H*(m * child) * G``; the
-child-key owner recovers the masked private key from m's public half, and
-nobody else can link the masked key back to the parent without solving DH.
+can additionally *mask* a child key into the point
+``child + H*(m * child) * G``; the child-key owner recovers the masked private
+key from m's public half, and nobody else can link the masked key back to the
+parent without solving DH.
 
 All functions are pure; curve parameters are injectable for tests and default
 to secp256k1.
@@ -66,23 +67,6 @@ class ExtendedPublicKey:
         if len(data) != point_len + 32:
             raise ValueError("malformed extended key")
         return cls(curve.decode_point(data[:point_len]), data[point_len:])
-
-
-@dataclass(frozen=True)
-class MaskedChildKey:
-    """A child public key offset by a hash of a DH shared point.
-
-    ``masking_pubkey_hint`` is the public half of the masking private key, so
-    either private-key holder can recompute ``masked_point`` from scratch.
-    """
-
-    masked_point: Point
-    parent_index: int
-    masking_pubkey_hint: Point
-
-    def __post_init__(self):
-        if self.masked_point is None:
-            raise IdentityPoint("masked key is the identity")
 
 
 def _hmac512(key: bytes, msg: bytes) -> bytes:
@@ -179,25 +163,16 @@ def dh_shared(priv: int, peer_pub: Point, curve: CurveGroup = SECP256K1) -> byte
 
 
 def mask_child(
-    child_pub: Point,
-    merchant_priv: int,
-    index: int = 0,
-    curve: CurveGroup = SECP256K1,
-) -> MaskedChildKey:
-    """Offset a child key by the hashed DH secret: child + H*(m*child)*G.
-
-    ``index`` is carried through for the record; it is the derivation index
-    of ``child_pub`` under its parent extended key.
-    """
+    child_pub: Point, merchant_priv: int, curve: CurveGroup = SECP256K1
+) -> Point:
+    """Offset a child key by the hashed DH secret: child + H*(m*child)*G."""
     if child_pub is None:
         raise IdentityPoint("child key is the identity")
     offset = int.from_bytes(dh_shared(merchant_priv, child_pub, curve), "big")
     masked = curve.add(child_pub, curve.g_mul(offset))
-    return MaskedChildKey(
-        masked_point=masked,
-        parent_index=index,
-        masking_pubkey_hint=curve.g_mul(merchant_priv),
-    )
+    if masked is None:
+        raise IdentityPoint("masked key is the identity")
+    return masked
 
 
 def unmask_child_private(

@@ -28,7 +28,6 @@ from typing import Iterator, Optional, Sequence
 from .curve import SECP256K1, Point
 from .keys import (
     ExtendedPublicKey,
-    MaskedChildKey,
     derive_child_public,
     mask_child,
     unmask_child_private,
@@ -91,7 +90,7 @@ def split_value(total: int, k: int) -> SplitPlan:
 
 def derive_chunk_keys(
     refundee_xpub: ExtendedPublicKey, k: int, merchant_priv: int
-) -> list[MaskedChildKey]:
+) -> list[Point]:
     """Masked refundee children at indexes 0..k-1, one per chunk.
 
     The refundee recovers each private key from its wallet plus the masking
@@ -102,7 +101,7 @@ def derive_chunk_keys(
     out = []
     for index in range(k):
         child = derive_child_public(refundee_xpub, index)
-        out.append(mask_child(child, merchant_priv, index=index))
+        out.append(mask_child(child, merchant_priv))
     return out
 
 
@@ -282,13 +281,9 @@ class MixerService:
             plan = split_value(payable, self.k)
             masked = derive_chunk_keys(entry.refundee, self.k, masker_priv)
             for chunk_value, masked_key in zip(plan.chunks, masked):
-                self.merchant.key_log.register(
-                    masked_key.masked_point, "masked-chunk-key"
-                )
+                self.merchant.key_log.register(masked_key, "masked-chunk-key")
                 positions.append(
-                    self.batch.add(
-                        MixChunk(masked_key.masked_point, chunk_value, merchant_data)
-                    )
+                    self.batch.add(MixChunk(masked_key, chunk_value, merchant_data))
                 )
             total += payable
         session.state = SessionState.REFUND_ISSUED
@@ -377,7 +372,6 @@ class LinkageReport:
     n_outputs: int
     feasible_assignments: int
     target_correct: bool
-    assignment: dict = field(default_factory=dict)
 
 
 def _feasible_assignments(
@@ -453,16 +447,12 @@ def analyze_linkage(
     target_correct = (
         chosen[0] == truth.origin_names[target_fact.origin]
     )
-    assignment = {
-        (fact.txid, fact.vout): guess for fact, guess in zip(outputs, chosen)
-    }
     return LinkageReport(
         accuracy=correct / n if n else 0.0,
         baseline=baseline,
         n_outputs=n,
         feasible_assignments=len(feasible),
         target_correct=target_correct,
-        assignment=assignment,
     )
 
 
@@ -476,7 +466,6 @@ class AggregateChunk:
     origin: bytes
     customer_xpub: ExtendedPublicKey
     refundee_xpub: ExtendedPublicKey
-    entry_index: int
     chunk_index: int
     flat_index: int  # customer child index: entry * k + chunk
     value: int
@@ -549,7 +538,6 @@ class AggregateService:
                         origin=merchant_data,
                         customer_xpub=xpub,
                         refundee_xpub=entry.refundee,
-                        entry_index=i,
                         chunk_index=j,
                         flat_index=i * self.k + j,
                         value=chunk_value,
@@ -590,9 +578,9 @@ class AggregateService:
             scripts = []
             for c in chunks:
                 child_c = derive_child_public(c.customer_xpub, c.flat_index)
-                masked_c = mask_child(child_c, priv, index=c.flat_index).masked_point
+                masked_c = mask_child(child_c, priv)
                 child_r = derive_child_public(c.refundee_xpub, c.chunk_index)
-                masked_r = mask_child(child_r, priv, index=c.chunk_index).masked_point
+                masked_r = mask_child(child_r, priv)
                 scripts.append(NOfNScript((masked_c, masked_r)))
             outs = [
                 TxOutput(c.value, ScriptHash(script.script_hash()))
@@ -616,7 +604,7 @@ class AggregateService:
             outs = []
             for c in chunks:
                 child = derive_child_public(c.customer_xpub, c.flat_index)
-                masked = mask_child(child, priv, index=c.flat_index).masked_point
+                masked = mask_child(child, priv)
                 outs.append(TxOutput(c.value, PayToPubkeyHash(key_hash(masked))))
             tx = build_funded_tx(outs, funding, (priv, pub), lock)
             fallback_txs.append(self.merchant.broadcast(tx, "aggregate fallback emission"))
@@ -657,14 +645,11 @@ class AggregateService:
         redeems = []
         for detail in self.details[merchant_data]:
             chunk = detail.chunk
+            masker_pub = SECP256K1.g_mul(detail.masking_priv)
             child_c = customer_wallet.child_private(chunk.flat_index)
-            masked_c_priv = unmask_child_private(
-                child_c, SECP256K1.g_mul(detail.masking_priv)
-            )
+            masked_c_priv = unmask_child_private(child_c, masker_pub)
             child_r = refundee_wallet.child_private(chunk.chunk_index)
-            masked_r_priv = unmask_child_private(
-                child_r, SECP256K1.g_mul(detail.masking_priv)
-            )
+            masked_r_priv = unmask_child_private(child_r, masker_pub)
             joint_tx = self.ledger.get_transaction(detail.joint_txid)
             redeem = build_redeem(
                 joint_tx,

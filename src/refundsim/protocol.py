@@ -33,7 +33,6 @@ from . import dispute
 from .curve import SECP256K1, Point
 from .keys import (
     ExtendedPublicKey,
-    MaskedChildKey,
     derive_child_private,
     derive_child_public,
     dh_shared,
@@ -529,8 +528,8 @@ class RefundIssue:
     tc1: Transaction
     tc2s: list[Transaction]
     records: list[dispute.RefundRecord]
-    entry_outputs: list[tuple[int, RefundEntry, tuple[MaskedChildKey, ...]]]
-    fallback_keys: list[MaskedChildKey]
+    entry_outputs: list[tuple[int, RefundEntry, tuple[Point, ...]]]
+    fallback_keys: list[Point]
 
     @property
     def tc2(self) -> Transaction:
@@ -575,7 +574,6 @@ class Merchant:
         wallet_size: int = 256,
         lock_blocks: int = ONE_WEEK_BLOCKS,
         window_blocks: int = TWO_MONTHS_BLOCKS,
-        request_ttl: int = DEFAULT_REQUEST_TTL,
         db_path: Optional[str] = None,
     ):
         self.name = name
@@ -583,7 +581,6 @@ class Merchant:
         self.key_log = key_log if key_log is not None else KeyRoleLog()
         self.lock_blocks = lock_blocks
         self.window_blocks = window_blocks
-        self.request_ttl = request_ttl
         self.identity_priv, self.identity_pub = keygen(seed + b"/identity")
         registry.register(name, self.identity_pub)
         self.key_log.register(self.identity_pub, "merchant-identity", name)
@@ -609,7 +606,7 @@ class Merchant:
             payment_address=payment_pub,
             amount=item_price,
             created_at=self.ledger.height,
-            expires_at=self.ledger.height + self.request_ttl,
+            expires_at=self.ledger.height + DEFAULT_REQUEST_TTL,
             memo=memo,
             merchant_data=merchant_data,
         )
@@ -793,16 +790,10 @@ class Merchant:
             for owner_enc in owners:
                 idx = take_index(owner_enc)
                 child = derive_child_public(xpub_of[owner_enc], idx)
-                masked = mask_child(child, m1_priv, index=idx)
-                self.key_log.register(masked.masked_point, "masked-refund-child")
+                masked = mask_child(child, m1_priv)
+                self.key_log.register(masked, "masked-refund-child")
                 masked_group.append(masked)
-            refund_rows.append(
-                (
-                    tuple(mk.masked_point for mk in masked_group),
-                    entry.refundee_point,
-                    entry.value,
-                )
-            )
+            refund_rows.append((tuple(masked_group), entry.refundee_point, entry.value))
             entry_outputs.append((position, entry, tuple(masked_group)))
             entry_owner.append(owners[0])
 
@@ -815,7 +806,7 @@ class Merchant:
             fallback_totals[owner_enc] = fallback_totals.get(owner_enc, 0) + entry.value
         tc2s: list[Transaction] = []
         records: list[dispute.RefundRecord] = []
-        fallback_keys: list[MaskedChildKey] = []
+        fallback_keys: list[Point] = []
         lock_height = self.ledger.height + self.lock_blocks
         tc1_id = txid(tc1)
         for owner_enc, owner_total in fallback_totals.items():
@@ -824,10 +815,10 @@ class Merchant:
             )
             idx = take_index(owner_enc)
             child = derive_child_public(xpub_of[owner_enc], idx)
-            masked = mask_child(child, m2_priv, index=idx)
-            self.key_log.register(masked.masked_point, "masked-fallback-child")
+            masked = mask_child(child, m2_priv)
+            self.key_log.register(masked, "masked-fallback-child")
             tc2 = build_refund_tc2(
-                masked.masked_point,
+                masked,
                 owner_total,
                 m2_funding,
                 m2_pub,
@@ -922,34 +913,24 @@ class Merchant:
         if self.store is not None:
             self.store.rewrite(self.records)
 
-    def linkage_proof(
-        self, merchant_data: bytes, record_pos: int = 0
-    ) -> dispute.LinkageProof:
+    def linkage_proof(self, merchant_data: bytes) -> dispute.LinkageProof:
         """Disclose the per-session masking key and build the proof."""
         session = self.sessions.get(merchant_data)
         if session is None or session.refund is None:
             raise UnknownSession("no refund issued for this session")
-        record = session.refund.records[record_pos]
-        m1_priv, _m2 = session.masking_privs[record_pos]
+        record = session.refund.records[0]
+        m1_priv, _m2 = session.masking_privs[0]
         return dispute.generate_linkage_proof(record, m1_priv, self.ledger)
 
 
 # -- customer side -----------------------------------------------------------------
 
 
-@dataclass
-class CustomerSession:
-    request: PaymentRequest
-    entries: tuple[RefundEntry, ...]
-    main_txid: bytes
-    payment: PaymentMsg
-
-
 @dataclass(frozen=True)
 class LocatedJointRefund:
     tx: Transaction
+    txid: bytes
     output_index: int
-    child_index: int
     masked_priv: int
     masked_point: Point
     script: NOfNScript
@@ -958,8 +939,8 @@ class LocatedJointRefund:
 @dataclass(frozen=True)
 class LocatedFallback:
     tx: Transaction
+    txid: bytes
     output_index: int
-    child_index: int
     masked_priv: int
     masked_point: Point
 
@@ -978,8 +959,7 @@ class Customer:
         self.ledger = ledger
         self.trusted_identity = trusted_identity
         self.wallet = CustomerWallet(seed)
-        self.fallback_priv, self.fallback_pub = keygen(seed + b"/fallback-dest")
-        self.sessions: dict[bytes, CustomerSession] = {}
+        _, self.fallback_pub = keygen(seed + b"/fallback-dest")
 
     def verify_request(self, request: PaymentRequest) -> None:
         if not schnorr_verify(
@@ -1012,8 +992,7 @@ class Customer:
         )
         change = sum(f.value for f in funding) - request.amount
         if change > 0:
-            main_id = txid(main)
-            self.wallet.credit(FundingOutpoint(main_id, len(main.outputs) - 1, change))
+            self.wallet.credit(FundingOutpoint(txid(main), len(main.outputs) - 1, change))
         sealed = None
         wire_entries: tuple[RefundEntry, ...] = entries
         if encrypt:
@@ -1023,17 +1002,13 @@ class Customer:
                 self.wallet.pub,
             )
             wire_entries = ()
-        msg = PaymentMsg(
+        return PaymentMsg(
             merchant_data=request.merchant_data,
             transactions=(main,),
             refund_to=wire_entries,
             sealed_refund_to=sealed,
             memo=memo,
         )
-        self.sessions[request.merchant_data] = CustomerSession(
-            request=request, entries=entries, main_txid=txid(main), payment=msg
-        )
-        return msg
 
     # -- refund discovery ------------------------------------------------------
 
@@ -1042,11 +1017,9 @@ class Customer:
         masked_priv = unmask_child_private(child_priv, funder)
         return masked_priv, SECP256K1.g_mul(masked_priv)
 
-    def find_joint_refund(
-        self, refundee_pub: Point, max_index: int = MAX_CHILD_SCAN
-    ) -> Optional[LocatedJointRefund]:
+    def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedJointRefund]:
         """Scan the chain for a joint refund locking self to the refundee."""
-        for _height, _tid, tx in self.ledger.all_confirmed():
+        for _height, tid, tx in self.ledger.all_confirmed():
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
             if not funders:
                 continue
@@ -1058,21 +1031,19 @@ class Customer:
             if not target_hashes:
                 continue
             for funder in funders:
-                for index in range(max_index + 1):
+                for index in range(MAX_CHILD_SCAN + 1):
                     masked_priv, masked_point = self._masked_identity(funder, index)
                     script = NOfNScript((masked_point, refundee_pub))
                     out_idx = target_hashes.get(script.script_hash())
                     if out_idx is not None:
                         return LocatedJointRefund(
-                            tx, out_idx, index, masked_priv, masked_point, script
+                            tx, tid, out_idx, masked_priv, masked_point, script
                         )
         return None
 
-    def find_fallback(
-        self, max_index: int = MAX_CHILD_SCAN
-    ) -> Optional[LocatedFallback]:
+    def find_fallback(self) -> Optional[LocatedFallback]:
         """Scan the chain for the time-locked fallback addressed to self."""
-        for _height, _tid, tx in self.ledger.all_confirmed():
+        for _height, tid, tx in self.ledger.all_confirmed():
             if tx.lock_height == 0:
                 continue
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
@@ -1082,13 +1053,11 @@ class Customer:
                 if isinstance(out.script, PayToPubkeyHash)
             }
             for funder in funders:
-                for index in range(max_index + 1):
+                for index in range(MAX_CHILD_SCAN + 1):
                     masked_priv, masked_point = self._masked_identity(funder, index)
                     out_idx = hashes.get(key_hash(masked_point))
                     if out_idx is not None:
-                        return LocatedFallback(
-                            tx, out_idx, index, masked_priv, masked_point
-                        )
+                        return LocatedFallback(tx, tid, out_idx, masked_priv, masked_point)
         return None
 
     # -- redemption ---------------------------------------------------------------
@@ -1102,8 +1071,7 @@ class Customer:
         located = self.find_joint_refund(refundee_pub)
         if located is None:
             raise MissingSigner("no joint refund locks self to this refundee")
-        source_id = txid(located.tx)
-        spent, _ = self.ledger.is_spent(source_id, located.output_index)
+        spent, _ = self.ledger.is_spent(located.txid, located.output_index)
         if spent:
             raise AlreadySpent("joint refund already redeemed")
         redeem = build_redeem(
@@ -1131,8 +1099,7 @@ class Customer:
             if mempool_locked:
                 raise Locked("fallback refund still time-locked")
             raise RefundNotFound("no fallback refund addressed to this wallet")
-        source_id = txid(located.tx)
-        spent, _ = self.ledger.is_spent(source_id, located.output_index)
+        spent, _ = self.ledger.is_spent(located.txid, located.output_index)
         if spent:
             raise AlreadySpent("fallback already claimed")
         redeem = build_redeem(
@@ -1186,14 +1153,9 @@ def pay_joint(
         signers,
         extra_xpubs=xpubs[1:],
     )
-    msg = PaymentMsg(
+    return PaymentMsg(
         merchant_data=request.merchant_data,
         transactions=(main,),
         refund_to=tuple(refund_plan),
         memo=memo,
     )
-    for customer, _share in participants:
-        customer.sessions[request.merchant_data] = CustomerSession(
-            request=request, entries=tuple(refund_plan), main_txid=txid(main), payment=msg
-        )
-    return msg

@@ -203,6 +203,9 @@ class AddressBook:
         return out
 
 
+MERCHANT_KEY_FUNDS = 200_000  # seeded onto each funded merchant wallet key
+
+
 class Env:
     """Shared scenario plumbing: ledger, registry, actors, accounting."""
 
@@ -234,7 +237,7 @@ class Env:
     def log(self, actor: str, event: str, detail: str = "") -> None:
         self.transcript.log(self.ledger.height, actor, event, detail)
 
-    def new_customer(self, label: str, funds: int = 0) -> Customer:
+    def new_customer(self, label: str) -> Customer:
         customer = Customer(
             label, self.scenario.seed_bytes(label), self.ledger,
             self.merchant.identity_pub,
@@ -257,11 +260,10 @@ class Env:
         self,
         customer_payouts: list[tuple[Customer, int]],
         merchant_keys: int = 8,
-        merchant_per_key: int = 200_000,
     ) -> None:
         payouts = [(c.wallet.pub, value) for c, value in customer_payouts]
         for i in range(merchant_keys):
-            payouts.append((self.merchant.wallet.key(i)[1], merchant_per_key))
+            payouts.append((self.merchant.wallet.key(i)[1], MERCHANT_KEY_FUNDS))
         seed_tx = build_seed_tx(payouts)
         result = self.ledger.broadcast(seed_tx)
         assert result, result
@@ -271,7 +273,7 @@ class Env:
             customer.wallet.credit(FundingOutpoint(sid, i, value))
         for i in range(merchant_keys):
             self.merchant.wallet.credit(
-                i, FundingOutpoint(sid, len(customer_payouts) + i, merchant_per_key)
+                i, FundingOutpoint(sid, len(customer_payouts) + i, MERCHANT_KEY_FUNDS)
             )
         self.log("faucet", "seeded", f"tx={sid.hex()[:12]}")
         self.baseline = self.book.balances(self.ledger)
@@ -380,9 +382,9 @@ def _run_honest_refund(scenario: Scenario, out_dir) -> Verdict:
 
     issue = env.merchant.issue_refund(request.merchant_data)
     for _pos, _entry, group in issue.entry_outputs:
-        script = two_of_two(group[0].masked_point, bob_pub)
+        script = two_of_two(group[0], bob_pub)
         env.book.register_script_hash(script.script_hash(), "escrow")
-    env.book.register_key(issue.fallback_keys[0].masked_point, "alice")
+    env.book.register_key(issue.fallback_keys[0], "alice")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
@@ -477,9 +479,9 @@ def _run_silkroad(scenario: Scenario, out_dir) -> Verdict:
 
     issue = env.merchant.issue_refund(request.merchant_data)
     for _pos, _entry, group in issue.entry_outputs:
-        script = two_of_two(group[0].masked_point, trader_pub)
+        script = two_of_two(group[0], trader_pub)
         env.book.register_script_hash(script.script_hash(), "escrow")
-    env.book.register_key(issue.fallback_keys[0].masked_point, "mallory")
+    env.book.register_key(issue.fallback_keys[0], "mallory")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
@@ -556,11 +558,11 @@ def _run_marketplace(scenario: Scenario, out_dir) -> Verdict:
         return _finish(env, scenario, assertions, out_dir)
 
     issue = env.merchant.issue_refund(request.merchant_data)
-    masked_entry = issue.entry_outputs[0][2][0].masked_point
+    masked_entry = issue.entry_outputs[0][2][0]
     env.book.register_script_hash(
         two_of_two(masked_entry, rogue_pub).script_hash(), "escrow"
     )
-    env.book.register_key(issue.fallback_keys[0].masked_point, "carol")
+    env.book.register_key(issue.fallback_keys[0], "carol")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued-locked-to-carol-and-rogue", "")
 
@@ -656,15 +658,15 @@ def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
 
     issue = env.merchant.issue_refund(request.merchant_data)
     for _pos, entry, group in issue.entry_outputs:
-        script = two_of_two(group[0].masked_point, entry.refundee_point)
+        script = two_of_two(group[0], entry.refundee_point)
         env.book.register_script_hash(script.script_hash(), "escrow")
     for masked in issue.fallback_keys:
-        env.book.register_key(masked.masked_point, "cosigner-fallback")
+        env.book.register_key(masked, "cosigner-fallback")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"fallbacks={len(issue.tc2s)}")
 
     # the trader (with eve's help) still lacks dave's masked-child signature
-    dave_masked = issue.entry_outputs[0][2][0].masked_point
+    dave_masked = issue.entry_outputs[0][2][0]
     trader_blocked = False
     try:
         build_redeem(
@@ -741,9 +743,9 @@ def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
         env.merchant.process_payment(msg)
         env.ledger.advance_height(1)
         issue = env.merchant.issue_refund(request.merchant_data)
-        env.book.register_key(issue.fallback_keys[0].masked_point, f"customer{i}")
+        env.book.register_key(issue.fallback_keys[0], f"customer{i}")
         script = two_of_two(
-            issue.entry_outputs[0][2][0].masked_point, refundee_keys[i][1]
+            issue.entry_outputs[0][2][0], refundee_keys[i][1]
         )
         env.book.register_script_hash(script.script_hash(), "escrow")
         env.ledger.advance_height(1)

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unreferenced definitions.
+"""Source hygiene: no unused imports, definitions, parameters or fields.
 
 An `ast` scan in place of a linter.  A name imported by a module of
 `src/refundsim` must be used in that module (or listed in its `__all__`),
@@ -7,6 +7,14 @@ in `src/`, `tests/` or `perfbench/` other than its own definition: as a
 name, an attribute, an imported name or a word in a non-docstring string
 (perfbench's tracer names its targets in strings).  Dunder methods are
 called implicitly and are exempt.
+
+Three more checks keep state and options nobody reads out of the package:
+every parameter is read in its function's body; every defaulted parameter
+of a public function is passed, by keyword or by position, by some call in
+the three trees whose callee has the function's name; and every class field
+or `self.` attribute is loaded as an attribute somewhere in them.  Matching
+is by name, so a dead field that shares its name with a live one elsewhere
+goes unseen.
 """
 
 import ast
@@ -103,3 +111,159 @@ def test_every_definition_is_referenced():
             if node.name not in referenced:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == [], f"defined but named nowhere: {unreferenced}"
+
+
+# -- dead parameters and fields ------------------------------------------------------
+
+# (module, function, parameter) left alone by the three checks below, each
+# with its reason.  Nothing else is exempt.
+KEPT_PARAMETERS = {
+    # perfbench's mix_trials workload passes the ledger; the benchmark harness
+    # drives the program through this signature
+    ("mixer.py", "analyze_linkage", "ledger"),
+}
+# `curve` in keys.py is how tests inject the toy group into every key function
+INJECTED_PARAMETERS = {("keys.py", "curve")}
+# `memo` is payment-message content, not a setting
+CONTENT_PARAMETERS = {"memo"}
+
+
+def _arguments(fn: ast.FunctionDef) -> list[ast.arg]:
+    a = fn.args
+    extra = [x for x in (a.vararg, a.kwarg) if x is not None]
+    return a.posonlyargs + a.args + a.kwonlyargs + extra
+
+
+def _kept(module: str, function: str, parameter: str) -> bool:
+    return (
+        (module, function, parameter) in KEPT_PARAMETERS
+        or (module, parameter) in INJECTED_PARAMETERS
+        or parameter in CONTENT_PARAMETERS
+    )
+
+
+def _public_callables(tree: ast.Module):
+    """(name it is called by, def, whether a bound first argument is implicit).
+
+    Module-level public functions, and public methods of module-level public
+    classes; a class's `__init__` is called by the class name.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                if item.name == "__init__":
+                    yield node.name, item, True
+                elif not item.name.startswith("_"):
+                    yield item.name, item, not static
+
+
+def _call_sites() -> dict[str, list[tuple[float, set, bool]]]:
+    """Callee name -> (positional count, keywords, has `**`) for every call."""
+    sites: dict[str, list] = {}
+    for tree_root in TREES:
+        for path in tree_root.rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    name = node.func.id
+                elif isinstance(node.func, ast.Attribute):
+                    name = node.func.attr
+                else:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positional = float("inf") if starred else len(node.args)
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                double_star = any(k.arg is None for k in node.keywords)
+                sites.setdefault(name, []).append((positional, keywords, double_star))
+    return sites
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loaded = {
+                n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for arg in _arguments(node):
+                # a leading underscore declares an argument unused, as in a
+                # handler that must match its dispatcher's signature
+                if arg.arg in ("self", "cls") or arg.arg.startswith("_") or arg.arg in loaded:
+                    continue
+                if not _kept(path.name, node.name, arg.arg):
+                    unread.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
+    assert unread == [], f"parameters never read: {unread}"
+
+
+def test_every_default_is_passed():
+    sites = _call_sites()
+    never_passed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn, bound in _public_callables(_parse(path)):
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [
+                (positional.index(arg) - bound, arg)
+                for arg in positional[len(positional) - len(fn.args.defaults):]
+            ]
+            defaulted += [
+                (float("inf"), arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            for position, arg in defaulted:
+                if _kept(path.name, fn.name, arg.arg):
+                    continue
+                if not any(
+                    arg.arg in keywords or double_star or position < count
+                    for count, keywords, double_star in sites.get(name, [])
+                ):
+                    never_passed.append(f"{path.name}:{fn.lineno} {name}({arg.arg})")
+    assert never_passed == [], f"defaulted parameters no call passes: {never_passed}"
+
+
+def test_every_field_is_read():
+    read = set()
+    for tree_root in TREES:
+        for path in tree_root.rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                    read.add(node.target.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {
+                item.target.id: item.lineno
+                for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+            for node in ast.walk(cls):
+                # every `self.x` store, tuple-unpacking targets included
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    fields.setdefault(node.attr, node.lineno)
+            for field_name, line in fields.items():
+                if field_name not in read:
+                    unread.append(f"{path.name}:{line} {cls.name}.{field_name}")
+    assert unread == [], f"fields never read: {unread}"

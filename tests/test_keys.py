@@ -126,8 +126,8 @@ def test_vector_file_cross_check():
         m_priv, _ = keygen(b"merchant:" + seed)
         child = derive_child_public(ExtendedPublicKey(pub, chain), index)
         assert SECP256K1.encode_point(child).hex() == child_hex
-        masked = mask_child(child, m_priv, index=index)
-        assert SECP256K1.encode_point(masked.masked_point).hex() == masked_hex
+        masked = mask_child(child, m_priv)
+        assert SECP256K1.encode_point(masked).hex() == masked_hex
         checked += 1
     assert checked == 20
 
@@ -168,7 +168,7 @@ def test_mask_fixture_matches_oracle():
     _, child = keygen(b"child-fixture")
     m_priv, _ = keygen(b"merchant-fixture")
     masked = mask_child(child, m_priv)
-    assert SECP256K1.encode_point(masked.masked_point).hex() == (
+    assert SECP256K1.encode_point(masked).hex() == (
         "03f4da97429836eb470ea3a43ac6cafac4920984c147c5cf4e88a6ede566adcd4f"
     )
 
@@ -176,18 +176,16 @@ def test_mask_fixture_matches_oracle():
 def test_mask_unmask_roundtrip():
     c_priv, c_pub = keygen(b"child")
     m_priv, m_pub = keygen(b"merchant")
-    masked = mask_child(c_pub, m_priv, index=3)
+    masked = mask_child(c_pub, m_priv)
     unmasked = unmask_child_private(c_priv, m_pub)
-    assert SECP256K1.g_mul(unmasked) == masked.masked_point
-    assert masked.parent_index == 3
-    assert masked.masking_pubkey_hint == m_pub
+    assert SECP256K1.g_mul(unmasked) == masked
 
 
 def test_mask_distinct_merchants():
     _, c_pub = keygen(b"child")
     m1, _ = keygen(b"m1")
     m2, _ = keygen(b"m2")
-    assert mask_child(c_pub, m1).masked_point != mask_child(c_pub, m2).masked_point
+    assert mask_child(c_pub, m1) != mask_child(c_pub, m2)
 
 
 def test_unmask_priv_one():
@@ -219,7 +217,7 @@ def test_randomized_mask_oracle_equivalence():
     for _ in range(40):
         _, child = keygen(rng.randbytes(16))
         m_priv, _ = keygen(rng.randbytes(16))
-        assert mask_child(child, m_priv).masked_point == ref.ref_mask(child, m_priv)
+        assert mask_child(child, m_priv) == ref.ref_mask(child, m_priv)
 
 
 # -- properties -------------------------------------------------------------------
@@ -250,7 +248,7 @@ def test_property_mask_unmask_consistency(c_seed, m_seed):
     c_priv, c_pub = keygen(c_seed)
     m_priv, m_pub = keygen(b"m" + m_seed)
     masked = mask_child(c_pub, m_priv)
-    assert SECP256K1.g_mul(unmask_child_private(c_priv, m_pub)) == masked.masked_point
+    assert SECP256K1.g_mul(unmask_child_private(c_priv, m_pub)) == masked
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +312,16 @@ def test_toy_curve_derivation_and_masking(toy_curve):
         unmasked = unmask_child_private(
             child_priv, toy_curve.g_mul(m_priv), curve=toy_curve
         )
-        assert toy_curve.g_mul(unmasked) == masked.masked_point
+        assert toy_curve.g_mul(unmasked) == masked
+
+
+def test_toy_curve_masked_identity_rejected(toy_curve):
+    """In the 199-element group, masker 26 sends the generator to the identity."""
+    child = toy_curve.g_mul(1)
+    offset = int.from_bytes(dh_shared(26, child, curve=toy_curve), "big")
+    assert toy_curve.add(child, toy_curve.g_mul(offset)) is None
+    with pytest.raises(IdentityPoint):
+        mask_child(child, 26, curve=toy_curve)
 
 
 def test_toy_curve_degenerate_children_skipped(toy_curve):

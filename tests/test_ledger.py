@@ -61,7 +61,7 @@ def test_mempool_first_seen_wins():
 
 def test_locked_tx_waits_then_confirms():
     ledger, sid = seeded_ledger()
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     tc2 = build_refund_tc2(
         masked, 60_000, [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
         lock_height=4, current_height=1,
@@ -75,12 +75,12 @@ def test_locked_tx_waits_then_confirms():
 
 def test_locked_txs_confirm_in_lock_order():
     ledger, sid = seeded_ledger()
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     late = build_refund_tc2(
         masked, 60_000, [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
         lock_height=6, current_height=1,
     )
-    masked2 = mask_child(R_PUB, M2_PRIV).masked_point
+    masked2 = mask_child(R_PUB, M2_PRIV)
     soon = build_refund_tc2(
         masked2, 60_000, [FundingOutpoint(sid, 2, 100_000)], M2_PUB, M2_PRIV,
         lock_height=3, current_height=1,
@@ -121,11 +121,11 @@ def test_find_by_pubkey_roles_full_flow():
 
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key.masked_point, R_PUB, 30_000)],
+        [(masked_key, R_PUB, 30_000)],
         [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
     )
     tc2 = build_refund_tc2(
-        masked_key.masked_point, 30_000, [FundingOutpoint(sid, 2, 100_000)],
+        masked_key, 30_000, [FundingOutpoint(sid, 2, 100_000)],
         M2_PUB, M2_PRIV, lock_height=4, current_height=ledger.height,
     )
     assert ledger.broadcast(tc1) and ledger.broadcast(tc2)
@@ -136,15 +136,15 @@ def test_find_by_pubkey_roles_full_flow():
     m2_roles = {loc.role for loc in ledger.find_by_pubkey(M2_PUB)}
     assert LocatorRole.OUTGOING_P2PKH in m2_roles
 
-    script = two_of_two(masked_key.masked_point, R_PUB)
+    script = two_of_two(masked_key, R_PUB)
     masked_priv = unmask_child_private(C_PRIV, M_PUB)
     redeem = build_redeem(
-        tc1, 0, [(masked_priv, masked_key.masked_point), (R_PRIV, R_PUB)],
+        tc1, 0, [(masked_priv, masked_key), (R_PRIV, R_PUB)],
         R_PUB, script,
     )
     assert ledger.broadcast(redeem)
     ledger.advance_height(1)
-    masked_roles = {loc.role for loc in ledger.find_by_pubkey(masked_key.masked_point)}
+    masked_roles = {loc.role for loc in ledger.find_by_pubkey(masked_key)}
     assert LocatorRole.REDEEM in masked_roles
     # the embedded extended key is searchable through the data carrier
     xpub_locs = ledger.find_by_pubkey(C_PUB)
@@ -235,7 +235,7 @@ def test_each_signature_verified_once(monkeypatch):
     ledger, sid = seeded_ledger()
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key.masked_point, R_PUB, 30_000)],
+        [(masked_key, R_PUB, 30_000)],
         [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
     )
     calls = 0
@@ -260,11 +260,11 @@ def test_each_signature_verified_once(monkeypatch):
     ))
     admit(build_redeem(  # 2-of-2 redeem
         tc1, 0,
-        [(unmask_child_private(C_PRIV, M_PUB), masked_key.masked_point), (R_PRIV, R_PUB)],
-        R_PUB, two_of_two(masked_key.masked_point, R_PUB),
+        [(unmask_child_private(C_PRIV, M_PUB), masked_key), (R_PRIV, R_PUB)],
+        R_PUB, two_of_two(masked_key, R_PUB),
     ))
     admit(build_refund_tc2(  # time-locked fallback
-        masked_key.masked_point, 30_000, [FundingOutpoint(sid, 2, 100_000)],
+        masked_key, 30_000, [FundingOutpoint(sid, 2, 100_000)],
         M2_PUB, M2_PRIV, lock_height=6, current_height=ledger.height,
     ))
     ledger.advance_height(6)

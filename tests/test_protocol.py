@@ -39,7 +39,9 @@ from refundsim.transactions import (
     InsufficientFunds,
     MissingSigner,
     NOfNScript,
+    PayToPubkeyHash,
     ScriptHash,
+    key_hash,
     txid,
 )
 
@@ -286,7 +288,7 @@ def test_child_key_addressing_recomputable_by_both_sides(paid_session):
     harness.ledger.advance_height(1)
     m1_pub = issue.tc1.inputs[0].witness[0][1]
     for position, _entry, group in issue.entry_outputs:
-        merchant_view = group[0].masked_point
+        merchant_view = group[0]
         child_priv = alice.wallet.child_private(position)
         customer_view = SECP256K1.g_mul(unmask_child_private(child_priv, m1_pub))
         assert merchant_view == customer_view
@@ -378,6 +380,25 @@ def test_fallback_boundary(paid_session):
     assert record.redeem_txid == txid(fallback_tx)
 
 
+def test_customer_rebuilt_from_seed_redeems(paid_session):
+    """A customer needs no state beyond its wallet seed: instances rebuilt
+    from the seed on the same ledger find and claim both refund paths."""
+    harness, alice, (r_priv, _r_pub), request, _msg = paid_session
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    joint = harness.customer("alice").redeem_with_refundee(r_priv)
+    harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
+    fallback = harness.customer("alice").redeem_fallback()
+    harness.ledger.advance_height(1)
+    spent_joint = joint.inputs[0]
+    assert spent_joint.prev_txid == txid(issue.tc1)
+    assert harness.ledger.is_spent(txid(issue.tc1), spent_joint.prev_index) == (
+        True, txid(joint)
+    )
+    assert harness.ledger.is_spent(txid(issue.tc2), 0) == (True, txid(fallback))
+    assert fallback.outputs[0].script == PayToPubkeyHash(key_hash(alice.fallback_pub))
+
+
 # -- multi-signer payments ---------------------------------------------------------------
 
 
@@ -442,7 +463,7 @@ def test_multi_signer_email_value_change_locks_everyone(harness):
     for position, entry, group in issue.entry_outputs:
         assert len(group) == 2
         script = NOfNScript(
-            tuple(mk.masked_point for mk in group) + (entry.refundee_point,)
+            group + (entry.refundee_point,)
         )
         assert len(script.keys) == 3  # 3-of-3
         assert (

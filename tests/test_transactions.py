@@ -211,7 +211,7 @@ def test_funded_tx_change_and_signatures():
 
 
 def test_refund_tc1_output_counts():
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     for n in (1, 3):
         _, _, sid = fresh_chain([(M_PUB, 200_000)])
         refunds = [(masked, R_PUB, 10_000 + i) for i in range(n)]
@@ -224,7 +224,7 @@ def test_refund_tc1_output_counts():
 
 
 def test_refund_tc1_insufficient():
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     _, _, sid = fresh_chain([(M_PUB, 5_000)])
     with pytest.raises(InsufficientFunds):
         build_refund_tc1(
@@ -233,7 +233,7 @@ def test_refund_tc1_insufficient():
 
 
 def test_refund_tc2_lock_checks():
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     _, _, sid = fresh_chain([(M_PUB, 50_000)])
     with pytest.raises(BadLockHeight):
         build_refund_tc2(
@@ -252,17 +252,17 @@ def test_redeem_two_of_two_both_signers():
     ledger, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key.masked_point, R_PUB, 30_000)],
+        [(masked_key, R_PUB, 30_000)],
         [FundingOutpoint(sid, 0, 50_000)],
         M_PUB,
         M_PRIV,
     )
     assert ledger.broadcast(tc1)
     ledger.advance_height(1)
-    script = two_of_two(masked_key.masked_point, R_PUB)
+    script = two_of_two(masked_key, R_PUB)
     masked_priv = unmask_child_private(C_PRIV, M_PUB)
     redeem = build_redeem(
-        tc1, 0, [(masked_priv, masked_key.masked_point), (R_PRIV, R_PUB)],
+        tc1, 0, [(masked_priv, masked_key), (R_PRIV, R_PUB)],
         R_PUB, script,
     )
     assert ledger.broadcast(redeem)
@@ -272,7 +272,7 @@ def test_redeem_two_of_two_both_signers():
 
 def test_redeem_missing_signer():
     _, _, sid = fresh_chain([(M_PUB, 50_000)])
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
         [(masked, R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
     )
@@ -282,7 +282,7 @@ def test_redeem_missing_signer():
 
 def test_redeem_script_mismatch():
     _, _, sid = fresh_chain([(M_PUB, 50_000)])
-    masked = mask_child(C_PUB, M_PRIV).masked_point
+    masked = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
         [(masked, R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
     )
@@ -299,7 +299,7 @@ def test_redeem_p2pkh_with_unmasked_child():
     child_priv, child_pub = keygen(b"fallback-child")
     masked_key = mask_child(child_pub, M_PRIV)
     tc2 = build_refund_tc2(
-        masked_key.masked_point, 30_000, [FundingOutpoint(sid, 0, 50_000)],
+        masked_key, 30_000, [FundingOutpoint(sid, 0, 50_000)],
         M_PUB, M_PRIV, lock_height=3, current_height=1,
     )
     assert ledger.broadcast(tc2)
@@ -308,7 +308,7 @@ def test_redeem_p2pkh_with_unmasked_child():
     ledger.advance_height(1)  # height 3 = lock
     masked_priv = unmask_child_private(child_priv, M_PUB)
     redeem = build_redeem(
-        tc2, 0, [(masked_priv, masked_key.masked_point)], child_pub
+        tc2, 0, [(masked_priv, masked_key)], child_pub
     )
     assert ledger.broadcast(redeem)
     ledger.advance_height(1)
@@ -348,7 +348,7 @@ def test_validate_lock_boundary_inclusive():
     masked_key = mask_child(C_PUB, M_PRIV)
     lock = 5
     tc2 = build_refund_tc2(
-        masked_key.masked_point, 30_000, [FundingOutpoint(sid, 0, 50_000)],
+        masked_key, 30_000, [FundingOutpoint(sid, 0, 50_000)],
         M_PUB, M_PRIV, lock_height=lock, current_height=1,
     )
     assert ledger.broadcast(tc2)
@@ -356,7 +356,7 @@ def test_validate_lock_boundary_inclusive():
         ledger.advance_height(1)
     masked_priv = unmask_child_private(C_PRIV, M_PUB)
     redeem = build_redeem(
-        tc2, 0, [(masked_priv, masked_key.masked_point)], C_PUB
+        tc2, 0, [(masked_priv, masked_key)], C_PUB
     )
     early = validate(redeem, ledger)
     assert not early and early.reason is RejectReason.LOCKED
@@ -382,17 +382,17 @@ def test_two_of_two_soundness_fuzz():
     ledger, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key.masked_point, R_PUB, 30_000)],
+        [(masked_key, R_PUB, 30_000)],
         [FundingOutpoint(sid, 0, 50_000)],
         M_PUB, M_PRIV,
     )
     assert ledger.broadcast(tc1)
     ledger.advance_height(1)
-    script = two_of_two(masked_key.masked_point, R_PUB)
+    script = two_of_two(masked_key, R_PUB)
     masked_priv = unmask_child_private(C_PRIV, M_PUB)
     rng = random.Random(17)
     keypairs = [
-        (masked_priv, masked_key.masked_point),
+        (masked_priv, masked_key),
         (R_PRIV, R_PUB),
         keygen(b"unrelated"),
     ]
@@ -427,7 +427,7 @@ def test_timelock_monotonicity():
     for final_height in range(2, 10):
         ledger, _, sid = fresh_chain([(M_PUB, 50_000)])
         tc2 = build_refund_tc2(
-            masked.masked_point, 30_000, [FundingOutpoint(sid, 0, 50_000)],
+            masked, 30_000, [FundingOutpoint(sid, 0, 50_000)],
             M_PUB, M_PRIV, lock_height=lock, current_height=1,
         )
         result = validate(tc2, ledger)
