@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .curve import SECP256K1, Point
 from .keys import (
@@ -185,15 +185,15 @@ def generate_linkage_proof(
     record: RefundRecord,
     masking_priv: int,
     ledger: SimLedger,
-    child_index: Optional[int] = None,
+    children: Mapping[int, tuple[ExtendedPublicKey, int]],
 ) -> LinkageProof:
     """Build the derivation transcript for a jointly redeemed refund.
 
     Requires the record's redeem slot to name a confirmed spend of the joint
-    refund transaction.  The child index defaults to the position of the
-    spent output (index assignment starts at 0 and follows output order);
-    batched chunk refunds pass it explicitly.  The customer's extended key is
-    the first one the payment transaction embeds.
+    refund transaction.  ``children`` maps each joint-refund output position
+    to the extended key and child index its script's first key was derived
+    from, as the issuer assigned them; the proof derives the entry of the
+    spent output.
     """
     if record.redeem_txid == _ZERO_ID:
         raise NotRedeemed("record has no redeem transaction")
@@ -207,10 +207,7 @@ def generate_linkage_proof(
     )
     if spend is None or spend.reveal_script is None:
         raise NotRedeemed("redeem transaction does not spend the joint refund")
-    customer_xpub = extract_xpub(main)
-    if customer_xpub is None:
-        raise ChainDataMissing("payment transaction carries no extended key")
-    index = spend.prev_index if child_index is None else child_index
+    customer_xpub, index = children[spend.prev_index]
     child = derive_child_public(customer_xpub, index)
     masked = mask_child(child, masking_priv)
     return LinkageProof(

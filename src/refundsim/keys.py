@@ -138,13 +138,12 @@ def derive_child_private(
 
 def next_usable_index(
     parent: ExtendedPublicKey, start: int, curve: CurveGroup = SECP256K1
-) -> int:
-    """First index >= start whose child derivation is non-degenerate."""
+) -> tuple[int, Point]:
+    """First index >= start whose child derivation is non-degenerate, and its child."""
     index = start
     while True:
         try:
-            derive_child_public(parent, index, curve)
-            return index
+            return index, derive_child_public(parent, index, curve)
         except DegenerateChild:
             index += 1
 

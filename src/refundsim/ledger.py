@@ -14,7 +14,7 @@ witness or value changes, so confirmation re-checks nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .curve import SECP256K1, Point
@@ -106,18 +106,19 @@ class SimLedger:
         Structural validity is required now; a future lock height is not a
         rejection (the transaction waits in the mempool).  A known txid, or
         an outpoint claimed by a pending transaction, rejects the newcomer.
+        The result carries the txid, so callers need not hash it again.
         """
         tid = txid(tx)
         if tid in self._tx_index or tid in self.mempool:
             return ValidationResult(
-                False, RejectReason.DOUBLE_SPEND, "txid already known"
+                False, RejectReason.DOUBLE_SPEND, "txid already known", tid
             )
         for txin in tx.inputs:
             if (txin.prev_txid, txin.prev_index) in self._pending_outpoints:
                 return ValidationResult(
-                    False, RejectReason.DOUBLE_SPEND, "outpoint claimed in mempool"
+                    False, RejectReason.DOUBLE_SPEND, "outpoint claimed in mempool", tid
                 )
-        result = validate_spend(tx, self)
+        result = replace(validate_spend(tx, self), txid=tid)
         if not result:
             return result
         self.mempool[tid] = tx

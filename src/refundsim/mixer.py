@@ -49,7 +49,6 @@ from .transactions import (
     build_funded_tx,
     build_redeem,
     key_hash,
-    txid,
 )
 
 
@@ -321,8 +320,8 @@ class MixerService:
                 for c in chunks
             ]
             tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            emitted.append(self.merchant.broadcast(tx, "emission"))
-            tid = txid(tx)
+            tid = self.merchant.broadcast(tx, "emission")
+            emitted.append(tx)
             for vout, chunk in enumerate(chunks):
                 self.truth.chunk_facts.append(
                     ChunkFact(tid, vout, chunk.value, chunk.origin, lock)
@@ -587,8 +586,8 @@ class AggregateService:
                 for c, script in zip(chunks, scripts)
             ]
             tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            joint_txs.append(self.merchant.broadcast(tx, "aggregate joint emission"))
-            tid = txid(tx)
+            tid = self.merchant.broadcast(tx, "aggregate joint emission")
+            joint_txs.append(tx)
             for vout, (c, script) in enumerate(zip(chunks, scripts)):
                 placements[(c.origin, c.flat_index)] = (tid, vout, priv, script)
                 self.truth.chunk_facts.append(ChunkFact(tid, vout, c.value, c.origin, lock))
@@ -607,8 +606,8 @@ class AggregateService:
                 masked = mask_child(child, priv)
                 outs.append(TxOutput(c.value, PayToPubkeyHash(key_hash(masked))))
             tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            fallback_txs.append(self.merchant.broadcast(tx, "aggregate fallback emission"))
-            tid = txid(tx)
+            tid = self.merchant.broadcast(tx, "aggregate fallback emission")
+            fallback_txs.append(tx)
             for c in chunks:
                 fallback_place[(c.origin, c.flat_index % self.k)] = tid
         # assemble per-chunk records: a chunk's fallback is its session's
@@ -664,7 +663,7 @@ class AggregateService:
             result = self.ledger.broadcast(redeem)
             if not result:
                 raise MixerError(f"joint chunk redeem rejected: {result.reason}")
-            detail.record = detail.record.with_redeem(txid(redeem))
+            detail.record = detail.record.with_redeem(result.txid)
             redeems.append(redeem)
         return redeems
 
@@ -672,12 +671,11 @@ class AggregateService:
         """One linkage proof per redeemed chunk of a session."""
         proofs = []
         for detail in self.details[merchant_data]:
+            child = (detail.chunk.customer_xpub, detail.chunk.flat_index)
             proofs.append(
                 dispute.generate_linkage_proof(
-                    detail.record,
-                    detail.masking_priv,
-                    self.ledger,
-                    child_index=detail.chunk.flat_index,
+                    detail.record, detail.masking_priv, self.ledger,
+                    {detail.joint_vout: child},
                 )
             )
         return proofs

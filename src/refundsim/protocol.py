@@ -24,7 +24,8 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from itertools import dropwhile
+from typing import Iterator, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -34,7 +35,6 @@ from .curve import SECP256K1, Point
 from .keys import (
     ExtendedPublicKey,
     derive_child_private,
-    derive_child_public,
     dh_shared,
     keygen,
     mask_child,
@@ -43,6 +43,7 @@ from .keys import (
 )
 from .ledger import SimLedger
 from .transactions import (
+    DataCarrier,
     FundingOutpoint,
     InsufficientFunds,
     MissingSigner,
@@ -491,6 +492,7 @@ class CustomerWallet:
         chain = hashlib.sha512(b"chain-code/" + seed).digest()[32:]
         self.xpub = ExtendedPublicKey(self.pub, chain)
         self.utxos: list[FundingOutpoint] = []
+        self._children: dict[int, int] = {}
 
     def credit(self, outpoint: FundingOutpoint) -> None:
         self.utxos.append(outpoint)
@@ -509,7 +511,10 @@ class CustomerWallet:
         return chosen
 
     def child_private(self, index: int) -> int:
-        return derive_child_private(self.priv, self.xpub, index)
+        """Child private key at `index`, derived (and its key pair checked) once."""
+        if index not in self._children:
+            self._children[index] = derive_child_private(self.priv, self.xpub, index)
+        return self._children[index]
 
 
 # -- merchant-side sessions --------------------------------------------------------
@@ -530,6 +535,9 @@ class RefundIssue:
     records: list[dispute.RefundRecord]
     entry_outputs: list[tuple[int, RefundEntry, tuple[Point, ...]]]
     fallback_keys: list[Point]
+    # joint-refund output position -> (extended key, child index) of the
+    # first key in its script: what a linkage proof for that output derives
+    entry_children: dict[int, tuple[ExtendedPublicKey, int]]
 
     @property
     def tc2(self) -> Transaction:
@@ -612,7 +620,9 @@ class Merchant:
         )
         request = replace(
             request,
-            signature=schnorr_sign(self.identity_priv, request.signing_digest()),
+            signature=schnorr_sign(
+                self.identity_priv, self.identity_pub, request.signing_digest()
+            ),
         )
         self.sessions[merchant_data] = MerchantSession(
             merchant_data=merchant_data,
@@ -666,12 +676,14 @@ class Merchant:
         session.entries = tuple(entries)
         session.customer_xpubs = xpubs
         session.cosigner_keys = signer_keys
-        session.main_txid = txid(main)
+        session.main_txid = result.txid
         session.paid_height = self.ledger.height
         session.state = SessionState.PAID
         ack = PaymentAck(payment_copy=msg, memo="ack", signature=b"")
         digest = hashlib.sha256(ack.payment_copy.encode() + ack.memo.encode()).digest()
-        return replace(ack, signature=schnorr_sign(self.identity_priv, digest))
+        return replace(
+            ack, signature=schnorr_sign(self.identity_priv, self.identity_pub, digest)
+        )
 
     # -- refund window ---------------------------------------------------------
 
@@ -724,12 +736,15 @@ class Merchant:
         self.key_log.register(pub, role, self.name)
         return priv, pub, self.wallet.consume(index)
 
-    def broadcast(self, tx: Transaction, what: str) -> Transaction:
-        """Submit a merchant-signed transaction; a rejection is a BadTransaction."""
+    def broadcast(self, tx: Transaction, what: str) -> bytes:
+        """Submit a merchant-signed transaction and return its txid.
+
+        A rejection is a BadTransaction.
+        """
         result = self.ledger.broadcast(tx)
         if not result:
             raise BadTransaction(f"{what} rejected: {result.reason}")
-        return tx
+        return result.txid
 
     def _lock_all_cosigners(self, session: MerchantSession) -> bool:
         if not session.multi_signer:
@@ -766,15 +781,16 @@ class Merchant:
         lock_all = self._lock_all_cosigners(session)
         next_index: dict[bytes, int] = {}
 
-        def take_index(owner_enc: bytes) -> int:
-            xpub = xpub_of[owner_enc]
-            idx = next_usable_index(xpub, next_index.get(owner_enc, 0))
+        def take_index(owner_enc: bytes) -> tuple[int, Point]:
+            start = next_index.get(owner_enc, 0)
+            idx, child = next_usable_index(xpub_of[owner_enc], start)
             next_index[owner_enc] = idx + 1
-            return idx
+            return idx, child
 
         default_owner = SECP256K1.encode_point(session.cosigner_keys[0])
         refund_rows = []
         entry_outputs = []
+        entry_children: dict[int, tuple[ExtendedPublicKey, int]] = {}
         entry_owner: list[bytes] = []
         for position, entry in enumerate(session.entries):
             if lock_all:
@@ -788,8 +804,8 @@ class Merchant:
                 owners = [owner]
             masked_group = []
             for owner_enc in owners:
-                idx = take_index(owner_enc)
-                child = derive_child_public(xpub_of[owner_enc], idx)
+                idx, child = take_index(owner_enc)
+                entry_children.setdefault(position, (xpub_of[owner_enc], idx))
                 masked = mask_child(child, m1_priv)
                 self.key_log.register(masked, "masked-refund-child")
                 masked_group.append(masked)
@@ -798,7 +814,7 @@ class Merchant:
             entry_owner.append(owners[0])
 
         tc1 = build_refund_tc1(refund_rows, m1_funding, m1_pub, m1_priv)
-        self.broadcast(tc1, "joint refund")
+        tc1_id = self.broadcast(tc1, "joint refund")
 
         # one fallback per signer, valued at that signer's entries
         fallback_totals: dict[bytes, int] = {}
@@ -808,13 +824,11 @@ class Merchant:
         records: list[dispute.RefundRecord] = []
         fallback_keys: list[Point] = []
         lock_height = self.ledger.height + self.lock_blocks
-        tc1_id = txid(tc1)
         for owner_enc, owner_total in fallback_totals.items():
             m2_priv, m2_pub, m2_funding = self.reserve_funded_key(
                 owner_total, "refund-fallback-funding"
             )
-            idx = take_index(owner_enc)
-            child = derive_child_public(xpub_of[owner_enc], idx)
+            _idx, child = take_index(owner_enc)
             masked = mask_child(child, m2_priv)
             self.key_log.register(masked, "masked-fallback-child")
             tc2 = build_refund_tc2(
@@ -826,10 +840,10 @@ class Merchant:
                 lock_height,
                 self.ledger.height,
             )
-            self.broadcast(tc2, "fallback refund")
+            tc2_id = self.broadcast(tc2, "fallback refund")
             tc2s.append(tc2)
             fallback_keys.append(masked)
-            record = dispute.RefundRecord(session.main_txid, tc1_id, txid(tc2))
+            record = dispute.RefundRecord(session.main_txid, tc1_id, tc2_id)
             records.append(record)
             session.masking_privs[len(records) - 1] = (m1_priv, m2_priv)
 
@@ -840,7 +854,9 @@ class Merchant:
         if tc1_refund_total != tc2_total or tc1_refund_total != total:
             raise BadTransaction("refund pair values diverge")
 
-        session.refund = RefundIssue(tc1, tc2s, records, entry_outputs, fallback_keys)
+        session.refund = RefundIssue(
+            tc1, tc2s, records, entry_outputs, fallback_keys, entry_children
+        )
         session.state = SessionState.REFUND_ISSUED
         self.records.extend(records)
         self._persist_records()
@@ -863,7 +879,8 @@ class Merchant:
             TxOutput(e.value, PayToPubkeyHash(key_hash(e.refundee_point)))
             for e in session.entries
         ]
-        tx = self.broadcast(build_funded_tx(outs, funding, (priv, pub)), "direct refund")
+        tx = build_funded_tx(outs, funding, (priv, pub))
+        self.broadcast(tx, "direct refund")
         session.state = SessionState.REFUND_ISSUED
         return tx
 
@@ -914,13 +931,19 @@ class Merchant:
             self.store.rewrite(self.records)
 
     def linkage_proof(self, merchant_data: bytes) -> dispute.LinkageProof:
-        """Disclose the per-session masking key and build the proof."""
+        """Disclose the per-session masking key and build the proof.
+
+        The proof derives the signer and child index that `issue_refund`
+        assigned to the joint-refund output the redeem spent.
+        """
         session = self.sessions.get(merchant_data)
         if session is None or session.refund is None:
             raise UnknownSession("no refund issued for this session")
         record = session.refund.records[0]
         m1_priv, _m2 = session.masking_privs[0]
-        return dispute.generate_linkage_proof(record, m1_priv, self.ledger)
+        return dispute.generate_linkage_proof(
+            record, m1_priv, self.ledger, session.refund.entry_children
+        )
 
 
 # -- customer side -----------------------------------------------------------------
@@ -1017,9 +1040,28 @@ class Customer:
         masked_priv = unmask_child_private(child_priv, funder)
         return masked_priv, SECP256K1.g_mul(masked_priv)
 
+    def _since_payment(self) -> Iterator[tuple[int, bytes, Transaction]]:
+        """Confirmed transactions from the first that embeds self's extended key.
+
+        Masking a child needs the extended key, which reaches anyone else
+        only in self's payment, and a refund is issued only once that payment
+        has confirmed.  So every refund to self confirms after the payment,
+        and chain order keeps the first match the same.  Decoders accept only
+        canonical encodings, so equal bytes are equal keys.
+        """
+        needle = self.wallet.xpub.encode()
+
+        def before_payment(item: tuple[int, bytes, Transaction]) -> bool:
+            return not any(
+                isinstance(out.script, DataCarrier) and out.script.payload == needle
+                for out in item[2].outputs
+            )
+
+        return dropwhile(before_payment, self.ledger.all_confirmed())
+
     def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedJointRefund]:
         """Scan the chain for a joint refund locking self to the refundee."""
-        for _height, tid, tx in self.ledger.all_confirmed():
+        for _height, tid, tx in self._since_payment():
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
             if not funders:
                 continue
@@ -1043,7 +1085,7 @@ class Customer:
 
     def find_fallback(self) -> Optional[LocatedFallback]:
         """Scan the chain for the time-locked fallback addressed to self."""
-        for _height, tid, tx in self.ledger.all_confirmed():
+        for _height, tid, tx in self._since_payment():
             if tx.lock_height == 0:
                 continue
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}

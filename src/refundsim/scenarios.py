@@ -880,8 +880,8 @@ def _run_mixer(scenario: Scenario, out_dir) -> Verdict:
     env.ledger.advance_height(1)
 
     multi_origin = all(
-        len({f.origin for f in service.truth.chunk_facts if f.txid == txid(tx)}) > 1
-        for tx in emitted
+        len({f.origin for f in service.truth.chunk_facts if f.txid == tid}) > 1
+        for tid in map(txid, emitted)
     ) if len(customers) > 1 else True
     report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=scenario.seed)
     env.log(
@@ -992,8 +992,8 @@ def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
 
     report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=scenario.seed)
     multi_origin = all(
-        len({f.origin for f in service.truth.chunk_facts if f.txid == txid(tx)}) > 1
-        for tx in joint_txs
+        len({f.origin for f in service.truth.chunk_facts if f.txid == tid}) > 1
+        for tid in map(txid, joint_txs)
     ) if n > 1 else True
     assertions = [
         Assertion(

@@ -327,8 +327,12 @@ def signing_digest(tx: Transaction) -> bytes:
 # -- signatures ----------------------------------------------------------------
 
 
-def schnorr_sign(priv: int, digest: bytes) -> bytes:
-    """Deterministic Schnorr signature in (e, s) form over secp256k1."""
+def schnorr_sign(priv: int, pub: Point, digest: bytes) -> bytes:
+    """Deterministic Schnorr signature in (e, s) form over secp256k1.
+
+    ``pub`` is the caller's public key for ``priv``; it is committed to, not
+    recomputed, so a mismatched key yields a signature that fails to verify.
+    """
     n = SECP256K1.n
     priv %= n
     if priv == 0:
@@ -341,7 +345,6 @@ def schnorr_sign(priv: int, digest: bytes) -> bytes:
         k = int.from_bytes(material.digest(), "big") % n
         counter += 1
     commit = SECP256K1.g_mul(k)
-    pub = SECP256K1.g_mul(priv)
     e = _challenge(commit, pub, digest)
     s = (k + e * priv) % n
     return e.to_bytes(32, "big") + s.to_bytes(32, "big")
@@ -382,7 +385,7 @@ def _sign_all(
     digest = signing_digest(tx)
     signed = []
     for txin, (signers, reveal) in zip(tx.inputs, input_signers):
-        witness = tuple((schnorr_sign(priv, digest), pub) for priv, pub in signers)
+        witness = tuple((schnorr_sign(priv, pub, digest), pub) for priv, pub in signers)
         signed.append(replace(txin, witness=witness, reveal_script=reveal))
     return replace(tx, inputs=tuple(signed))
 
@@ -566,6 +569,7 @@ class ValidationResult:
     accepted: bool
     reason: Optional[RejectReason] = None
     detail: str = ""
+    txid: bytes = b""  # set by the ledger, which hashes each broadcast once
 
     def __bool__(self) -> bool:
         return self.accepted

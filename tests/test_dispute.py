@@ -170,7 +170,7 @@ def test_proof_off_chain_redeem_fails(paid_session):
 
 def test_generate_requires_redeem_slot():
     with pytest.raises(NotRedeemed):
-        generate_linkage_proof(make_record(), 1, None)
+        generate_linkage_proof(make_record(), 1, None, {})
 
 
 # -- recovery ----------------------------------------------------------------------

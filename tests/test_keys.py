@@ -336,7 +336,7 @@ def test_toy_curve_degenerate_children_skipped(toy_curve):
             derive_child_public(parent, index, curve=toy_curve)
         except DegenerateChild:
             hit_degenerate = True
-            usable = next_usable_index(parent, index, curve=toy_curve)
+            usable, child = next_usable_index(parent, index, curve=toy_curve)
             assert usable > index
-            derive_child_public(parent, usable, curve=toy_curve)
+            assert child == derive_child_public(parent, usable, curve=toy_curve)
     assert hit_degenerate, "4000 trials on a 199-order group should hit a degenerate"

@@ -5,14 +5,16 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refundsim import dispute
+from refundsim import dispute, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
+    derive_child_private,
     dh_shared,
     keygen,
     unmask_child_private,
 )
 from refundsim.protocol import (
+    MAX_CHILD_SCAN,
     AlreadySpent,
     AmountMismatch,
     BadTransaction,
@@ -479,3 +481,175 @@ def test_key_log_stays_conflict_free(paid_session):
     harness.ledger.advance_height(1)
     harness.merchant.monitor()
     assert harness.key_log.conflicts == []
+
+
+@pytest.mark.parametrize("redeemer", [0, 1], ids=["first-cosigner", "second-cosigner"])
+def test_linkage_proof_names_the_redeeming_cosigner(harness, redeemer):
+    """The proof derives the signer and child index behind the spent output,
+    whichever co-signer redeemed."""
+    dave, eve, request, _plan = multi_signer_session(harness)
+    signers = (dave, eve)
+    refundee_privs = (R_PRIV, keygen(b"eve-friend")[0])
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    signers[redeemer].redeem_with_refundee(refundee_privs[redeemer])
+    harness.ledger.advance_height(1)
+    harness.merchant.monitor()
+    harness.ledger.advance_height(
+        max(t.lock_height for t in issue.tc2s) - harness.ledger.height + 1
+    )
+    proof = harness.merchant.linkage_proof(request.merchant_data)
+    assert (proof.customer_xpub, proof.child_index) == (signers[redeemer].wallet.xpub, 0)
+    check = dispute.verify_linkage_proof(proof, harness.ledger)
+    assert check.ok, check.reason
+
+
+# -- refund discovery -------------------------------------------------------------------
+
+
+def reference_discovery(customer, refundee_pub=None):
+    """Full-chain discovery: every confirmed transaction, funder and child
+    index, each child key derived afresh.  Looks for the joint refund to
+    `refundee_pub`, or for the fallback when it is None.  Returns
+    (txid, output index, masked private key, masked point) or None."""
+    wallet = customer.wallet
+    for _height, tid, tx in customer.ledger.all_confirmed():
+        if refundee_pub is None and tx.lock_height == 0:
+            continue
+        funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
+        if refundee_pub is None:
+            targets = {
+                out.script.pubkey_hash: i
+                for i, out in enumerate(tx.outputs)
+                if isinstance(out.script, PayToPubkeyHash)
+            }
+        else:
+            targets = {
+                out.script.script_hash: i
+                for i, out in enumerate(tx.outputs)
+                if isinstance(out.script, ScriptHash)
+            }
+        for funder in funders:
+            for index in range(MAX_CHILD_SCAN + 1):
+                child_priv = derive_child_private(wallet.priv, wallet.xpub, index)
+                masked_priv = unmask_child_private(child_priv, funder)
+                point = SECP256K1.g_mul(masked_priv)
+                if refundee_pub is None:
+                    key = key_hash(point)
+                else:
+                    key = NOfNScript((point, refundee_pub)).script_hash()
+                if key in targets:
+                    return tid, targets[key], masked_priv, point
+    return None
+
+
+def assert_discovery_matches_reference(customer, refundee_pub):
+    for found, want in (
+        (
+            customer.find_joint_refund(refundee_pub),
+            reference_discovery(customer, refundee_pub),
+        ),
+        (customer.find_fallback(), reference_discovery(customer)),
+    ):
+        got = None if found is None else (
+            found.txid, found.output_index, found.masked_priv, found.masked_point
+        )
+        assert got == want
+
+
+def pay_and_issue(harness, customer, refundee_pub):
+    request = harness.merchant.create_request(50_000)
+    msg = customer.pay(request, [RefundEntry(refundee_pub, 30_000)])
+    harness.merchant.process_payment(msg)
+    harness.ledger.advance_height(1)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    return issue
+
+
+def settle_fallbacks(harness):
+    """Advance until every issued fallback has confirmed."""
+    locks = [
+        tc2.lock_height
+        for session in harness.merchant.sessions.values()
+        if session.refund is not None
+        for tc2 in session.refund.tc2s
+    ]
+    if max(locks) >= harness.ledger.height:
+        harness.ledger.advance_height(max(locks) - harness.ledger.height + 1)
+
+
+def test_discovery_matches_full_scan_over_a_day(harness):
+    """Six sequential sessions; every third claims its fallback, whose wait
+    lets earlier sessions' fallbacks confirm after later payments."""
+    customers = [harness.customer(f"day{i}") for i in range(6)]
+    refundees = [keygen(b"day-refundee-%d" % i) for i in range(6)]
+    harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
+    for position, (customer, (r_priv, r_pub)) in enumerate(zip(customers, refundees)):
+        issue = pay_and_issue(harness, customer, r_pub)
+        if position % 3 != 2:
+            customer.redeem_with_refundee(r_priv, r_pub)
+        else:
+            harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
+            customer.redeem_fallback()
+        harness.ledger.advance_height(1)
+    settle_fallbacks(harness)
+    for customer, (_r_priv, r_pub) in zip(customers, refundees):
+        assert_discovery_matches_reference(customer, r_pub)
+
+
+def test_discovery_matches_full_scan_for_repeat_customer(harness):
+    alice = harness.customer("alice")
+    harness.fund([(alice, 100_000)])
+    first, second = keygen(b"repeat-r1")[1], keygen(b"repeat-r2")[1]
+    pay_and_issue(harness, alice, first)
+    pay_and_issue(harness, alice, second)
+    settle_fallbacks(harness)
+    assert_discovery_matches_reference(alice, first)
+    assert_discovery_matches_reference(alice, second)
+
+
+def test_discovery_matches_full_scan_for_non_lead_signer(harness):
+    dave, eve, request, plan = multi_signer_session(harness)
+    harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    settle_fallbacks(harness)
+    assert_discovery_matches_reference(eve, plan[1].refundee)
+    assert_discovery_matches_reference(dave, plan[0].refundee)
+    assert eve.find_joint_refund(plan[1].refundee) is not None
+
+
+def test_discovery_finds_nothing_for_customer_who_never_paid(paid_session):
+    harness, _alice, (_r_priv, r_pub), request, _msg = paid_session
+    harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    settle_fallbacks(harness)
+    stranger = harness.customer("stranger")
+    assert stranger.find_joint_refund(r_pub) is None
+    assert stranger.find_fallback() is None
+    assert_discovery_matches_reference(stranger, r_pub)
+
+
+def test_joint_discovery_cost_does_not_grow_with_position(harness, monkeypatch):
+    """Counted, not timed: the sixth session's joint discovery unmasks as
+    many candidate keys as the first one's."""
+    unmasks = []
+    real_unmask = protocol.unmask_child_private
+
+    def counting_unmask(*args, **kwargs):
+        unmasks.append(args)
+        return real_unmask(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "unmask_child_private", counting_unmask)
+    customers = [harness.customer(f"joint{i}") for i in range(6)]
+    harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
+    per_session = []
+    for i, customer in enumerate(customers):
+        r_priv, r_pub = keygen(b"joint-refundee-%d" % i)
+        pay_and_issue(harness, customer, r_pub)
+        before = len(unmasks)
+        customer.redeem_with_refundee(r_priv, r_pub)
+        per_session.append(len(unmasks) - before)
+        harness.ledger.advance_height(1)
+    assert per_session[0] >= 1
+    assert per_session[-1] == per_session[0], per_session

@@ -134,23 +134,31 @@ def test_data_carrier_cap():
 
 def test_schnorr_sign_verify():
     digest = ref.ref_sha256d(b"message")
-    sig = schnorr_sign(C_PRIV, digest)
+    sig = schnorr_sign(C_PRIV, C_PUB, digest)
     assert len(sig) == 64
     assert schnorr_verify(C_PUB, sig, digest)
     assert not schnorr_verify(M_PUB, sig, digest)
     assert not schnorr_verify(C_PUB, sig, ref.ref_sha256d(b"other"))
 
 
+def test_schnorr_sign_with_mismatched_pubkey_fails():
+    """The signer commits to the public key it is handed, not one it derives."""
+    digest = ref.ref_sha256d(b"message")
+    sig = schnorr_sign(C_PRIV, M_PUB, digest)
+    assert not schnorr_verify(C_PUB, sig, digest)
+    assert not schnorr_verify(M_PUB, sig, digest)
+
+
 def test_schnorr_deterministic():
     digest = ref.ref_sha256d(b"message")
-    assert schnorr_sign(C_PRIV, digest) == schnorr_sign(C_PRIV, digest)
+    assert schnorr_sign(C_PRIV, C_PUB, digest) == schnorr_sign(C_PRIV, C_PUB, digest)
 
 
 @settings(max_examples=30, deadline=None)
 @given(tweak=st.integers(min_value=0, max_value=63), bit=st.integers(0, 7))
 def test_property_sig_malleation_fails(tweak, bit):
     digest = ref.ref_sha256d(b"message")
-    sig = bytearray(schnorr_sign(C_PRIV, digest))
+    sig = bytearray(schnorr_sign(C_PRIV, C_PUB, digest))
     sig[tweak] ^= 1 << bit
     assert not schnorr_verify(C_PUB, bytes(sig), digest)
 
@@ -404,7 +412,7 @@ def test_two_of_two_soundness_fuzz():
         )
         digest = signing_digest(shell)
         # single-key witnesses, both with and without the revealed script
-        witness = ((schnorr_sign(priv, digest), pub),)
+        witness = ((schnorr_sign(priv, pub, digest), pub),)
         candidates = [
             Transaction(
                 (TxInput(txid(tc1), 0, witness, script),), shell.outputs
