@@ -175,6 +175,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # create the output directory before the run, not when writing its end
+        if getattr(args, "out_dir", None):
+            os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot use output directory: {exc}", file=sys.stderr)
+        return 2
+    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ supported.  Internally the arithmetic follows Bitcoin Core's libsecp256k1:
   and add affine table points by mixed Jacobian+affine addition.  Doubling
   uses the a = 0 formula.
 * ``g_mul`` walks a fixed-base comb for the generator (``ecmult_gen``):
-  4-bit windows, and for window ``i`` the 15 affine points ``d * 16^i * G``.
+  signed 6-bit windows, and for window ``i`` the 32 affine points
+  ``d * 64^i * G`` with ``d = 1..32``.  The scalar is recoded into digits
+  in ``[-31, 32]``; a negative digit adds the entry with ``y`` negated.
 * ``mul`` runs one interleaved width-5 wNAF loop (``ecmult``) that adds the
   affine odd multiples ``P, 3P, ..., 15P``.  It first splits the scalar with
   the Gallant-Lambert-Vanstone endomorphism ``(x, y) -> (beta * x, y) =
@@ -32,8 +34,9 @@ from typing import Optional, Tuple
 Point = Optional[Tuple[int, int]]
 
 _JINF = (0, 1, 0, 0)
-_COMB_BITS = 4
-_COMB_SIZE = (1 << _COMB_BITS) - 1
+_COMB_BITS = 6
+_COMB_SIZE = 1 << (_COMB_BITS - 1)  # entries per window, digits 1..32
+_COMB_MASK = (1 << _COMB_BITS) - 1
 _WNAF_BITS = 5
 _WNAF_TABLE = 1 << (_WNAF_BITS - 2)  # odd multiples P, 3P, ..., 15P
 
@@ -69,8 +72,11 @@ class CurveGroup:
             raise ValueError("square roots require p % 4 == 3")
         if a % p:
             raise ValueError("only curves with a = 0 are supported")
-        if n <= 1 << _COMB_BITS:
-            raise ValueError("group order must exceed the window tables")
+        # a prime n above 32 divides no d * 64^i with d <= 32: no comb entry
+        # is the identity, and no step d * B + B or 2 * (32 * B) of the table
+        # build lands on it
+        if n <= _COMB_SIZE:
+            raise ValueError("group order must exceed the comb's digits")
         (a1, b1), (a2, b2) = basis
         if (a1 + b1 * lam) % n or (a2 + b2 * lam) % n or a1 * b2 - a2 * b1 != n:
             raise ValueError("basis must be a + b * lam = 0 (mod n) vectors of determinant n")
@@ -152,22 +158,27 @@ class CurveGroup:
     # built there by mixed addition ("effective affine" in libsecp256k1).
 
     def _build_comb(self):
-        """``comb[i][d - 1] = d * 16^i * G`` for ``d = 1..15``, affine.
+        """``comb[i][d - 1] = d * 64^i * G`` for ``d = 1..32``, affine.
 
-        Row i sums its base ``B = 16^i * G`` on the curve where B is affine,
-        up to ``16 * B``, the next row's base; ``zbase`` is B's Z here.
+        Row i sums its base ``B = 64^i * G`` on the curve where B is affine,
+        up to ``32 * B``, and doubles that into ``64 * B``, the next row's
+        base; ``zbase`` is B's Z here.  There is one row per 6 bits of
+        ``n.bit_length() + 1``, so the recoding's carry out of the top row
+        is zero.
         """
         p = self.p
-        windows = -(-self.n.bit_length() // _COMB_BITS)
+        windows = (self.n.bit_length() + _COMB_BITS) // _COMB_BITS
         chain = []
         point = (*self.g, 1, 1)
         zbase = 1
         for _ in range(windows):
             step = point[:2]
             point = (*step, 1, point[3])
-            for _ in range(_COMB_SIZE):
+            for _ in range(_COMB_SIZE - 1):
                 chain.append(point)
                 point = self._madd(point, step)
+            chain.append(point)
+            point = self._double(point)
             zbase = zbase * point[2] % p
         chain.append(point)
         flat = self._chain_to_affine(chain, zbase)
@@ -250,17 +261,22 @@ class CurveGroup:
         return self._to_affine(acc)
 
     def g_mul(self, k: int) -> Point:
-        """Fixed-base multiplication of the generator via the comb table."""
+        """Fixed-base multiplication of the generator via the signed comb."""
         k %= self.n
         acc = _JINF
+        p = self.p
         madd = self._madd
         for row in self._comb:
             if not k:
                 break
-            digit = k & _COMB_SIZE
-            if digit:
-                acc = madd(acc, row[digit - 1])
+            digit = k & _COMB_MASK
             k >>= _COMB_BITS
+            if digit > _COMB_SIZE:  # digit - 64, carrying 64 into the next window
+                k += 1
+                x, y = row[_COMB_MASK - digit]
+                acc = madd(acc, (x, p - y))
+            elif digit:
+                acc = madd(acc, row[digit - 1])
         return self._to_affine(acc)
 
     def lift_x(self, x: int, parity: int) -> Point:

@@ -308,12 +308,21 @@ def _match_masked_key(
     masking_priv: int,
     target_check,
     max_child_index: int,
+    children: dict[tuple[ExtendedPublicKey, int], Point],
 ) -> Optional[tuple[int, Point]]:
-    """Try child indexes 0..max against a predicate on the masked point."""
+    """Try child indexes 0..max against a predicate on the masked point.
+
+    ``children`` caches each derived child by (extended key, index); a
+    degenerate index is cached as None and skipped.
+    """
     for index in range(max_child_index + 1):
-        try:
-            child = derive_child_public(xpub, index)
-        except DegenerateChild:
+        if (xpub, index) not in children:
+            try:
+                children[xpub, index] = derive_child_public(xpub, index)
+            except DegenerateChild:
+                children[xpub, index] = None
+        child = children[xpub, index]
+        if child is None:
             continue
         masked = mask_child(child, masking_priv)
         if target_check(index, masked):
@@ -332,9 +341,11 @@ def recover_database(
     funds a script-hash transaction), and fallback refunds (merchant funds a
     time-locked pay-to-key transaction).  Masked-child reconstruction then
     ties each refund back to its payment.  Refunds nobody has redeemed yet
-    yield records with a zeroed redeem slot.
+    yield records with a zeroed redeem slot.  Each child key is derived at
+    most once per call.
     """
     telemetry = RecoveryTelemetry()
+    children: dict[tuple[ExtendedPublicKey, int], Point] = {}
     mains: dict[bytes, ExtendedPublicKey] = {}
     tc1s: dict[bytes, tuple[Transaction, int, int]] = {}  # txid -> (tx, priv, key idx)
     tc2s: dict[bytes, tuple[Transaction, int, int]] = {}
@@ -360,7 +371,8 @@ def recover_database(
         for main_id, xpub in mains.items():
             telemetry.key_ops += 1
             hit = _match_masked_key(
-                xpub, priv, lambda _i, mk: key_hash(mk) == target, max_child_index
+                xpub, priv, lambda _i, mk: key_hash(mk) == target, max_child_index,
+                children,
             )
             if hit:
                 tc2_matches[tc2_id] = (main_id, hit[0])
@@ -391,7 +403,7 @@ def recover_database(
         for main_id, xpub in mains.items():
             telemetry.key_ops += 1
             hit = _match_masked_key(
-                xpub, priv, lambda _i, mk: mk in all_keys, max_child_index
+                xpub, priv, lambda _i, mk: mk in all_keys, max_child_index, children
             )
             if hit:
                 tc1_matches[tc1_id] = main_id

@@ -51,6 +51,34 @@ class TxLocator:
     role: LocatorRole
 
 
+_ENCODED_KEY_BYTES = 1 + SECP256K1.coord_bytes
+
+
+def _search_keys(tx: Transaction) -> set:
+    """Every value ``find_by_pubkey`` can match ``tx`` on.
+
+    Witness keys, revealed-script keys, P2PKH key hashes, and each
+    encoded-key-sized window of every data-carrier payload, so that a key
+    embedded anywhere in a payload is found as by a substring test.
+    """
+    keys: set = set()
+    for txin in tx.inputs:
+        keys.update(wpub for _sig, wpub in txin.witness)
+        if txin.reveal_script:
+            keys.update(txin.reveal_script.keys)
+    for out in tx.outputs:
+        script = out.script
+        if isinstance(script, PayToPubkeyHash):
+            keys.add(script.pubkey_hash)
+        elif isinstance(script, DataCarrier):
+            payload = script.payload
+            keys.update(
+                payload[i:i + _ENCODED_KEY_BYTES]
+                for i in range(len(payload) - _ENCODED_KEY_BYTES + 1)
+            )
+    return keys
+
+
 class SimLedger:
     def __init__(self):
         self.height = 0
@@ -60,6 +88,9 @@ class SimLedger:
         self._spent_by: dict[tuple[bytes, int], bytes] = {}
         self._tx_index: dict[bytes, tuple[Transaction, int]] = {}
         self._pending_outpoints: set[tuple[bytes, int]] = set()
+        # search key -> (chain position, txid) of each confirmed transaction
+        # that names it; see _search_keys
+        self._by_key: dict[object, list[tuple[int, bytes]]] = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -140,6 +171,9 @@ class SimLedger:
         return self.height
 
     def _confirm(self, tid: bytes, tx: Transaction) -> None:
+        entry = (len(self._tx_index), tid)
+        for key in _search_keys(tx):
+            self._by_key.setdefault(key, []).append(entry)
         self._tx_index[tid] = (tx, self.height)
         for txin in tx.inputs:
             key = (txin.prev_txid, txin.prev_index)
@@ -160,11 +194,19 @@ class SimLedger:
         wallet-owner's perspective: signing an input makes the key a sender
         (a redeem when the spent output was a script hash or time-locked);
         otherwise appearing as an output or payload makes it a recipient.
+        Only the confirmed transactions indexed under the key, its hash or
+        its encoding are classified, in chain order.
         """
         needle_hash = key_hash(pub)
         needle_enc = SECP256K1.encode_point(pub)
+        hits = sorted({
+            *self._by_key.get(pub, ()),
+            *self._by_key.get(needle_hash, ()),
+            *self._by_key.get(needle_enc, ()),
+        })
         found = []
-        for height, tid, tx in self.all_confirmed():
+        for _position, tid in hits:
+            tx, height = self._tx_index[tid]
             role = self._classify(tx, pub, needle_hash, needle_enc)
             if role is not None:
                 found.append(TxLocator(tid, height, role))

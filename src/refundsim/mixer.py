@@ -483,6 +483,7 @@ class AggregateChunkDetail:
     record: dispute.RefundRecord
     chunk: AggregateChunk
     masking_priv: int
+    masking_pub: Point
     joint_txid: bytes
     joint_vout: int
     masked_customer: Point
@@ -589,7 +590,7 @@ class AggregateService:
             tid = self.merchant.broadcast(tx, "aggregate joint emission")
             joint_txs.append(tx)
             for vout, (c, script) in enumerate(zip(chunks, scripts)):
-                placements[(c.origin, c.flat_index)] = (tid, vout, priv, script)
+                placements[(c.origin, c.flat_index)] = (tid, vout, priv, pub, script)
                 self.truth.chunk_facts.append(ChunkFact(tid, vout, c.value, c.origin, lock))
         fallback_txs = []
         fallback_place: dict[tuple[bytes, int], bytes] = {}
@@ -613,7 +614,7 @@ class AggregateService:
         # assemble per-chunk records: a chunk's fallback is its session's
         # fallback chunk with the same chunk position
         for chunk in self.pending_joint:
-            joint_txid, vout, priv, script = placements[(chunk.origin, chunk.flat_index)]
+            joint_txid, vout, priv, pub, script = placements[(chunk.origin, chunk.flat_index)]
             session = self.merchant.sessions[chunk.origin]
             fb_txid = fallback_place[(chunk.origin, chunk.chunk_index)]
             record = dispute.RefundRecord(session.main_txid, joint_txid, fb_txid)
@@ -622,6 +623,7 @@ class AggregateService:
                     record=record,
                     chunk=chunk,
                     masking_priv=priv,
+                    masking_pub=pub,
                     joint_txid=joint_txid,
                     joint_vout=vout,
                     masked_customer=script.keys[0],
@@ -644,11 +646,10 @@ class AggregateService:
         redeems = []
         for detail in self.details[merchant_data]:
             chunk = detail.chunk
-            masker_pub = SECP256K1.g_mul(detail.masking_priv)
             child_c = customer_wallet.child_private(chunk.flat_index)
-            masked_c_priv = unmask_child_private(child_c, masker_pub)
+            masked_c_priv = unmask_child_private(child_c, detail.masking_pub)
             child_r = refundee_wallet.child_private(chunk.chunk_index)
-            masked_r_priv = unmask_child_private(child_r, masker_pub)
+            masked_r_priv = unmask_child_private(child_r, detail.masking_pub)
             joint_tx = self.ledger.get_transaction(detail.joint_txid)
             redeem = build_redeem(
                 joint_tx,

@@ -23,6 +23,25 @@ def test_scenario_run_pass_exit_code(tmp_path, capsys):
     assert any(f.endswith(".transcript.log") for f in os.listdir(tmp_path))
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "HonestRefund", "--seed", "1"],
+    ["db", "recover", "--seed", "2"],
+    ["mixer", "run", "--seed", "3"],
+], ids=["scenario-run", "db-recover", "mixer-run"])
+def test_missing_out_dir_is_created(tmp_path, capsys, argv):
+    out_dir = tmp_path / "not" / "yet"
+    assert main(argv + ["--out-dir", str(out_dir)]) == 0
+    assert any(f.endswith(".transcript.log") for f in os.listdir(out_dir))
+
+
+def test_out_dir_that_is_a_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    code = main(["scenario", "run", "HonestRefund", "--out-dir", str(taken)])
+    assert code == 2
+    assert "output directory" in capsys.readouterr().err
+
+
 def test_scenario_run_disable_defense(tmp_path, capsys):
     code = main(
         [

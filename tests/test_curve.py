@@ -19,9 +19,16 @@ NEGATIVE_K1 = 0x9D1313DCD092F24AC998177EFC789ECE1AC3BDAFD841F05A9659074F2A76FA68
 NEGATIVE_K2 = 0xF08C53B55021CFB5B80C0DCB5141E15B8A89BB6A4F6132E460B33B8CAFC318FC
 NEGATIVE_BOTH = 0x624DA06767A9074C91AD54FBD7031711C87BEAEB5536C2CBD6AA766B1826ACB7
 
+# the comb's signed 6-bit digits: every window 32 (the largest digit, no
+# carry), every window 33 (-31 and a carry out of every window), 64^i - 1
+# (-1, then a carry through i windows); N - 1 carries into the top window
+ALL_DIGITS_32 = int("100000" * 42, 2)
+ALL_DIGITS_33 = int("100001" * 42, 2)
+
 EDGE_SCALARS = [
     0, 1, 2, N - 1, N - 2, 2**128, LAM, N - LAM,
     NEGATIVE_K1, NEGATIVE_K2, NEGATIVE_BOTH,
+    ALL_DIGITS_32, ALL_DIGITS_33, 64**1 - 1, 64**2 - 1, 64**21 - 1, 64**42 - 1,
 ]
 
 scalars = st.integers(min_value=0, max_value=N - 1)
@@ -142,8 +149,10 @@ def test_wrong_endomorphism_parameters_rejected():
 def test_unsupported_curves_rejected():
     with pytest.raises(ValueError):
         CurveGroup("a3", **{**ref.TOY_PARAMS, "a": 3})
-    with pytest.raises(ValueError):  # 13 * G, a comb entry, would be the identity
-        CurveGroup("n13", **{**ref.TOY_PARAMS, "n": 13})
+    # a prime order up to 32 makes the comb entry n * G the identity
+    for n in (13, 31):
+        with pytest.raises(ValueError, match="comb"):
+            CurveGroup(f"n{n}", **{**ref.TOY_PARAMS, "n": n})
 
 
 def test_toy_wrong_beta_rejected():
@@ -169,6 +178,11 @@ def test_toy_mul_every_scalar_and_point(toy_curve):
     for pt in ref.toy_all_points():
         for k in range(toy_curve.n + 2):
             assert toy_curve.mul(k, pt) == ref.ref_mul(k, pt, ref.TOY_P, ref.TOY_N), (k, pt)
+
+
+def test_toy_g_mul_every_scalar(toy_curve):
+    for k in range(toy_curve.n + 2):
+        assert toy_curve.g_mul(k) == ref.ref_mul(k, ref.TOY_G, ref.TOY_P, ref.TOY_N), k
 
 
 def test_toy_add_every_pair(toy_curve):

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+import refundsim.dispute
 from hypothesis import given, settings, strategies as st
 
 from refundsim.dispute import (
@@ -246,6 +247,26 @@ def test_recovery_telemetry_within_bounds(harness):
     ell = 9  # joint + fallback + redeem per session
     assert result.telemetry.key_ops <= 2 * t * two_k
     assert result.telemetry.search_ops <= ell * two_k
+
+
+def test_recovery_derives_each_child_once(harness, monkeypatch):
+    run_sessions(harness, 3, ["joint", "fallback", "joint"])
+    tried = []
+    derive = refundsim.dispute.derive_child_public
+
+    def counting_derive(xpub, index):
+        tried.append((xpub, index))
+        return derive(xpub, index)
+
+    monkeypatch.setattr(refundsim.dispute, "derive_child_public", counting_derive)
+    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    assert len(result.records) == 3
+    # the matching order is unchanged, so are the counters
+    assert (result.telemetry.key_ops, result.telemetry.search_ops) == (10, 68)
+    assert tried and len(tried) == len(set(tried))
+    again = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    assert len(tried) == 2 * len(set(tried))  # every rebuild starts cold
+    assert again.records == result.records
 
 
 def test_recovery_matches_monitor_choice_on_multi_redeem(harness):

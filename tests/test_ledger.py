@@ -2,17 +2,22 @@
 
 import pytest
 
+from refundsim.curve import SECP256K1
 from refundsim.keys import ExtendedPublicKey, keygen, mask_child, unmask_child_private
-from refundsim.ledger import LocatorRole, SimLedger, UnknownOutput
+from refundsim.ledger import LocatorRole, SimLedger, TxLocator, UnknownOutput
 from refundsim.transactions import (
     DataCarrier,
     FundingOutpoint,
+    PayToPubkeyHash,
     RejectReason,
+    TxOutput,
+    build_funded_tx,
     build_main_tc,
     build_redeem,
     build_refund_tc1,
     build_refund_tc2,
     build_seed_tx,
+    key_hash,
     two_of_two,
     txid,
 )
@@ -151,6 +156,81 @@ def test_find_by_pubkey_roles_full_flow():
     assert any(loc.txid == txid(main) for loc in xpub_locs)
     # spender id recorded
     assert ledger.is_spent(txid(tc1), 0) == (True, txid(redeem))
+
+
+def scan_by_pubkey(ledger, pub):
+    """find_by_pubkey as a classification of every confirmed transaction."""
+    needle_hash, needle_enc = key_hash(pub), SECP256K1.encode_point(pub)
+    found = []
+    for height, tid, tx in ledger.all_confirmed():
+        role = ledger._classify(tx, pub, needle_hash, needle_enc)
+        if role is not None:
+            found.append(TxLocator(tid, height, role))
+    return found
+
+
+def test_find_by_pubkey_matches_full_scan():
+    """The key index finds what classifying every confirmed transaction finds."""
+    ledger = SimLedger()
+    seed = build_seed_tx([
+        (C_PUB, 50_000), (M_PUB, 100_000), (M2_PUB, 100_000),
+        (R_PUB, 20_000), (PAY_PUB, 20_000),
+    ])
+    assert ledger.broadcast(seed)
+    ledger.advance_height(1)
+    sid = txid(seed)
+    main = build_main_tc(
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+    )
+    masked_key = mask_child(C_PUB, M_PRIV)
+    tc1 = build_refund_tc1(
+        [(masked_key, R_PUB, 30_000)], [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
+    )
+    tc2 = build_refund_tc2(
+        masked_key, 30_000, [FundingOutpoint(sid, 2, 100_000)],
+        M2_PUB, M2_PRIV, lock_height=3, current_height=ledger.height,
+    )
+    # a key embedded at a non-zero payload offset
+    _, offset_pub = keygen(b"ledger-offset-key")
+    carrier = DataCarrier(b"\x07" * 5 + SECP256K1.encode_point(offset_pub) + b"\x07")
+    offset_tx = build_funded_tx(
+        [TxOutput(0, carrier)], [FundingOutpoint(sid, 3, 20_000)], (R_PRIV, R_PUB)
+    )
+    for tx in (main, tc1, tc2, offset_tx):
+        assert ledger.broadcast(tx)
+    ledger.advance_height(2)
+    script = two_of_two(masked_key, R_PUB)
+    masked_priv = unmask_child_private(C_PRIV, M_PUB)
+    redeem = build_redeem(
+        tc1, 0, [(masked_priv, masked_key), (R_PRIV, R_PUB)], R_PUB, script
+    )
+    assert ledger.broadcast(redeem)
+    # a key paid only by a transaction waiting in the mempool
+    _, late_pub = keygen(b"ledger-late-key")
+    late = build_funded_tx(
+        [TxOutput(20_000, PayToPubkeyHash(key_hash(late_pub)))],
+        [FundingOutpoint(sid, 4, 20_000)], (PAY_PRIV, PAY_PUB), lock_height=10,
+    )
+    assert ledger.broadcast(late)
+    ledger.advance_height(1)
+    assert txid(late) in ledger.mempool
+
+    _, fresh_pub = keygen(b"unused-key")
+    keys = [C_PUB, M_PUB, M2_PUB, R_PUB, PAY_PUB, masked_key, offset_pub, late_pub, fresh_pub]
+    for pub in keys:
+        assert ledger.find_by_pubkey(pub) == scan_by_pubkey(ledger, pub), pub
+    assert ledger.find_by_pubkey(offset_pub) == [
+        TxLocator(txid(offset_tx), 2, LocatorRole.INCOMING)
+    ]
+    assert ledger.find_by_pubkey(late_pub) == []
+
+    ledger.advance_height(10 - ledger.height)
+    for pub in keys:
+        assert ledger.find_by_pubkey(pub) == scan_by_pubkey(ledger, pub), pub
+    assert ledger.find_by_pubkey(late_pub) == [
+        TxLocator(txid(late), 10, LocatorRole.INCOMING)
+    ]
+    assert len(ledger.find_by_pubkey(R_PUB)) > 2
 
 
 def test_utxo_replay_matches():
