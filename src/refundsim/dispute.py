@@ -97,7 +97,7 @@ def mccorry_storage(model: StorageModel) -> int:
 
 
 class RecordStore:
-    """Append-only flat file of 128-byte records."""
+    """Flat file of 128-byte records; `rewrite` replaces it, `append` adds one."""
 
     def __init__(self, path: str):
         self.path = path
@@ -339,7 +339,8 @@ def recover_database(
     ledger for each classifies the hits into payment transactions (merchant
     is recipient and an extended key is embedded), joint refunds (merchant
     funds a script-hash transaction), and fallback refunds (merchant funds a
-    time-locked pay-to-key transaction).  Masked-child reconstruction then
+    time-locked pay-to-key transaction, confirmed or still waiting in the
+    mempool).  Masked-child reconstruction then
     ties each refund back to its payment.  Refunds nobody has redeemed yet
     yield records with a zeroed redeem slot.  Each child key is derived at
     most once per call.
@@ -349,19 +350,30 @@ def recover_database(
     mains: dict[bytes, ExtendedPublicKey] = {}
     tc1s: dict[bytes, tuple[Transaction, int, int]] = {}  # txid -> (tx, priv, key idx)
     tc2s: dict[bytes, tuple[Transaction, int, int]] = {}
+    wallet_keys: dict[Point, tuple[int, int]] = {}  # pub -> (priv, key idx)
 
     for i in range(merchant_wallet.size):
         priv, pub = merchant_wallet.key(i)
+        wallet_keys[pub] = (priv, i)
         telemetry.search_ops += 1
         for loc in ledger.find_by_pubkey(pub):
             tx = ledger.get_transaction(loc.txid)
             if loc.role.value == "incoming":
-                if extract_xpub(tx) is not None and loc.txid not in mains:
-                    mains[loc.txid] = extract_xpub(tx)
+                xpub = extract_xpub(tx)
+                if xpub is not None and loc.txid not in mains:
+                    mains[loc.txid] = xpub
             elif loc.role.value == "outgoing-p2sh":
                 tc1s.setdefault(loc.txid, (tx, priv, i))
             elif loc.role.value == "outgoing-p2pkh" and tx.lock_height > 0:
                 tc2s.setdefault(loc.txid, (tx, priv, i))
+    # fallbacks still time-locked in the mempool are refunds in flight
+    for tid, tx in ledger.mempool.items():
+        if not tx.lock_height or any(isinstance(o.script, ScriptHash) for o in tx.outputs):
+            continue
+        for txin in tx.inputs:
+            for _sig, pub in txin.witness:
+                if pub in wallet_keys:
+                    tc2s.setdefault(tid, (tx, *wallet_keys[pub]))
 
     # fallback refunds name a masked child key on their first output; matching
     # it identifies the paying customer and the fallback child index
@@ -444,13 +456,12 @@ def recover_database(
         if tc1_id is None:
             continue
         redeem_id = redeem_by_tc1.get(tc1_id, _ZERO_ID)
-        if redeem_id == _ZERO_ID:
+        # a confirmed fallback may have been claimed by the customer alone
+        if redeem_id == _ZERO_ID and ledger.output_exists(tc2_id, 0):
             telemetry.search_ops += 1
-            spent, spender = ledger.is_spent(tc2_id, 0)
-            if spent:
-                redeem_id = spender  # customer claimed the fallback alone
-            else:
-                result.pending.append(main_id)
+            redeem_id = ledger.is_spent(tc2_id, 0)[1] or _ZERO_ID
+        if redeem_id == _ZERO_ID:
+            result.pending.append(main_id)
         result.records.append(RefundRecord(main_id, tc1_id, tc2_id, redeem_id))
         matched_mains.add(main_id)
 

@@ -30,7 +30,6 @@ from .keys import (
     ExtendedPublicKey,
     derive_child_public,
     mask_child,
-    unmask_child_private,
 )
 from .ledger import SimLedger
 from .protocol import (
@@ -337,20 +336,24 @@ def sweep_chunks(
     dest: Point,
     max_index: int = 32,
 ) -> tuple[list[Transaction], int]:
-    """Refundee-side claim of every chunk addressed to its masked children."""
+    """Refundee-side claim of every chunk addressed to its masked children.
+
+    Chunks are claimed by child index, then in chain order; the ledger's key
+    index names the transactions paying each masked child.
+    """
     claimed = []
     total = 0
     for index in range(max_index + 1):
-        child_priv = refundee_wallet.child_private(index)
-        masked_priv = unmask_child_private(child_priv, masker_pub)
+        masked_priv = refundee_wallet.masked_private(masker_pub, index)
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)
-        for _height, tid, tx in ledger.all_confirmed():
+        for loc in ledger.find_by_pubkey(masked_point):
+            tx = ledger.get_transaction(loc.txid)
             for vout, out in enumerate(tx.outputs):
                 if (
                     isinstance(out.script, PayToPubkeyHash)
                     and out.script.pubkey_hash == wanted
-                    and ledger.unspent_output(tid, vout) is not None
+                    and ledger.unspent_output(loc.txid, vout) is not None
                 ):
                     redeem = build_redeem(
                         tx, vout, [(masked_priv, masked_point)], dest
@@ -486,8 +489,6 @@ class AggregateChunkDetail:
     masking_pub: Point
     joint_txid: bytes
     joint_vout: int
-    masked_customer: Point
-    masked_refundee: Point
     script: NOfNScript
 
 
@@ -626,8 +627,6 @@ class AggregateService:
                     masking_pub=pub,
                     joint_txid=joint_txid,
                     joint_vout=vout,
-                    masked_customer=script.keys[0],
-                    masked_refundee=script.keys[1],
                     script=script,
                 )
             )
@@ -645,18 +644,15 @@ class AggregateService:
         """Customer and refundee jointly claim every chunk of a session."""
         redeems = []
         for detail in self.details[merchant_data]:
-            chunk = detail.chunk
-            child_c = customer_wallet.child_private(chunk.flat_index)
-            masked_c_priv = unmask_child_private(child_c, detail.masking_pub)
-            child_r = refundee_wallet.child_private(chunk.chunk_index)
-            masked_r_priv = unmask_child_private(child_r, detail.masking_pub)
+            chunk, mask = detail.chunk, detail.masking_pub
+            masked_c, masked_r = detail.script.keys
             joint_tx = self.ledger.get_transaction(detail.joint_txid)
             redeem = build_redeem(
                 joint_tx,
                 detail.joint_vout,
                 [
-                    (masked_c_priv, detail.masked_customer),
-                    (masked_r_priv, detail.masked_refundee),
+                    (customer_wallet.masked_private(mask, chunk.flat_index), masked_c),
+                    (refundee_wallet.masked_private(mask, chunk.chunk_index), masked_r),
                 ],
                 dest=dest,
                 reveal_script=detail.script,

@@ -25,7 +25,7 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import dropwhile
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -516,6 +516,10 @@ class CustomerWallet:
             self._children[index] = derive_child_private(self.priv, self.xpub, index)
         return self._children[index]
 
+    def masked_private(self, masker_pub: Point, index: int) -> int:
+        """Private key of child `index` as masked under `masker_pub`."""
+        return unmask_child_private(self.child_private(index), masker_pub)
+
 
 # -- merchant-side sessions --------------------------------------------------------
 
@@ -534,7 +538,6 @@ class RefundIssue:
     tc2s: list[Transaction]
     records: list[dispute.RefundRecord]
     entry_outputs: list[tuple[int, RefundEntry, tuple[Point, ...]]]
-    fallback_keys: list[Point]
     # joint-refund output position -> (extended key, child index) of the
     # first key in its script: what a linkage proof for that output derives
     entry_children: dict[int, tuple[ExtendedPublicKey, int]]
@@ -822,7 +825,6 @@ class Merchant:
             fallback_totals[owner_enc] = fallback_totals.get(owner_enc, 0) + entry.value
         tc2s: list[Transaction] = []
         records: list[dispute.RefundRecord] = []
-        fallback_keys: list[Point] = []
         lock_height = self.ledger.height + self.lock_blocks
         for owner_enc, owner_total in fallback_totals.items():
             m2_priv, m2_pub, m2_funding = self.reserve_funded_key(
@@ -842,7 +844,6 @@ class Merchant:
             )
             tc2_id = self.broadcast(tc2, "fallback refund")
             tc2s.append(tc2)
-            fallback_keys.append(masked)
             record = dispute.RefundRecord(session.main_txid, tc1_id, tc2_id)
             records.append(record)
             session.masking_privs[len(records) - 1] = (m1_priv, m2_priv)
@@ -854,9 +855,7 @@ class Merchant:
         if tc1_refund_total != tc2_total or tc1_refund_total != total:
             raise BadTransaction("refund pair values diverge")
 
-        session.refund = RefundIssue(
-            tc1, tc2s, records, entry_outputs, fallback_keys, entry_children
-        )
+        session.refund = RefundIssue(tc1, tc2s, records, entry_outputs, entry_children)
         session.state = SessionState.REFUND_ISSUED
         self.records.extend(records)
         self._persist_records()
@@ -950,17 +949,9 @@ class Merchant:
 
 
 @dataclass(frozen=True)
-class LocatedJointRefund:
-    tx: Transaction
-    txid: bytes
-    output_index: int
-    masked_priv: int
-    masked_point: Point
-    script: NOfNScript
+class LocatedRefund:
+    """An output that one of the customer's masked children unlocks."""
 
-
-@dataclass(frozen=True)
-class LocatedFallback:
     tx: Transaction
     txid: bytes
     output_index: int
@@ -1035,11 +1026,6 @@ class Customer:
 
     # -- refund discovery ------------------------------------------------------
 
-    def _masked_identity(self, funder: Point, index: int) -> tuple[int, Point]:
-        child_priv = self.wallet.child_private(index)
-        masked_priv = unmask_child_private(child_priv, funder)
-        return masked_priv, SECP256K1.g_mul(masked_priv)
-
     def _since_payment(self) -> Iterator[tuple[int, bytes, Transaction]]:
         """Confirmed transactions from the first that embeds self's extended key.
 
@@ -1059,50 +1045,69 @@ class Customer:
 
         return dropwhile(before_payment, self.ledger.all_confirmed())
 
-    def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedJointRefund]:
-        """Scan the chain for a joint refund locking self to the refundee."""
+    def _locate(
+        self,
+        targets: Callable[[Transaction], dict[bytes, int]],
+        lookup: Callable[[Point], bytes],
+    ) -> Optional[LocatedRefund]:
+        """First output since the payment that a masked child of self unlocks.
+
+        ``targets`` maps a transaction's candidate locks to their output
+        positions; ``lookup`` is the lock a masked child point would carry.
+        Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried.
+        """
         for _height, tid, tx in self._since_payment():
-            funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
-            if not funders:
+            locks = targets(tx)
+            if not locks:
                 continue
-            target_hashes = {
+            funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
+            for funder in funders:
+                for index in range(MAX_CHILD_SCAN + 1):
+                    masked_priv = self.wallet.masked_private(funder, index)
+                    masked_point = SECP256K1.g_mul(masked_priv)
+                    out_idx = locks.get(lookup(masked_point))
+                    if out_idx is not None:
+                        return LocatedRefund(tx, tid, out_idx, masked_priv, masked_point)
+        return None
+
+    def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedRefund]:
+        """Scan the chain for a joint refund locking self to the refundee."""
+        return self._locate(
+            lambda tx: {
                 out.script.script_hash: i
                 for i, out in enumerate(tx.outputs)
                 if isinstance(out.script, ScriptHash)
-            }
-            if not target_hashes:
-                continue
-            for funder in funders:
-                for index in range(MAX_CHILD_SCAN + 1):
-                    masked_priv, masked_point = self._masked_identity(funder, index)
-                    script = NOfNScript((masked_point, refundee_pub))
-                    out_idx = target_hashes.get(script.script_hash())
-                    if out_idx is not None:
-                        return LocatedJointRefund(
-                            tx, tid, out_idx, masked_priv, masked_point, script
-                        )
-        return None
+            },
+            lambda point: NOfNScript((point, refundee_pub)).script_hash(),
+        )
 
-    def find_fallback(self) -> Optional[LocatedFallback]:
+    def find_fallback(self) -> Optional[LocatedRefund]:
         """Scan the chain for the time-locked fallback addressed to self."""
-        for _height, tid, tx in self._since_payment():
-            if tx.lock_height == 0:
-                continue
-            funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
-            hashes = {
+        return self._locate(
+            lambda tx: {
                 out.script.pubkey_hash: i
                 for i, out in enumerate(tx.outputs)
-                if isinstance(out.script, PayToPubkeyHash)
-            }
-            for funder in funders:
-                for index in range(MAX_CHILD_SCAN + 1):
-                    masked_priv, masked_point = self._masked_identity(funder, index)
-                    out_idx = hashes.get(key_hash(masked_point))
-                    if out_idx is not None:
-                        return LocatedFallback(tx, tid, out_idx, masked_priv, masked_point)
-        return None
+                if isinstance(out.script, PayToPubkeyHash) and tx.lock_height
+            },
+            key_hash,
+        )
 
     # -- redemption ---------------------------------------------------------------
+
+    def _claim(
+        self, what: str, located: LocatedRefund, cosigners: list[tuple[int, Point]],
+        dest: Point, reveal_script: Optional[NOfNScript] = None,
+    ) -> Transaction:
+        """Spend a located refund output to `dest`, signed with its masked child."""
+        spent, _ = self.ledger.is_spent(located.txid, located.output_index)
+        if spent:
+            raise AlreadySpent(f"{what} already claimed")
+        signers = [(located.masked_priv, located.masked_point)] + cosigners
+        redeem = build_redeem(located.tx, located.output_index, signers, dest, reveal_script)
+        result = self.ledger.broadcast(redeem)
+        if not result:
+            raise BadTransaction(f"{what} redeem rejected: {result.reason}")
+        return redeem
 
     def redeem_with_refundee(
         self, refundee_priv: int, refundee_pub: Optional[Point] = None
@@ -1113,23 +1118,10 @@ class Customer:
         located = self.find_joint_refund(refundee_pub)
         if located is None:
             raise MissingSigner("no joint refund locks self to this refundee")
-        spent, _ = self.ledger.is_spent(located.txid, located.output_index)
-        if spent:
-            raise AlreadySpent("joint refund already redeemed")
-        redeem = build_redeem(
-            located.tx,
-            located.output_index,
-            [
-                (located.masked_priv, located.masked_point),
-                (refundee_priv, refundee_pub),
-            ],
-            dest=refundee_pub,
-            reveal_script=located.script,
+        script = NOfNScript((located.masked_point, refundee_pub))
+        return self._claim(
+            "joint refund", located, [(refundee_priv, refundee_pub)], refundee_pub, script
         )
-        result = self.ledger.broadcast(redeem)
-        if not result:
-            raise BadTransaction(f"redeem rejected: {result.reason}")
-        return redeem
 
     def redeem_fallback(self) -> Transaction:
         """Claim the time-locked fallback once its lock height has passed."""
@@ -1141,19 +1133,7 @@ class Customer:
             if mempool_locked:
                 raise Locked("fallback refund still time-locked")
             raise RefundNotFound("no fallback refund addressed to this wallet")
-        spent, _ = self.ledger.is_spent(located.txid, located.output_index)
-        if spent:
-            raise AlreadySpent("fallback already claimed")
-        redeem = build_redeem(
-            located.tx,
-            located.output_index,
-            [(located.masked_priv, located.masked_point)],
-            dest=self.fallback_pub,
-        )
-        result = self.ledger.broadcast(redeem)
-        if not result:
-            raise BadTransaction(f"fallback redeem rejected: {result.reason}")
-        return redeem
+        return self._claim("fallback", located, [], self.fallback_pub)
 
 
 def pay_joint(

@@ -11,8 +11,11 @@ refund address directly) so the attack scenarios demonstrate the baseline
 theft before the defended run neutralizes it.
 
 Accounting: balances are measured from an address book mapping output
-scripts to actor labels (joint-refund escrows get their own label), with the
-baseline taken after seeding; zero fees make the deltas sum to zero.
+scripts to actor labels, with the baseline taken after seeding; an output
+nobody labelled counts as "unattributed".  Zero fees make the deltas sum to
+zero under any labelling, so `accounting-closure` holds whatever is labelled;
+labels only name the deltas that assertions read.  `Env.register_refund`
+labels what a refund issue created: its joint-refund escrows and fallbacks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .protocol import (
     Merchant,
     MissingSigner,
     RefundEntry,
+    RefundIssue,
     RefundAddressUpdate,
     UpdateChannel,
     pay_joint,
@@ -185,7 +189,10 @@ class AddressBook:
         self._p2sh: dict[bytes, str] = {}
 
     def register_key(self, pub: Point, label: str) -> None:
-        self._p2pkh[key_hash(pub)] = label
+        self.register_key_hash(key_hash(pub), label)
+
+    def register_key_hash(self, pubkey_hash: bytes, label: str) -> None:
+        self._p2pkh[pubkey_hash] = label
 
     def register_script_hash(self, script_hash: bytes, label: str) -> None:
         self._p2sh[script_hash] = label
@@ -245,6 +252,14 @@ class Env:
         self.book.register_key(customer.wallet.pub, label)
         self.book.register_key(customer.fallback_pub, label)
         return customer
+
+    def register_refund(self, issue: RefundIssue, fallback_label: str) -> None:
+        """Label the joint refund's escrow outputs and each fallback's output."""
+        for out in issue.tc1.outputs:
+            if isinstance(out.script, ScriptHash):
+                self.book.register_script_hash(out.script.script_hash, "escrow")
+        for tc2 in issue.tc2s:
+            self.book.register_key_hash(tc2.outputs[0].script.pubkey_hash, fallback_label)
 
     def new_keypair(self, label: str) -> tuple[int, Point]:
         priv, pub = keygen(self.scenario.seed_bytes(label))
@@ -381,10 +396,7 @@ def _run_honest_refund(scenario: Scenario, out_dir) -> Verdict:
         return _finish(env, scenario, assertions, out_dir)
 
     issue = env.merchant.issue_refund(request.merchant_data)
-    for _pos, _entry, group in issue.entry_outputs:
-        script = two_of_two(group[0], bob_pub)
-        env.book.register_script_hash(script.script_hash(), "escrow")
-    env.book.register_key(issue.fallback_keys[0], "alice")
+    env.register_refund(issue, "alice")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
@@ -478,10 +490,7 @@ def _run_silkroad(scenario: Scenario, out_dir) -> Verdict:
         return _finish(env, scenario, assertions, out_dir)
 
     issue = env.merchant.issue_refund(request.merchant_data)
-    for _pos, _entry, group in issue.entry_outputs:
-        script = two_of_two(group[0], trader_pub)
-        env.book.register_script_hash(script.script_hash(), "escrow")
-    env.book.register_key(issue.fallback_keys[0], "mallory")
+    env.register_refund(issue, "mallory")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
@@ -559,10 +568,7 @@ def _run_marketplace(scenario: Scenario, out_dir) -> Verdict:
 
     issue = env.merchant.issue_refund(request.merchant_data)
     masked_entry = issue.entry_outputs[0][2][0]
-    env.book.register_script_hash(
-        two_of_two(masked_entry, rogue_pub).script_hash(), "escrow"
-    )
-    env.book.register_key(issue.fallback_keys[0], "carol")
+    env.register_refund(issue, "carol")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued-locked-to-carol-and-rogue", "")
 
@@ -657,11 +663,7 @@ def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
         return _finish(env, scenario, assertions, out_dir)
 
     issue = env.merchant.issue_refund(request.merchant_data)
-    for _pos, entry, group in issue.entry_outputs:
-        script = two_of_two(group[0], entry.refundee_point)
-        env.book.register_script_hash(script.script_hash(), "escrow")
-    for masked in issue.fallback_keys:
-        env.book.register_key(masked, "cosigner-fallback")
+    env.register_refund(issue, "cosigner-fallback")
     env.ledger.advance_height(1)
     env.log("merchant", "refund-issued", f"fallbacks={len(issue.tc2s)}")
 
@@ -743,11 +745,7 @@ def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
         env.merchant.process_payment(msg)
         env.ledger.advance_height(1)
         issue = env.merchant.issue_refund(request.merchant_data)
-        env.book.register_key(issue.fallback_keys[0], f"customer{i}")
-        script = two_of_two(
-            issue.entry_outputs[0][2][0], refundee_keys[i][1]
-        )
-        env.book.register_script_hash(script.script_hash(), "escrow")
+        env.register_refund(issue, f"customer{i}")
         env.ledger.advance_height(1)
         sessions.append((request.merchant_data, issue, customer, refundee_keys[i]))
         env.log("merchant", "refund-issued", f"session={i}")
@@ -859,13 +857,6 @@ def _run_mixer(scenario: Scenario, out_dir) -> Verdict:
         emitted = service.try_emit()
     env.ledger.advance_height(cfg["jitter_window"] + 1)
     env.log("merchant", "mix-emitted", f"txs={len(emitted)}")
-    # attribute chunk outputs to their recipients for accounting
-    for fact in service.truth.chunk_facts:
-        name = service.truth.origin_names[fact.origin]
-        out_script = env.ledger.get_transaction(fact.txid).outputs[fact.vout].script
-        env.book._p2pkh.setdefault(
-            out_script.pubkey_hash, name.replace("payer", "recipient")
-        )
 
     swept_ok = True
     for i, wallet in enumerate(refundees):
@@ -979,16 +970,6 @@ def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
             proofs_ok = proofs_ok and bool(check)
             n_proofs += 1
     env.log("merchant", "chunk-proofs", f"count={n_proofs} all_ok={proofs_ok}")
-
-    # unclaimed fallback rows (and redeem destinations already registered)
-    # collect under one accounting label so closure still balances
-    for _h, _tid, tx in env.ledger.all_confirmed():
-        for out in tx.outputs:
-            if (
-                isinstance(out.script, PayToPubkeyHash)
-                and out.script.pubkey_hash not in env.book._p2pkh
-            ):
-                env.book._p2pkh[out.script.pubkey_hash] = "masked-fallback-pool"
 
     report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=scenario.seed)
     multi_origin = all(

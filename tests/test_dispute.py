@@ -19,6 +19,7 @@ from refundsim.dispute import (
 )
 from refundsim.keys import keygen
 from refundsim.protocol import RefundEntry
+from refundsim.transactions import txid
 
 
 def make_record(fill=0x11):
@@ -177,8 +178,11 @@ def test_generate_requires_redeem_slot():
 # -- recovery ----------------------------------------------------------------------
 
 
-def run_sessions(harness, count, redeem_plan):
-    """Run `count` sessions; redeem_plan[i] in {'joint', 'fallback', None}."""
+def run_sessions(harness, count, redeem_plan, settle=True):
+    """Run `count` sessions; redeem_plan[i] in {'joint', 'fallback', None}.
+
+    With `settle`, the chain then advances until every fallback confirms.
+    """
     harness.fund([], merchant_keys=4 * count)
     issues = []
     for i in range(count):
@@ -202,9 +206,8 @@ def run_sessions(harness, count, redeem_plan):
             )
             customer.redeem_fallback()
             harness.ledger.advance_height(1)
-    # make sure every fallback is confirmed so records resolve on-chain
     max_lock = max(issue.tc2.lock_height for _r, issue, _c, _p in issues)
-    if harness.ledger.height < max_lock:
+    if settle and harness.ledger.height < max_lock:
         harness.ledger.advance_height(max_lock - harness.ledger.height)
     harness.merchant.monitor()
     return issues
@@ -228,6 +231,20 @@ def test_recovery_pending_session_partial_record(harness):
     pending = [r for r in result.records if r.redeem_txid == zero]
     assert len(pending) == 1
     assert len(result.pending) == 1
+
+
+def test_recovery_keeps_refunds_whose_fallback_is_in_flight(harness):
+    """Fallbacks still time-locked in the mempool are refunds in flight:
+    the jointly redeemed one keeps its redeem, the other is pending."""
+    issues = run_sessions(harness, 2, ["joint", None], settle=False)
+    assert all(txid(issue.tc2) in harness.ledger.mempool for _r, issue, _c, _p in issues)
+    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    assert sorted(r.serialize() for r in result.records) == sorted(
+        r.serialize() for r in harness.merchant.records
+    )
+    assert [r.redeem_txid == bytes(32) for r in result.records].count(True) == 1
+    assert result.pending == [issues[1][1].record.main_txid]
+    assert result.unmatched == []
 
 
 def test_recovery_idempotent(harness):

@@ -15,6 +15,9 @@ the three trees whose callee has the function's name; and every class field
 or `self.` attribute is loaded as an attribute somewhere in them.  Matching
 is by name, so a dead field that shares its name with a live one elsewhere
 goes unseen.
+
+A last check keeps each object's private state its own: an attribute whose
+name starts with `_` is read or written only on `self` or `cls`.
 """
 
 import ast
@@ -267,3 +270,20 @@ def test_every_field_is_read():
                 if field_name not in read:
                     unread.append(f"{path.name}:{line} {cls.name}.{field_name}")
     assert unread == [], f"fields never read: {unread}"
+
+
+# -- private state -----------------------------------------------------------------
+
+
+def test_private_attributes_stay_private():
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__") and node.attr.endswith("__"):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                continue
+            reached.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reached == [], f"private attributes reached from outside: {reached}"

@@ -1,5 +1,6 @@
 """Splitting, batching, mixed emission, sweeping, and the adversary."""
 
+import copy
 import itertools
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from refundsim import dispute
 from refundsim.curve import SECP256K1
-from refundsim.keys import derive_child_public, keygen, mask_child
+from refundsim.keys import derive_child_public, keygen, mask_child, unmask_child_private
+from refundsim.ledger import SimLedger
 from refundsim.mixer import (
     AggregateService,
     ChunkTooSmall,
@@ -20,7 +22,14 @@ from refundsim.mixer import (
     sweep_chunks,
 )
 from refundsim.protocol import CustomerWallet, RefundEntry
-from refundsim.transactions import ScriptHash, serialize_tx, txid
+from refundsim.transactions import (
+    PayToPubkeyHash,
+    ScriptHash,
+    build_redeem,
+    key_hash,
+    serialize_tx,
+    txid,
+)
 
 
 # -- split plans -----------------------------------------------------------------
@@ -178,6 +187,83 @@ def test_mix_value_conservation_and_sweep():
         claimed, total = sweep_chunks(wallet, masker, harness.ledger, dest, max_index=5)
         assert total == 100_000
         assert len(claimed) == 4
+
+
+def full_scan_sweep(wallet, masker_pub, ledger, dest, max_index):
+    """The sweep as a walk of every confirmed transaction per child index."""
+    claimed, total = [], 0
+    for index in range(max_index + 1):
+        masked_priv = unmask_child_private(wallet.child_private(index), masker_pub)
+        masked_point = SECP256K1.g_mul(masked_priv)
+        wanted = key_hash(masked_point)
+        for _height, tid, tx in ledger.all_confirmed():
+            for vout, out in enumerate(tx.outputs):
+                if (
+                    isinstance(out.script, PayToPubkeyHash)
+                    and out.script.pubkey_hash == wanted
+                    and ledger.unspent_output(tid, vout) is not None
+                ):
+                    redeem = build_redeem(tx, vout, [(masked_priv, masked_point)], dest)
+                    if ledger.broadcast(redeem):
+                        claimed.append(redeem)
+                        total += out.value
+    return claimed, total
+
+
+def twice_paid_refundee():
+    """Two customers mixed; the first names one refundee wallet in two
+    entries, so each of its masked children is paid twice."""
+    from conftest import Harness
+
+    harness = Harness(tag=b"twice", lock_blocks=30, window_blocks=400)
+    customers = [harness.customer(f"payer{i}", b"twice") for i in range(2)]
+    refundees = [CustomerWallet(b"twice-refundee-%d" % i) for i in range(2)]
+    harness.fund([(c, 100_000) for c in customers], merchant_keys=12)
+    service = MixerService(harness.merchant, k=4, rng_seed=11)
+    plans = [
+        [RefundEntry(refundees[0].xpub, 60_000), RefundEntry(refundees[0].xpub, 40_000)],
+        [RefundEntry(refundees[1].xpub, 100_000)],
+    ]
+    for customer, plan in zip(customers, plans):
+        request = harness.merchant.create_request(100_000)
+        msg = customer.pay(request, plan, encrypt=True)
+        harness.merchant.process_payment(msg)
+        harness.ledger.advance_height(1)
+        service.enqueue_refund(request.merchant_data, customer.name)
+    assert service.try_emit()
+    harness.ledger.advance_height(4)
+    return harness, service, refundees
+
+
+def test_sweep_never_walks_the_chain(monkeypatch):
+    harness, service, refundees = twice_paid_refundee()
+
+    def walk(_ledger):
+        raise AssertionError("sweep walked the chain")
+
+    monkeypatch.setattr(SimLedger, "all_confirmed", walk)
+    _priv, dest = keygen(b"twice-dest")
+    masker = list(service.masker_pubs.values())[0]
+    claimed, total = sweep_chunks(refundees[0], masker, harness.ledger, dest, max_index=5)
+    assert (len(claimed), total) == (8, 100_000)
+
+
+def test_sweep_matches_full_scan():
+    """Same claims, in the same order, as walking the chain per index; a
+    second sweep after the first confirms skips what is already spent."""
+    harness, service, refundees = twice_paid_refundee()
+    ledger, ref_ledger = harness.ledger, copy.deepcopy(harness.ledger)
+    masker = list(service.masker_pubs.values())[0]
+    _priv, dest = keygen(b"twice-dest")
+    for max_index in (1, 5):
+        got, total = sweep_chunks(refundees[0], masker, ledger, dest, max_index)
+        want, ref_total = full_scan_sweep(refundees[0], masker, ref_ledger, dest, max_index)
+        assert got
+        assert [txid(t) for t in got] == [txid(t) for t in want]
+        assert total == ref_total
+        ledger.advance_height(1)
+        ref_ledger.advance_height(1)
+    assert sweep_chunks(refundees[0], masker, ledger, dest, 5) == ([], 0)
 
 
 def test_service_fee_withheld_before_split():

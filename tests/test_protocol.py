@@ -339,6 +339,21 @@ def test_joint_redeem_and_monitor(paid_session):
         alice.redeem_with_refundee(r_priv)
 
 
+@pytest.mark.parametrize("path", ["joint", "fallback"])
+def test_second_claim_is_already_spent(paid_session, path):
+    harness, alice, (r_priv, _), request, _msg = paid_session
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
+    claim = {
+        "joint": lambda: alice.redeem_with_refundee(r_priv),
+        "fallback": alice.redeem_fallback,
+    }[path]
+    claim()
+    harness.ledger.advance_height(1)
+    with pytest.raises(AlreadySpent):
+        claim()
+
+
 def test_joint_redeem_wrong_refundee(paid_session):
     harness, alice, _, request, _msg = paid_session
     harness.merchant.issue_refund(request.merchant_data)

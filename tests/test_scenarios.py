@@ -24,6 +24,19 @@ def test_every_scenario_passes(name, tmp_path):
     assert verdict.transcript_path is not None
 
 
+@pytest.mark.parametrize("sessions", [4, 10])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_recovery_passes_beyond_three_sessions(sessions, seed, tmp_path):
+    """Later sessions' fallbacks are still time-locked when the database is
+    lost; recovery must keep those refunds too."""
+    verdict = run_scenario(
+        Scenario(ScenarioName.RECOVERY, seed=seed, config={"sessions": sessions}),
+        out_dir=str(tmp_path),
+    )
+    assert by_label(verdict)["records-recovered-exactly"].detail == f"{sessions} records"
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
+
+
 def test_scenario_transcripts_deterministic(tmp_path):
     d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for d in (d1, d2, d3):
