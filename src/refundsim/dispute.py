@@ -339,8 +339,8 @@ def recover_database(
     ledger for each classifies the hits into payment transactions (merchant
     is recipient and an extended key is embedded), joint refunds (merchant
     funds a script-hash transaction), and fallback refunds (merchant funds a
-    time-locked pay-to-key transaction, confirmed or still waiting in the
-    mempool).  Masked-child reconstruction then
+    time-locked pay-to-key transaction); refunds of either kind still waiting
+    in the mempool count too.  Masked-child reconstruction then
     ties each refund back to its payment.  Refunds nobody has redeemed yet
     yield records with a zeroed redeem slot.  Each child key is derived at
     most once per call.
@@ -366,14 +366,19 @@ def recover_database(
                 tc1s.setdefault(loc.txid, (tx, priv, i))
             elif loc.role.value == "outgoing-p2pkh" and tx.lock_height > 0:
                 tc2s.setdefault(loc.txid, (tx, priv, i))
-    # fallbacks still time-locked in the mempool are refunds in flight
+    # refunds still in the mempool are in flight: a fallback waits for its
+    # lock, and a refund pair issued just before the loss waits to confirm
     for tid, tx in ledger.mempool.items():
-        if not tx.lock_height or any(isinstance(o.script, ScriptHash) for o in tx.outputs):
+        if any(isinstance(o.script, ScriptHash) for o in tx.outputs):
+            found = tc1s
+        elif tx.lock_height:
+            found = tc2s
+        else:
             continue
         for txin in tx.inputs:
             for _sig, pub in txin.witness:
                 if pub in wallet_keys:
-                    tc2s.setdefault(tid, (tx, *wallet_keys[pub]))
+                    found.setdefault(tid, (tx, *wallet_keys[pub]))
 
     # fallback refunds name a masked child key on their first output; matching
     # it identifies the paying customer and the fallback child index
@@ -399,6 +404,8 @@ def recover_database(
         for out_idx, out in enumerate(tc1.outputs):
             if not isinstance(out.script, ScriptHash):
                 continue
+            if not ledger.output_exists(tc1_id, out_idx):
+                continue  # a joint refund still in the mempool has no outputs yet
             telemetry.search_ops += 1
             spent, spender = ledger.is_spent(tc1_id, out_idx)
             if spent:

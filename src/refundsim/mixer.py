@@ -9,9 +9,10 @@ the value, address and time relations between payments in and refunds out.
 
 `analyze_linkage` is the resident adversary: given everything a global
 passive observer could hold (chunk outputs with values and heights, plus
-per-customer refund totals and payment heights), it enumerates all
-value-and-causality-consistent assignments of chunks to customers and picks
-one; its accuracy against ground truth is the unlinkability measure.
+per-customer refund totals and payment heights), it counts the
+value-and-causality-consistent assignments of chunks to customers exactly
+and picks one uniformly; its accuracy against ground truth is the
+unlinkability measure.
 
 The aggregate mode combines mixing with the joint-refund protection: every
 chunk is locked to customer and refundee together, with a per-transaction
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
 from .keys import (
@@ -381,38 +382,47 @@ def _feasible_assignments(
     customers: list[str],
     totals: dict[str, int],
     payment_heights: dict[str, int],
-    cap: int = 5000,
-) -> list[tuple[str, ...]]:
-    """All assignments of outputs to customers consistent with the view.
+) -> tuple[int, Callable[[int], tuple[str, ...]]]:
+    """Count the assignments of outputs to customers consistent with the view.
 
     Consistency: each customer's assigned values sum to its refund total,
-    and no chunk is emitted before its customer paid.
+    and no chunk is emitted before its customer paid.  Returns the exact
+    count and a function building the assignment of each rank in
+    [0, count), in search order: outputs by descending value, each given
+    to the customers in turn.  Counts are memoized on (position, remaining
+    totals), so nothing is enumerated.
     """
     order = sorted(range(len(outputs)), key=lambda i: -outputs[i].value)
-    results: list[tuple[str, ...]] = []
-    assignment: list[Optional[str]] = [None] * len(outputs)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def backtrack(pos: int, remaining: dict[str, int]):
-        if len(results) >= cap:
-            return
-        if pos == len(order):
-            if all(v == 0 for v in remaining.values()):
-                results.append(tuple(assignment))  # type: ignore[arg-type]
-            return
+    def moves(pos: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         out = outputs[order[pos]]
-        for customer in customers:
-            if remaining[customer] < out.value:
-                continue
-            if payment_heights[customer] > out.emission_height:
-                continue
-            remaining[customer] -= out.value
-            assignment[order[pos]] = customer
-            backtrack(pos + 1, remaining)
-            assignment[order[pos]] = None
-            remaining[customer] += out.value
+        for c, customer in enumerate(customers):
+            if remaining[c] >= out.value and payment_heights[customer] <= out.emission_height:
+                yield c, remaining[:c] + (remaining[c] - out.value,) + remaining[c + 1:]
 
-    backtrack(0, dict(totals))
-    return results
+    def count(pos: int, remaining: tuple[int, ...]) -> int:
+        if pos == len(order):
+            return int(not any(remaining))
+        if (pos, remaining) not in memo:
+            memo[pos, remaining] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
+        return memo[pos, remaining]
+
+    start = tuple(totals[c] for c in customers)
+
+    def nth(rank: int) -> tuple[str, ...]:
+        assignment = [""] * len(outputs)
+        remaining = start
+        for pos in range(len(order)):
+            for c, rest in moves(pos, remaining):
+                if rank < count(pos + 1, rest):
+                    break
+                rank -= count(pos + 1, rest)
+            assignment[order[pos]] = customers[c]
+            remaining = rest
+        return tuple(assignment)
+
+    return count(0, start), nth
 
 
 def analyze_linkage(
@@ -424,22 +434,22 @@ def analyze_linkage(
 
     The adversary holds the emitted chunk outputs (values, heights), each
     customer's refund total and payment height; it never sees session ids or
-    wallet internals.  It enumerates every value/causality-consistent
-    assignment and picks one at random — with equal chunks and mixed
+    wallet internals.  It counts every value/causality-consistent
+    assignment and picks one uniformly at random — with equal chunks and mixed
     emission that is the best it can do.  `ledger` is not read: the chunk
     facts already carry everything the chain shows.
     """
     rng = random.Random(rng_seed)
     outputs = sorted(truth.chunk_facts, key=lambda f: (f.txid, f.vout))
     customers = sorted(truth.customers)
-    feasible = _feasible_assignments(
+    feasible, nth = _feasible_assignments(
         outputs, customers, truth.refund_totals, truth.payment_heights
     )
     n = len(outputs)
     baseline = 1.0 / max(1, len(customers))
     if not feasible:
         return LinkageReport(0.0, baseline, n, 0, False)
-    chosen = feasible[rng.randrange(len(feasible))]
+    chosen = nth(rng.randrange(feasible))
     correct = sum(
         1
         for fact, guess in zip(outputs, chosen)
@@ -453,7 +463,7 @@ def analyze_linkage(
         accuracy=correct / n if n else 0.0,
         baseline=baseline,
         n_outputs=n,
-        feasible_assignments=len(feasible),
+        feasible_assignments=feasible,
         target_correct=target_correct,
     )
 

@@ -25,7 +25,7 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import dropwhile
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -666,7 +666,10 @@ class Merchant:
             )
         if sum(e.value for e in entries) > session.request.amount:
             raise BadTransaction("refund total exceeds the amount paid")
-        signer_keys = tuple(pub for txin in main.inputs for _sig, pub in txin.witness)
+        # one key per signer, in input order: a signer may spend several coins
+        signer_keys = tuple(
+            dict.fromkeys(pub for txin in main.inputs for _sig, pub in txin.witness)
+        )
         if len(xpubs) > 1:
             for entry in entries:
                 if entry.cosigner_pubkey is None:
@@ -778,37 +781,28 @@ class Merchant:
             total, "refund-joint-funding"
         )
 
-        xpub_of: dict[bytes, ExtendedPublicKey] = {}
-        for pub, xpub in zip(session.cosigner_keys, session.customer_xpubs):
-            xpub_of[SECP256K1.encode_point(pub)] = xpub
+        xpub_of = dict(zip(session.cosigner_keys, session.customer_xpubs))
         lock_all = self._lock_all_cosigners(session)
-        next_index: dict[bytes, int] = {}
+        next_index: dict[Point, int] = {}
 
-        def take_index(owner_enc: bytes) -> tuple[int, Point]:
-            start = next_index.get(owner_enc, 0)
-            idx, child = next_usable_index(xpub_of[owner_enc], start)
-            next_index[owner_enc] = idx + 1
+        def take_index(owner: Point) -> tuple[int, Point]:
+            idx, child = next_usable_index(xpub_of[owner], next_index.get(owner, 0))
+            next_index[owner] = idx + 1
             return idx, child
 
-        default_owner = SECP256K1.encode_point(session.cosigner_keys[0])
         refund_rows = []
         entry_outputs = []
         entry_children: dict[int, tuple[ExtendedPublicKey, int]] = {}
-        entry_owner: list[bytes] = []
+        entry_owner: list[Point] = []
         for position, entry in enumerate(session.entries):
             if lock_all:
-                owners = [SECP256K1.encode_point(k) for k in session.cosigner_keys]
+                owners = list(session.cosigner_keys)
             else:
-                owner = (
-                    SECP256K1.encode_point(entry.cosigner_pubkey)
-                    if entry.cosigner_pubkey is not None
-                    else default_owner
-                )
-                owners = [owner]
+                owners = [entry.cosigner_pubkey or session.cosigner_keys[0]]
             masked_group = []
-            for owner_enc in owners:
-                idx, child = take_index(owner_enc)
-                entry_children.setdefault(position, (xpub_of[owner_enc], idx))
+            for owner in owners:
+                idx, child = take_index(owner)
+                entry_children.setdefault(position, (xpub_of[owner], idx))
                 masked = mask_child(child, m1_priv)
                 self.key_log.register(masked, "masked-refund-child")
                 masked_group.append(masked)
@@ -820,17 +814,17 @@ class Merchant:
         tc1_id = self.broadcast(tc1, "joint refund")
 
         # one fallback per signer, valued at that signer's entries
-        fallback_totals: dict[bytes, int] = {}
-        for entry, owner_enc in zip(session.entries, entry_owner):
-            fallback_totals[owner_enc] = fallback_totals.get(owner_enc, 0) + entry.value
+        fallback_totals: dict[Point, int] = {}
+        for entry, owner in zip(session.entries, entry_owner):
+            fallback_totals[owner] = fallback_totals.get(owner, 0) + entry.value
         tc2s: list[Transaction] = []
         records: list[dispute.RefundRecord] = []
         lock_height = self.ledger.height + self.lock_blocks
-        for owner_enc, owner_total in fallback_totals.items():
+        for owner, owner_total in fallback_totals.items():
             m2_priv, m2_pub, m2_funding = self.reserve_funded_key(
                 owner_total, "refund-fallback-funding"
             )
-            _idx, child = take_index(owner_enc)
+            _idx, child = take_index(owner)
             masked = mask_child(child, m2_priv)
             self.key_log.register(masked, "masked-fallback-child")
             tc2 = build_refund_tc2(
@@ -948,6 +942,15 @@ class Merchant:
 # -- customer side -----------------------------------------------------------------
 
 
+def _fallback_locks(tx: Transaction) -> dict[bytes, int]:
+    """Key hash -> output position of a time-locked transaction's pay-to-key outputs."""
+    return {
+        out.script.pubkey_hash: i
+        for i, out in enumerate(tx.outputs)
+        if isinstance(out.script, PayToPubkeyHash) and tx.lock_height
+    }
+
+
 @dataclass(frozen=True)
 class LocatedRefund:
     """An output that one of the customer's masked children unlocks."""
@@ -1026,8 +1029,8 @@ class Customer:
 
     # -- refund discovery ------------------------------------------------------
 
-    def _since_payment(self) -> Iterator[tuple[int, bytes, Transaction]]:
-        """Confirmed transactions from the first that embeds self's extended key.
+    def _since_payment(self) -> Iterator[tuple[bytes, Transaction]]:
+        """Confirmed (txid, tx) from the first that embeds self's extended key.
 
         Masking a child needs the extended key, which reaches anyone else
         only in self's payment, and a refund is issued only once that payment
@@ -1043,20 +1046,24 @@ class Customer:
                 for out in item[2].outputs
             )
 
-        return dropwhile(before_payment, self.ledger.all_confirmed())
+        return (
+            (tid, tx)
+            for _height, tid, tx in dropwhile(before_payment, self.ledger.all_confirmed())
+        )
 
     def _locate(
         self,
+        txs: Iterable[tuple[bytes, Transaction]],
         targets: Callable[[Transaction], dict[bytes, int]],
         lookup: Callable[[Point], bytes],
     ) -> Optional[LocatedRefund]:
-        """First output since the payment that a masked child of self unlocks.
+        """First output among ``txs`` (txid, tx) that a masked child of self unlocks.
 
         ``targets`` maps a transaction's candidate locks to their output
         positions; ``lookup`` is the lock a masked child point would carry.
         Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried.
         """
-        for _height, tid, tx in self._since_payment():
+        for tid, tx in txs:
             locks = targets(tx)
             if not locks:
                 continue
@@ -1073,6 +1080,7 @@ class Customer:
     def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedRefund]:
         """Scan the chain for a joint refund locking self to the refundee."""
         return self._locate(
+            self._since_payment(),
             lambda tx: {
                 out.script.script_hash: i
                 for i, out in enumerate(tx.outputs)
@@ -1083,14 +1091,7 @@ class Customer:
 
     def find_fallback(self) -> Optional[LocatedRefund]:
         """Scan the chain for the time-locked fallback addressed to self."""
-        return self._locate(
-            lambda tx: {
-                out.script.pubkey_hash: i
-                for i, out in enumerate(tx.outputs)
-                if isinstance(out.script, PayToPubkeyHash) and tx.lock_height
-            },
-            key_hash,
-        )
+        return self._locate(self._since_payment(), _fallback_locks, key_hash)
 
     # -- redemption ---------------------------------------------------------------
 
@@ -1127,10 +1128,8 @@ class Customer:
         """Claim the time-locked fallback once its lock height has passed."""
         located = self.find_fallback()
         if located is None:
-            mempool_locked = any(
-                tx.lock_height > self.ledger.height for tx in self.ledger.mempool.values()
-            )
-            if mempool_locked:
+            # a fallback waits in the mempool until its lock height passes
+            if self._locate(self.ledger.mempool.items(), _fallback_locks, key_hash):
                 raise Locked("fallback refund still time-locked")
             raise RefundNotFound("no fallback refund addressed to this wallet")
         return self._claim("fallback", located, [], self.fallback_pub)

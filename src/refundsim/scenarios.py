@@ -6,6 +6,15 @@ recovery, and the mixing modes — on a fresh ledger, then checks a set of
 named assertions.  Runs are deterministic: identical (name, seed, config)
 produce byte-identical transcripts.
 
+Runner contract: `run_scenario` builds one `Env` per run, which resolves the
+config once and holds the ledger, the merchant and the transcript.  A runner
+is `(env) -> list[Assertion]` and only tells its story; `run_scenario` then
+appends the ledger soundness checks, writes the transcript and returns the
+`Verdict`.  Every config value is an integer of at least 1 (the flags
+`encrypt` and `unequal` may be 0); a config that leaves a story no room, such
+as a lock height already passed when the story must wait for it, is a
+`ConfigError`.
+
 `--disable-defense` replays the vanilla refund behavior (pay the latest
 refund address directly) so the attack scenarios demonstrate the baseline
 theft before the defended run neutralizes it.
@@ -14,7 +23,7 @@ Accounting: balances are measured from an address book mapping output
 scripts to actor labels, with the baseline taken after seeding; an output
 nobody labelled counts as "unattributed".  Zero fees make the deltas sum to
 zero under any labelling, so `accounting-closure` holds whatever is labelled;
-labels only name the deltas that assertions read.  `Env.register_refund`
+labels only name the deltas that assertions read.  `Env.issue_refund`
 labels what a refund issue created: its joint-refund escrows and fallbacks.
 """
 
@@ -23,7 +32,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -32,12 +40,14 @@ from .curve import SECP256K1, Point
 from .keys import keygen
 from .ledger import SimLedger
 from .protocol import (
+    ONE_WEEK_BLOCKS,
     Customer,
     CustomerWallet,
     IdentityRegistry,
     KeyRoleLog,
     Locked,
     Merchant,
+    MerchantSession,
     MissingSigner,
     RefundEntry,
     RefundIssue,
@@ -82,37 +92,31 @@ class ScenarioName(enum.Enum):
 
 _DEFAULTS: dict[ScenarioName, dict[str, int]] = {
     ScenarioName.HONEST_REFUND: {
-        "amount": 50_000, "refund_value": 30_000,
-        "lock_blocks": 1008, "window_blocks": 8640, "encrypt": 0,
+        "amount": 50_000, "refund_value": 30_000, "lock_blocks": 1008, "encrypt": 0,
     },
     ScenarioName.SILKROAD: {
-        "amount": 50_000, "refund_value": 50_000,
-        "lock_blocks": 1008, "window_blocks": 8640, "encrypt": 0,
+        "amount": 50_000, "refund_value": 50_000, "lock_blocks": 1008, "encrypt": 0,
     },
     ScenarioName.MARKETPLACE: {
-        "amount": 40_000, "refund_value": 40_000,
-        "lock_blocks": 1008, "window_blocks": 8640, "encrypt": 0,
+        "amount": 40_000, "refund_value": 40_000, "lock_blocks": 1008, "encrypt": 0,
     },
     ScenarioName.MULTI_SIGNER: {
-        "amount": 60_000, "share": 30_000, "refund_value": 25_000,
-        "lock_blocks": 1008, "window_blocks": 8640,
+        "amount": 60_000, "share": 30_000, "refund_value": 25_000, "lock_blocks": 1008,
     },
     ScenarioName.RECOVERY: {
         "amount": 50_000, "refund_value": 30_000, "sessions": 3,
-        "wallet_k": 8, "lock_blocks": 60, "window_blocks": 8640,
-        "max_child_index": 8,
+        "wallet_k": 8, "lock_blocks": 60, "max_child_index": 8,
     },
     ScenarioName.MIXER: {
-        "n_customers": 2, "k": 4, "amount": 100_000,
-        "lock_blocks": 1008, "window_blocks": 8640, "jitter_window": 3,
-        "outputs_per_tx": 4, "unequal": 0, "timeout_blocks": 20,
+        "n_customers": 2, "k": 4, "amount": 100_000, "jitter_window": 3,
+        "outputs_per_tx": 4, "unequal": 0,
     },
     ScenarioName.AGGREGATE: {
         "n_customers": 2, "k": 4, "amount": 100_000,
-        "lock_blocks": 40, "window_blocks": 8640, "jitter_window": 3,
-        "outputs_per_tx": 4,
+        "lock_blocks": 40, "jitter_window": 3, "outputs_per_tx": 4,
     },
 }
+_FLAGS = {"encrypt", "unequal"}  # the only keys that may be 0
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,9 @@ class Scenario:
             if key not in merged:
                 raise ConfigError(f"unknown config key {key!r} for {self.name.value}")
             merged[key] = int(value)
+            minimum = 0 if key in _FLAGS else 1
+            if merged[key] < minimum:
+                raise ConfigError(f"config {key}={value} is below its minimum {minimum}")
         return merged
 
     def seed_bytes(self, tag: str) -> bytes:
@@ -214,35 +221,41 @@ MERCHANT_KEY_FUNDS = 200_000  # seeded onto each funded merchant wallet key
 
 
 class Env:
-    """Shared scenario plumbing: ledger, registry, actors, accounting."""
+    """One run's plumbing: resolved config, ledger, merchant, actors, accounting."""
 
-    def __init__(self, scenario: Scenario, merchant_wallet_size: int = 64):
+    def __init__(self, scenario: Scenario, out_dir: Optional[str]):
         self.scenario = scenario
         self.config = scenario.resolved_config()
+        self.out_dir = out_dir
         self.ledger = SimLedger()
-        self.registry = IdentityRegistry()
         self.key_log = KeyRoleLog()
         self.transcript = Transcript()
         self.book = AddressBook()
-        self.rng = random.Random(
-            int.from_bytes(scenario.seed_bytes("rng"), "big")
-        )
+        wallet_size = 2 ** self.config.get("wallet_k", 6)
         self.merchant = Merchant(
             "merchant",
             scenario.seed_bytes("merchant"),
             self.ledger,
-            self.registry,
+            IdentityRegistry(),
             self.key_log,
-            wallet_size=merchant_wallet_size,
-            lock_blocks=self.config.get("lock_blocks", 1008),
-            window_blocks=self.config.get("window_blocks", 8640),
+            wallet_size=wallet_size,
+            lock_blocks=self.config.get("lock_blocks", ONE_WEEK_BLOCKS),
         )
-        for i in range(merchant_wallet_size):
+        for i in range(wallet_size):
             self.book.register_key(self.merchant.wallet.key(i)[1], "merchant")
         self.baseline: dict[str, int] = {}
 
     def log(self, actor: str, event: str, detail: str = "") -> None:
         self.transcript.log(self.ledger.height, actor, event, detail)
+
+    def advance_to(self, height: int) -> None:
+        """Advance the ledger to `height`, which the story must not have passed."""
+        if height <= self.ledger.height:
+            raise ConfigError(
+                f"height {height} is already reached at {self.ledger.height}: "
+                "lock_blocks is too small for this story"
+            )
+        self.ledger.advance_height(height - self.ledger.height)
 
     def new_customer(self, label: str) -> Customer:
         customer = Customer(
@@ -253,23 +266,41 @@ class Env:
         self.book.register_key(customer.fallback_pub, label)
         return customer
 
-    def register_refund(self, issue: RefundIssue, fallback_label: str) -> None:
-        """Label the joint refund's escrow outputs and each fallback's output."""
+    def pay(
+        self, payer: Customer, amount: int, plan: list[RefundEntry], encrypt: bool,
+        memo: str = "",
+    ) -> MerchantSession:
+        """Request `amount`, have `payer` pay it with `plan`, and process the payment."""
+        request = self.merchant.create_request(amount, memo=memo)
+        self.merchant.process_payment(payer.pay(request, plan, encrypt=encrypt))
+        return self.merchant.sessions[request.merchant_data]
+
+    def issue_refund(self, merchant_data: bytes, fallback_label: str) -> RefundIssue:
+        """Issue the refund pair, label its escrows and fallbacks, and confirm it."""
+        issue = self.merchant.issue_refund(merchant_data)
         for out in issue.tc1.outputs:
             if isinstance(out.script, ScriptHash):
                 self.book.register_script_hash(out.script.script_hash, "escrow")
         for tc2 in issue.tc2s:
             self.book.register_key_hash(tc2.outputs[0].script.pubkey_hash, fallback_label)
+        self.ledger.advance_height(1)
+        return issue
 
     def new_keypair(self, label: str) -> tuple[int, Point]:
         priv, pub = keygen(self.scenario.seed_bytes(label))
         self.book.register_key(pub, label)
         return priv, pub
 
-    def new_xpub_wallet(self, label: str) -> CustomerWallet:
-        wallet = CustomerWallet(self.scenario.seed_bytes(label))
-        self.book.register_key(wallet.pub, label)
-        return wallet
+    def mix_parties(self, totals: list[int]) -> tuple[list[Customer], list[CustomerWallet]]:
+        """Payers `payer{i}` seeded with `totals[i]`, each with refundee `recipient{i}`."""
+        payers, recipients = [], []
+        for i in range(len(totals)):
+            payers.append(self.new_customer(f"payer{i}"))
+            recipient = CustomerWallet(self.scenario.seed_bytes(f"recipient{i}"))
+            self.book.register_key(recipient.pub, f"recipient{i}")
+            recipients.append(recipient)
+        self.seed_funds(list(zip(payers, totals)), merchant_keys=4 * len(totals) + 4)
+        return payers, recipients
 
     def seed_funds(
         self,
@@ -344,60 +375,59 @@ class Env:
         ]
 
 
-def _finish(
-    env: Env, scenario: Scenario, assertions: list[Assertion], out_dir: Optional[str]
-) -> Verdict:
-    assertions = assertions + env.soundness_assertions()
-    path = None
-    if out_dir is not None:
-        fname = f"{scenario.name.value.lower()}_seed{scenario.seed}.transcript.log"
-        path = env.transcript.write(os.path.join(out_dir, fname))
-    return Verdict(scenario.name.value, scenario.seed, assertions, path, env)
-
-
 # -- scenario bodies ---------------------------------------------------------------
 
 
-def _run_honest_refund(scenario: Scenario, out_dir) -> Verdict:
-    env = Env(scenario)
+def _joint_spend_blocked(
+    issue: RefundIssue, signers: list[tuple[int, Point]], thief_pub: Point
+) -> bool:
+    """Whether `signers` fail to spend the first joint-refund output to `thief_pub`."""
+    try:
+        build_redeem(
+            issue.tc1,
+            0,
+            signers,
+            thief_pub,
+            reveal_script=two_of_two(issue.entry_outputs[0][2][0], thief_pub),
+        )
+    except MissingSigner:
+        return True
+    return False
+
+
+def _run_honest_refund(env: Env) -> list[Assertion]:
     cfg = env.config
     alice = env.new_customer("alice")
     bob_priv, bob_pub = env.new_keypair("bob")
     env.seed_funds([(alice, cfg["amount"])])
 
-    request = env.merchant.create_request(cfg["amount"], memo="order")
+    session = env.pay(
+        alice, cfg["amount"], [RefundEntry(bob_pub, cfg["refund_value"])],
+        bool(cfg["encrypt"]), memo="order",
+    )
     env.log("merchant", "payment-request", f"amount={cfg['amount']}")
-    plan = [RefundEntry(bob_pub, cfg["refund_value"])]
-    msg = alice.pay(request, plan, encrypt=bool(cfg["encrypt"]))
-    env.merchant.process_payment(msg)
-    env.log("alice", "paid", f"main={txid(msg.transactions[0]).hex()[:12]}")
+    env.log("alice", "paid", f"main={session.main_txid.hex()[:12]}")
     env.ledger.advance_height(1)
 
-    assertions: list[Assertion] = []
-    if scenario.disable_defense:
-        direct = env.merchant.issue_refund_unprotected(request.merchant_data)
+    if env.scenario.disable_defense:
+        direct = env.merchant.issue_refund_unprotected(session.merchant_data)
         env.ledger.advance_height(1)
         env.log("merchant", "direct-refund", f"tx={txid(direct).hex()[:12]}")
         deltas = env.deltas()
-        assertions.append(
+        return [
             Assertion(
                 "refund-paid-directly",
                 deltas.get("bob", 0) == cfg["refund_value"],
                 f"bob delta {deltas.get('bob', 0)}",
-            )
-        )
-        assertions.append(
+            ),
             Assertion(
                 "no-implicit-record",
                 not env.merchant.records,
                 "vanilla flow stores no txid record",
-            )
-        )
-        return _finish(env, scenario, assertions, out_dir)
+            ),
+        ]
 
-    issue = env.merchant.issue_refund(request.merchant_data)
-    env.register_refund(issue, "alice")
-    env.ledger.advance_height(1)
+    issue = env.issue_refund(session.merchant_data, "alice")
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
     redeem = alice.redeem_with_refundee(bob_priv)
@@ -405,7 +435,6 @@ def _run_honest_refund(scenario: Scenario, out_dir) -> Verdict:
     env.log("alice+bob", "joint-redeem", f"tx={txid(redeem).hex()[:12]}")
     env.merchant.monitor()
 
-    record = env.merchant.sessions[request.merchant_data].refund.records[0]
     tc1_refund_total = sum(
         o.value for o in issue.tc1.outputs if isinstance(o.script, ScriptHash)
     )
@@ -414,84 +443,72 @@ def _run_honest_refund(scenario: Scenario, out_dir) -> Verdict:
     # the fallback is not reclaimed after a joint redemption: once its lock
     # passes it confirms and stays claimable by the customer, a known
     # double-payout hazard this flow deliberately surfaces rather than fixes
-    env.ledger.advance_height(issue.tc2.lock_height - env.ledger.height + 1)
+    env.advance_to(issue.tc2.lock_height + 1)
     tc2_confirmed = env.ledger.output_exists(txid(issue.tc2), 0)
     tc2_unspent = env.ledger.unspent_output(txid(issue.tc2), 0) is not None
     env.log("observer", "fallback-hazard",
             f"confirmed={tc2_confirmed} still-claimable={tc2_unspent}")
 
     deltas = env.deltas()
-    assertions.extend(
-        [
-            Assertion("joint-redeem-confirms", spent and spender == txid(redeem)),
-            Assertion(
-                "refund-pair-values",
-                tc1_refund_total
-                == issue.tc2.outputs[0].value
-                == cfg["refund_value"],
-                f"tc1={tc1_refund_total} tc2={issue.tc2.outputs[0].value}",
-            ),
-            Assertion(
-                "record-gains-redeem-txid", record.redeem_txid == txid(redeem)
-            ),
-            Assertion(
-                "record-size-128", dispute.record_size(record) == 128
-            ),
-            Assertion(
-                "refundee-received-value",
-                deltas.get("bob", 0) == cfg["refund_value"],
-                f"bob delta {deltas.get('bob', 0)}",
-            ),
-            Assertion(
-                "fallback-double-payout-hazard-surfaced",
-                tc2_confirmed and tc2_unspent,
-                "fallback remains claimable after the joint redemption",
-            ),
-        ]
-    )
-    return _finish(env, scenario, assertions, out_dir)
+    return [
+        Assertion("joint-redeem-confirms", spent and spender == txid(redeem)),
+        Assertion(
+            "refund-pair-values",
+            tc1_refund_total
+            == issue.tc2.outputs[0].value
+            == cfg["refund_value"],
+            f"tc1={tc1_refund_total} tc2={issue.tc2.outputs[0].value}",
+        ),
+        Assertion(
+            "record-gains-redeem-txid", issue.record.redeem_txid == txid(redeem)
+        ),
+        Assertion(
+            "record-size-128", dispute.record_size(issue.record) == 128
+        ),
+        Assertion(
+            "refundee-received-value",
+            deltas.get("bob", 0) == cfg["refund_value"],
+            f"bob delta {deltas.get('bob', 0)}",
+        ),
+        Assertion(
+            "fallback-double-payout-hazard-surfaced",
+            tc2_confirmed and tc2_unspent,
+            "fallback remains claimable after the joint redemption",
+        ),
+    ]
 
 
-def _run_silkroad(scenario: Scenario, out_dir) -> Verdict:
-    env = Env(scenario)
+def _run_silkroad(env: Env) -> list[Assertion]:
     cfg = env.config
     mallory = env.new_customer("mallory")
     trader_priv, trader_pub = env.new_keypair("silkroad-trader")
     env.seed_funds([(mallory, cfg["amount"])])
 
-    request = env.merchant.create_request(cfg["amount"])
-    msg = mallory.pay(
-        request, [RefundEntry(trader_pub, cfg["refund_value"])],
-        encrypt=bool(cfg["encrypt"]),
+    session = env.pay(
+        mallory, cfg["amount"], [RefundEntry(trader_pub, cfg["refund_value"])],
+        bool(cfg["encrypt"]),
     )
-    env.merchant.process_payment(msg)
     env.log("mallory", "paid-with-trader-refund-address", "")
     env.ledger.advance_height(1)
 
-    assertions: list[Assertion] = []
-    if scenario.disable_defense:
-        env.merchant.issue_refund_unprotected(request.merchant_data)
+    if env.scenario.disable_defense:
+        env.merchant.issue_refund_unprotected(session.merchant_data)
         env.ledger.advance_height(1)
         env.log("merchant", "direct-refund-to-trader", "")
         deltas = env.deltas()
-        assertions.append(
+        return [
             Assertion(
                 "trader-receives-laundered-funds",
                 deltas.get("silkroad-trader", 0) == cfg["refund_value"],
-            )
-        )
-        assertions.append(
+            ),
             Assertion(
                 "no-linkage-evidence",
                 not env.merchant.records,
                 "no joint redemption ever exists to prove",
-            )
-        )
-        return _finish(env, scenario, assertions, out_dir)
+            ),
+        ]
 
-    issue = env.merchant.issue_refund(request.merchant_data)
-    env.register_refund(issue, "mallory")
-    env.ledger.advance_height(1)
+    issue = env.issue_refund(session.merchant_data, "mallory")
     env.log("merchant", "refund-issued", f"tc1={txid(issue.tc1).hex()[:12]}")
 
     redeem = mallory.redeem_with_refundee(trader_priv)
@@ -501,94 +518,71 @@ def _run_silkroad(scenario: Scenario, out_dir) -> Verdict:
 
     # the fallback confirms once its lock passes; then all four transactions
     # are on-chain and the proof replays
-    env.ledger.advance_height(issue.tc2.lock_height - env.ledger.height + 1)
-    proof = env.merchant.linkage_proof(request.merchant_data)
+    env.advance_to(issue.tc2.lock_height + 1)
+    proof = env.merchant.linkage_proof(session.merchant_data)
     check = dispute.verify_linkage_proof(proof, env.ledger)
     env.log("merchant", "linkage-proof", f"verifies={check.ok}")
     deltas = env.deltas()
-    record = env.merchant.sessions[request.merchant_data].refund.records[0]
-    assertions.extend(
-        [
-            Assertion(
-                "trader-received-funds",
-                deltas.get("silkroad-trader", 0) == cfg["refund_value"],
-            ),
-            Assertion("redeem-recorded", record.redeem_txid == txid(redeem)),
-            Assertion("linkage-proof-verifies", bool(check), check.reason),
-            Assertion(
-                "proof-pins-masked-child",
-                proof.masked_point in proof.script.keys,
-            ),
-        ]
-    )
-    return _finish(env, scenario, assertions, out_dir)
+    return [
+        Assertion(
+            "trader-received-funds",
+            deltas.get("silkroad-trader", 0) == cfg["refund_value"],
+        ),
+        Assertion("redeem-recorded", issue.record.redeem_txid == txid(redeem)),
+        Assertion("linkage-proof-verifies", bool(check), check.reason),
+        Assertion(
+            "proof-pins-masked-child",
+            proof.masked_point in proof.script.keys,
+        ),
+    ]
 
 
-def _run_marketplace(scenario: Scenario, out_dir) -> Verdict:
-    env = Env(scenario)
+def _run_marketplace(env: Env) -> list[Assertion]:
     cfg = env.config
     carol = env.new_customer("carol")
     _friend_priv, friend_pub = env.new_keypair("friend")
     rogue_priv, rogue_pub = env.new_keypair("rogue-trader")
     env.seed_funds([(carol, cfg["amount"])])
 
-    request = env.merchant.create_request(cfg["amount"])
-    msg = carol.pay(
-        request, [RefundEntry(friend_pub, cfg["refund_value"])],
-        encrypt=bool(cfg["encrypt"]),
+    session = env.pay(
+        carol, cfg["amount"], [RefundEntry(friend_pub, cfg["refund_value"])],
+        bool(cfg["encrypt"]),
     )
-    env.merchant.process_payment(msg)
     env.ledger.advance_height(1)
     env.log("carol", "paid", "")
 
     # the rogue man-in-the-middle knows merchant_data and updates by email
     update = RefundAddressUpdate(
-        request.merchant_data,
+        session.merchant_data,
         (RefundEntry(rogue_pub, cfg["refund_value"]),),
         UpdateChannel.EMAIL,
     )
     accepted = env.merchant.update_refund_addresses(update)
     env.log("rogue-trader", "email-address-update", f"accepted={accepted}")
 
-    assertions: list[Assertion] = [
-        Assertion("email-update-accepted", accepted)
-    ]
-    if scenario.disable_defense:
-        env.merchant.issue_refund_unprotected(request.merchant_data)
+    assertions = [Assertion("email-update-accepted", accepted)]
+    if env.scenario.disable_defense:
+        env.merchant.issue_refund_unprotected(session.merchant_data)
         env.ledger.advance_height(1)
         deltas = env.deltas()
-        assertions.append(
+        return assertions + [
             Assertion(
                 "rogue-steals-refund",
                 deltas.get("rogue-trader", 0) == cfg["refund_value"],
                 f"rogue delta {deltas.get('rogue-trader', 0)}",
             )
-        )
-        return _finish(env, scenario, assertions, out_dir)
+        ]
 
-    issue = env.merchant.issue_refund(request.merchant_data)
-    masked_entry = issue.entry_outputs[0][2][0]
-    env.register_refund(issue, "carol")
-    env.ledger.advance_height(1)
+    issue = env.issue_refund(session.merchant_data, "carol")
     env.log("merchant", "refund-issued-locked-to-carol-and-rogue", "")
 
     # the rogue cannot satisfy the joint lock without carol's signature
-    rogue_blocked = False
-    try:
-        build_redeem(
-            issue.tc1,
-            0,
-            [(rogue_priv, rogue_pub)],
-            rogue_pub,
-            reveal_script=two_of_two(masked_entry, rogue_pub),
-        )
-    except MissingSigner:
-        rogue_blocked = True
+    rogue_blocked = _joint_spend_blocked(issue, [(rogue_priv, rogue_pub)], rogue_pub)
     env.log("rogue-trader", "redeem-attempt", f"blocked={rogue_blocked}")
 
     # carol cannot claim the fallback before the lock height
     lock = issue.tc2.lock_height
-    env.ledger.advance_height(lock - 1 - env.ledger.height)
+    env.advance_to(lock - 1)
     early_blocked = False
     try:
         carol.redeem_fallback()
@@ -604,33 +598,29 @@ def _run_marketplace(scenario: Scenario, out_dir) -> Verdict:
     env.merchant.monitor()
 
     deltas = env.deltas()
-    assertions.extend(
-        [
-            Assertion("rogue-cannot-redeem", rogue_blocked),
-            Assertion("fallback-locked-before-lock-height", early_blocked),
-            Assertion(
-                "fallback-claimed-at-lock-height",
-                claim_height == lock,
-                f"claimed at {claim_height}, lock {lock}",
-            ),
-            Assertion(
-                "customer-recovers-full-refund",
-                deltas.get("carol", 0) == cfg["refund_value"] - cfg["amount"]
-                and env.ledger.is_spent(txid(issue.tc2), 0)[1] == txid(fallback_tx),
-                f"carol delta {deltas.get('carol', 0)}",
-            ),
-            Assertion(
-                "rogue-balance-delta-zero",
-                deltas.get("rogue-trader", 0) == 0,
-                f"rogue delta {deltas.get('rogue-trader', 0)}",
-            ),
-        ]
-    )
-    return _finish(env, scenario, assertions, out_dir)
+    return assertions + [
+        Assertion("rogue-cannot-redeem", rogue_blocked),
+        Assertion("fallback-locked-before-lock-height", early_blocked),
+        Assertion(
+            "fallback-claimed-at-lock-height",
+            claim_height == lock,
+            f"claimed at {claim_height}, lock {lock}",
+        ),
+        Assertion(
+            "customer-recovers-full-refund",
+            deltas.get("carol", 0) == cfg["refund_value"] - cfg["amount"]
+            and env.ledger.is_spent(txid(issue.tc2), 0)[1] == txid(fallback_tx),
+            f"carol delta {deltas.get('carol', 0)}",
+        ),
+        Assertion(
+            "rogue-balance-delta-zero",
+            deltas.get("rogue-trader", 0) == 0,
+            f"rogue delta {deltas.get('rogue-trader', 0)}",
+        ),
+    ]
 
 
-def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
-    env = Env(scenario)
+def _run_multi_signer(env: Env) -> list[Assertion]:
     cfg = env.config
     dave = env.new_customer("dave")  # honest co-signer, the victim
     eve = env.new_customer("eve")  # malicious co-signer
@@ -649,42 +639,28 @@ def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
     env.ledger.advance_height(1)
     env.log("dave+eve", "joint-payment", f"entries={len(plan)}")
 
-    assertions: list[Assertion] = []
-    if scenario.disable_defense:
+    if env.scenario.disable_defense:
         env.merchant.issue_refund_unprotected(request.merchant_data)
         env.ledger.advance_height(1)
         deltas = env.deltas()
-        assertions.append(
+        return [
             Assertion(
                 "trader-steals-victims-refund",
                 deltas.get("silkroad-trader", 0) == cfg["refund_value"],
             )
-        )
-        return _finish(env, scenario, assertions, out_dir)
+        ]
 
-    issue = env.merchant.issue_refund(request.merchant_data)
-    env.register_refund(issue, "cosigner-fallback")
-    env.ledger.advance_height(1)
+    issue = env.issue_refund(request.merchant_data, "cosigner-fallback")
     env.log("merchant", "refund-issued", f"fallbacks={len(issue.tc2s)}")
 
     # the trader (with eve's help) still lacks dave's masked-child signature
-    dave_masked = issue.entry_outputs[0][2][0]
-    trader_blocked = False
-    try:
-        build_redeem(
-            issue.tc1,
-            0,
-            [(trader_priv, trader_pub), (eve.wallet.priv, eve.wallet.pub)],
-            trader_pub,
-            reveal_script=two_of_two(dave_masked, trader_pub),
-        )
-    except MissingSigner:
-        trader_blocked = True
+    trader_blocked = _joint_spend_blocked(
+        issue, [(trader_priv, trader_pub), (eve.wallet.priv, eve.wallet.pub)], trader_pub
+    )
     env.log("silkroad-trader", "redeem-attempt", f"blocked={trader_blocked}")
 
     # dave ignores the unknown refundee and recovers via his own fallback
-    lock = issue.tc2s[0].lock_height
-    env.ledger.advance_height(lock - env.ledger.height)
+    env.advance_to(issue.tc2s[0].lock_height)
     fallback_tx = dave.redeem_fallback()
     env.ledger.advance_height(1)
     env.log("dave", "fallback-claimed", f"tx={txid(fallback_tx).hex()[:12]}")
@@ -693,70 +669,60 @@ def _run_multi_signer(scenario: Scenario, out_dir) -> Verdict:
     deltas = env.deltas()
     dave_fallback_value = next(
         tc2.outputs[0].value
-        for tc2, rec in zip(issue.tc2s, issue.records)
+        for tc2 in issue.tc2s
         if env.ledger.is_spent(txid(tc2), 0)[0]
     )
-    assertions.extend(
-        [
-            Assertion("attacker-blocked", trader_blocked),
-            Assertion(
-                "attacker-gain-zero",
-                deltas.get("silkroad-trader", 0) == 0,
-                f"trader delta {deltas.get('silkroad-trader', 0)}",
-            ),
-            Assertion(
-                "victim-recovers-via-fallback",
-                deltas.get("dave", 0) == dave_fallback_value - cfg["share"],
-                f"dave delta {deltas.get('dave', 0)}",
-            ),
-            Assertion(
-                "per-cosigner-fallbacks",
-                len(issue.tc2s) == 2 and len(issue.records) == 2,
-            ),
-        ]
-    )
-    return _finish(env, scenario, assertions, out_dir)
+    return [
+        Assertion("attacker-blocked", trader_blocked),
+        Assertion(
+            "attacker-gain-zero",
+            deltas.get("silkroad-trader", 0) == 0,
+            f"trader delta {deltas.get('silkroad-trader', 0)}",
+        ),
+        Assertion(
+            "victim-recovers-via-fallback",
+            deltas.get("dave", 0) == dave_fallback_value - cfg["share"],
+            f"dave delta {deltas.get('dave', 0)}",
+        ),
+        Assertion(
+            "per-cosigner-fallbacks",
+            len(issue.tc2s) == 2 and len(issue.records) == 2,
+        ),
+    ]
 
 
-def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
-    if scenario.resolved_config()["sessions"] < 3:
-        raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
-    env = Env(scenario, merchant_wallet_size=2 ** scenario.resolved_config()["wallet_k"])
+def _run_recovery(env: Env) -> list[Assertion]:
     cfg = env.config
-    db_path = os.path.join(out_dir or ".", f"recovery_seed{scenario.seed}.db")
+    if cfg["sessions"] < 3:
+        raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
+    db_path = os.path.join(env.out_dir or ".", f"recovery_seed{env.scenario.seed}.db")
     env.merchant.store = dispute.RecordStore(db_path)
 
-    sessions = []
     customers = []
     refundee_keys = []
-    payouts = []
     for i in range(cfg["sessions"]):
-        customer = env.new_customer(f"customer{i}")
-        customers.append(customer)
-        payouts.append((customer, cfg["amount"]))
+        customers.append(env.new_customer(f"customer{i}"))
         refundee_keys.append(env.new_keypair(f"refundee{i}"))
-    env.seed_funds(payouts, merchant_keys=4 * cfg["sessions"])
+    env.seed_funds(
+        [(customer, cfg["amount"]) for customer in customers],
+        merchant_keys=4 * cfg["sessions"],
+    )
 
-    for i, customer in enumerate(customers):
-        request = env.merchant.create_request(cfg["amount"])
-        msg = customer.pay(
-            request, [RefundEntry(refundee_keys[i][1], cfg["refund_value"])]
+    issues = []
+    for i, (customer, (_r_priv, r_pub)) in enumerate(zip(customers, refundee_keys)):
+        session = env.pay(
+            customer, cfg["amount"], [RefundEntry(r_pub, cfg["refund_value"])], False
         )
-        env.merchant.process_payment(msg)
         env.ledger.advance_height(1)
-        issue = env.merchant.issue_refund(request.merchant_data)
-        env.register_refund(issue, f"customer{i}")
-        env.ledger.advance_height(1)
-        sessions.append((request.merchant_data, issue, customer, refundee_keys[i]))
+        issues.append(env.issue_refund(session.merchant_data, f"customer{i}"))
         env.log("merchant", "refund-issued", f"session={i}")
 
     # sessions 0 and 1 redeem jointly; session 2 claims the fallback alone
-    for md, issue, customer, (r_priv, _r_pub) in sessions[:2]:
+    for customer, (r_priv, _r_pub) in zip(customers[:2], refundee_keys):
         customer.redeem_with_refundee(r_priv)
         env.ledger.advance_height(1)
-    last_md, last_issue, last_customer, _ = sessions[2]
-    env.ledger.advance_height(last_issue.tc2.lock_height - env.ledger.height)
-    last_customer.redeem_fallback()
+    env.advance_to(issues[2].tc2.lock_height)
+    customers[2].redeem_fallback()
     env.ledger.advance_height(1)
     env.merchant.monitor()
     env.log("merchant", "monitored", f"records={len(env.merchant.records)}")
@@ -783,7 +749,7 @@ def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
     t = cfg["sessions"]
     ell = 3 * cfg["sessions"]  # joint + fallback + redeem per session
     two_k = 2 ** cfg["wallet_k"]
-    assertions = [
+    return [
         Assertion(
             "records-recovered-exactly",
             before == after and len(after) == cfg["sessions"],
@@ -808,59 +774,44 @@ def _run_recovery(scenario: Scenario, out_dir) -> Verdict:
             sorted(r.serialize() for r in env.merchant.store.load()) == after,
         ),
     ]
-    return _finish(env, scenario, assertions, out_dir)
 
 
-def _mixer_env(scenario: Scenario) -> tuple[Env, mixer.MixerService, list, list]:
-    env = Env(scenario)
+def _every_tx_mixed(truth: mixer.MixGroundTruth, txs: list) -> bool:
+    """Whether each of `txs` carries chunks of several customers; vacuous for one."""
+    return len(truth.customers) < 2 or all(
+        len({f.origin for f in truth.chunk_facts if f.txid == tid}) > 1
+        for tid in map(txid, txs)
+    )
+
+
+def _run_mixer(env: Env) -> list[Assertion]:
     cfg = env.config
     n = cfg["n_customers"]
     totals = [cfg["amount"]] * n
     if cfg["unequal"]:
         totals = [cfg["amount"] + 10_000 * i for i in range(n)]
-    customers, refundees = [], []
-    payouts = []
-    for i in range(n):
-        customer = env.new_customer(f"payer{i}")
-        wallet = env.new_xpub_wallet(f"recipient{i}")
-        customers.append(customer)
-        refundees.append(wallet)
-        payouts.append((customer, totals[i]))
-    env.seed_funds(payouts, merchant_keys=4 * n + 4)
+    customers, refundees = env.mix_parties(totals)
     service = mixer.MixerService(
         env.merchant,
         k=cfg["k"],
         min_customers=min(2, n),
-        timeout_blocks=cfg["timeout_blocks"],
         outputs_per_tx=cfg["outputs_per_tx"],
         jitter_window=cfg["jitter_window"],
-        rng_seed=scenario.seed,
+        rng_seed=env.scenario.seed,
     )
-    for i, (customer, wallet) in enumerate(zip(customers, refundees)):
-        request = env.merchant.create_request(totals[i])
-        msg = customer.pay(
-            request, [RefundEntry(wallet.xpub, totals[i])], encrypt=True
-        )
-        env.merchant.process_payment(msg)
+    for customer, wallet, total in zip(customers, refundees, totals):
+        session = env.pay(customer, total, [RefundEntry(wallet.xpub, total)], True)
         env.ledger.advance_height(1)
-        service.enqueue_refund(request.merchant_data, customer.name)
-        env.log(customer.name, "paid-and-cancelled", f"refund={totals[i]}")
-    return env, service, customers, refundees
-
-
-def _run_mixer(scenario: Scenario, out_dir) -> Verdict:
-    env, service, customers, refundees = _mixer_env(scenario)
-    cfg = env.config
+        service.enqueue_refund(session.merchant_data, customer.name)
+        env.log(customer.name, "paid-and-cancelled", f"refund={total}")
+    # every payer is queued, so the batch already holds min(2, n) origins
     emitted = service.try_emit()
-    if not emitted:
-        env.ledger.advance_height(cfg["timeout_blocks"])
-        emitted = service.try_emit()
     env.ledger.advance_height(cfg["jitter_window"] + 1)
     env.log("merchant", "mix-emitted", f"txs={len(emitted)}")
 
     swept_ok = True
     for i, wallet in enumerate(refundees):
-        dest_priv, dest_pub = env.new_keypair(f"recipient{i}-dest")
+        _dest_priv, dest_pub = env.new_keypair(f"recipient{i}-dest")
         _txs, total = mixer.sweep_chunks(
             wallet, list(service.masker_pubs.values())[i], env.ledger, dest_pub,
             max_index=cfg["k"],
@@ -870,11 +821,7 @@ def _run_mixer(scenario: Scenario, out_dir) -> Verdict:
         env.log(f"recipient{i}", "swept-chunks", f"total={total}")
     env.ledger.advance_height(1)
 
-    multi_origin = all(
-        len({f.origin for f in service.truth.chunk_facts if f.txid == tid}) > 1
-        for tid in map(txid, emitted)
-    ) if len(customers) > 1 else True
-    report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=scenario.seed)
+    report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=env.scenario.seed)
     env.log(
         "analyzer",
         "origin-assignment",
@@ -882,21 +829,20 @@ def _run_mixer(scenario: Scenario, out_dir) -> Verdict:
     )
 
     leak_free = _no_metadata_leakage(env, service.truth, refundees)
-    assertions = [
+    return [
         Assertion("emissions-span-multiple-txs", len(emitted) >= 2
-                  if len(customers) > 1 else len(emitted) >= 1),
-        Assertion("every-emission-mixed", multi_origin),
+                  if n > 1 else len(emitted) >= 1),
+        Assertion("every-emission-mixed", _every_tx_mixed(service.truth, emitted)),
         Assertion("sweep-recovers-all-chunks", swept_ok),
         Assertion(
             "equal-chunk-ambiguity",
             report.feasible_assignments > 1
-            if len(customers) > 1 and not cfg["unequal"]
+            if n > 1 and not cfg["unequal"]
             else True,
             f"{report.feasible_assignments} feasible assignments",
         ),
         Assertion("no-metadata-leakage", leak_free),
     ]
-    return _finish(env, scenario, assertions, out_dir)
 
 
 def _no_metadata_leakage(env: Env, truth: mixer.MixGroundTruth, refundees) -> bool:
@@ -914,35 +860,25 @@ def _no_metadata_leakage(env: Env, truth: mixer.MixGroundTruth, refundees) -> bo
     return True
 
 
-def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
-    env = Env(scenario)
+def _run_aggregate(env: Env) -> list[Assertion]:
     cfg = env.config
     n = cfg["n_customers"]
-    customers, refundees, mds = [], [], []
-    payouts = []
-    for i in range(n):
-        customer = env.new_customer(f"payer{i}")
-        wallet = env.new_xpub_wallet(f"recipient{i}")
-        customers.append(customer)
-        refundees.append(wallet)
-        payouts.append((customer, cfg["amount"]))
-    env.seed_funds(payouts, merchant_keys=4 * n + 4)
+    customers, refundees = env.mix_parties([cfg["amount"]] * n)
     service = mixer.AggregateService(
         env.merchant,
         k=cfg["k"],
         outputs_per_tx=cfg["outputs_per_tx"],
         jitter_window=cfg["jitter_window"],
-        rng_seed=scenario.seed,
+        rng_seed=env.scenario.seed,
     )
-    for i, (customer, wallet) in enumerate(zip(customers, refundees)):
-        request = env.merchant.create_request(cfg["amount"])
-        msg = customer.pay(
-            request, [RefundEntry(wallet.xpub, cfg["amount"])], encrypt=True
+    mds = []
+    for customer, wallet in zip(customers, refundees):
+        session = env.pay(
+            customer, cfg["amount"], [RefundEntry(wallet.xpub, cfg["amount"])], True
         )
-        env.merchant.process_payment(msg)
         env.ledger.advance_height(1)
-        service.aggregate_refund(request.merchant_data, customer.name)
-        mds.append(request.merchant_data)
+        service.aggregate_refund(session.merchant_data, customer.name)
+        mds.append(session.merchant_data)
     joint_txs, fallback_txs = service.emit()
     env.ledger.advance_height(cfg["jitter_window"] + 1)
     env.log("merchant", "aggregate-emitted",
@@ -953,7 +889,7 @@ def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
 
     redeems = []
     for i, md in enumerate(mds):
-        dest_priv, dest_pub = env.new_keypair(f"recipient{i}-agg-dest")
+        _dest_priv, dest_pub = env.new_keypair(f"recipient{i}-agg-dest")
         redeems.extend(
             service.joint_redeem_all(md, customers[i].wallet, refundees[i], dest_pub)
         )
@@ -971,18 +907,14 @@ def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
             n_proofs += 1
     env.log("merchant", "chunk-proofs", f"count={n_proofs} all_ok={proofs_ok}")
 
-    report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=scenario.seed)
-    multi_origin = all(
-        len({f.origin for f in service.truth.chunk_facts if f.txid == tid}) > 1
-        for tid in map(txid, joint_txs)
-    ) if n > 1 else True
-    assertions = [
+    report = mixer.analyze_linkage(env.ledger, service.truth, rng_seed=env.scenario.seed)
+    return [
         Assertion(
             "all-chunk-proofs-verify",
             proofs_ok and n_proofs == n * cfg["k"],
             f"{n_proofs} proofs",
         ),
-        Assertion("joint-emissions-mixed", multi_origin),
+        Assertion("joint-emissions-mixed", _every_tx_mixed(service.truth, joint_txs)),
         Assertion(
             "unlinkability-ambiguity",
             report.feasible_assignments > 1 if n > 1 else True,
@@ -993,7 +925,6 @@ def _run_aggregate(scenario: Scenario, out_dir) -> Verdict:
             len(redeems) == n * cfg["k"],
         ),
     ]
-    return _finish(env, scenario, assertions, out_dir)
 
 
 _RUNNERS = {
@@ -1008,9 +939,17 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario, out_dir: Optional[str] = ".") -> Verdict:
-    """Execute a named scenario end-to-end on a fresh ledger."""
-    scenario.resolved_config()  # validate early
-    return _RUNNERS[scenario.name](scenario, out_dir)
+    """Execute a named scenario end-to-end on a fresh ledger.
+
+    The transcript is written to `out_dir` unless it is None.
+    """
+    env = Env(scenario, out_dir)
+    assertions = _RUNNERS[scenario.name](env) + env.soundness_assertions()
+    path = None
+    if out_dir is not None:
+        fname = f"{scenario.name.value.lower()}_seed{scenario.seed}.transcript.log"
+        path = env.transcript.write(os.path.join(out_dir, fname))
+    return Verdict(scenario.name.value, scenario.seed, assertions, path, env)
 
 
 def report_storage_comparison(n: int, sig_size: int, payment_size: int) -> str:

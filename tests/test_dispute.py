@@ -247,6 +247,24 @@ def test_recovery_keeps_refunds_whose_fallback_is_in_flight(harness):
     assert result.unmatched == []
 
 
+def test_recovery_keeps_a_refund_pair_still_in_the_mempool(harness):
+    """A database lost right after issuing keeps the session: its joint refund
+    and fallback both still wait in the mempool."""
+    alice = harness.customer("alice")
+    harness.fund([(alice, 50_000)])
+    request = harness.merchant.create_request(50_000)
+    harness.merchant.process_payment(alice.pay(request, [RefundEntry(keygen(b"r")[1], 30_000)]))
+    harness.ledger.advance_height(1)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert txid(issue.tc1) in harness.ledger.mempool
+    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    assert [r.serialize() for r in result.records] == [
+        r.serialize() for r in harness.merchant.records
+    ]
+    assert result.pending == [issue.record.main_txid]
+    assert result.unmatched == []
+
+
 def test_recovery_idempotent(harness):
     run_sessions(harness, 2, ["joint", "fallback"])
     first = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +13,19 @@ from refundsim.keys import derive_child_public, keygen, mask_child, unmask_child
 from refundsim.ledger import SimLedger
 from refundsim.mixer import (
     AggregateService,
+    ChunkFact,
     ChunkTooSmall,
     MixBatch,
     MixChunk,
     MixerService,
+    _feasible_assignments,
     analyze_linkage,
     derive_chunk_keys,
     split_value,
     sweep_chunks,
 )
 from refundsim.protocol import CustomerWallet, RefundEntry
+from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import (
     PayToPubkeyHash,
     ScriptHash,
@@ -349,6 +353,103 @@ def test_analyzer_accuracy_spread_over_seeds():
     ]
     mean = sum(accuracies) / len(accuracies)
     assert 0.35 <= mean <= 0.65
+
+
+def enumerate_assignments(outputs, customers, totals, payment_heights):
+    """Oracle: every consistent assignment by backtracking, in search order
+    (outputs by descending value, customers in turn), with no cap."""
+    order = sorted(range(len(outputs)), key=lambda i: -outputs[i].value)
+    found = []
+    assignment = [None] * len(outputs)
+
+    def backtrack(pos, remaining):
+        if pos == len(order):
+            if all(v == 0 for v in remaining.values()):
+                found.append(tuple(assignment))
+            return
+        out = outputs[order[pos]]
+        for customer in customers:
+            if remaining[customer] < out.value:
+                continue
+            if payment_heights[customer] > out.emission_height:
+                continue
+            remaining[customer] -= out.value
+            assignment[order[pos]] = customer
+            backtrack(pos + 1, remaining)
+            assignment[order[pos]] = None
+            remaining[customer] += out.value
+
+    backtrack(0, dict(totals))
+    return found
+
+
+def linkage_case(values, heights, owners, paid, extra=None):
+    """Chunk facts with the given values, emission heights and true owners;
+    totals follow from the owners unless `extra` shifts them."""
+    outputs = [
+        ChunkFact(bytes([i]) * 32, 0, v, owner.encode(), h)
+        for i, (v, h, owner) in enumerate(zip(values, heights, owners))
+    ]
+    customers = sorted(paid)
+    totals = {c: sum(v for v, o in zip(values, owners) if o == c) for c in customers}
+    for c, delta in (extra or {}).items():
+        totals[c] += delta
+    return outputs, customers, totals, paid
+
+
+def random_linkage_cases(count, seed=5):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_out = rng.randint(1, 7)
+        names = ["a", "b", "c"][: rng.randint(2, 3)]
+        owners = [rng.choice(names) for _ in range(n_out)]
+        paid = {c: rng.randint(0, 2) for c in names}
+        heights = [paid[o] + rng.randint(0, 2) for o in owners]
+        values = [rng.randint(1, 3) for _ in range(n_out)]
+        yield linkage_case(values, heights, owners, paid)
+
+
+LINKAGE_CASES = [
+    # equal chunks, three customers: 6!/(2!)^3 = 90 assignments
+    linkage_case([5] * 6, [3] * 6, list("aabbcc"), {"a": 0, "b": 0, "c": 0}),
+    # unequal values
+    linkage_case([3, 2, 2, 1, 1, 1], [4] * 6, list("aabbab"), {"a": 0, "b": 0}),
+    # c paid at height 3, after the first chunks were emitted
+    linkage_case([2, 2, 2, 2, 1, 1], [1, 2, 3, 4, 3, 4], list("abcabc"),
+                 {"a": 0, "b": 1, "c": 3}),
+    # totals no assignment can meet
+    linkage_case([2, 2, 2], [1, 1, 1], list("aab"), {"a": 0, "b": 0}, extra={"a": 1}),
+] + list(random_linkage_cases(40))
+
+
+@pytest.mark.parametrize("case", range(len(LINKAGE_CASES)))
+def test_feasible_assignment_ranks_match_full_enumeration(case):
+    outputs, customers, totals, paid = LINKAGE_CASES[case]
+    expected = enumerate_assignments(outputs, customers, totals, paid)
+    count, nth = _feasible_assignments(outputs, customers, totals, paid)
+    assert count == len(expected)
+    assert [nth(rank) for rank in range(count)] == expected
+
+
+def test_linkage_cases_cover_unequal_values_and_late_payers():
+    pruned = unequal = infeasible = False
+    for outputs, customers, totals, paid in LINKAGE_CASES:
+        unequal |= len({o.value for o in outputs}) > 1
+        pruned |= any(paid[c] > o.emission_height for o in outputs for c in customers)
+        infeasible |= not enumerate_assignments(outputs, customers, totals, paid)
+    assert unequal and pruned and infeasible
+
+
+def test_assignments_counted_beyond_enumeration_reach(tmp_path):
+    """Three customers with four equal chunks each: 12!/(4!)^3 assignments,
+    counted exactly rather than cut off."""
+    verdict = run_scenario(
+        Scenario(ScenarioName.MIXER, seed=1, config={"n_customers": 3, "k": 4}),
+        out_dir=str(tmp_path),
+    )
+    ambiguity = next(a for a in verdict.assertions if a.label == "equal-chunk-ambiguity")
+    assert ambiguity.detail == "34650 feasible assignments"
+    assert verdict.all_passed
 
 
 # -- aggregate mode ---------------------------------------------------------------

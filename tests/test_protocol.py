@@ -25,6 +25,7 @@ from refundsim.protocol import (
     PaymentRequest,
     RefundAddressUpdate,
     RefundEntry,
+    RefundNotFound,
     RequestBadSignature,
     RequestExpired,
     SealedRefundTo,
@@ -397,6 +398,18 @@ def test_fallback_boundary(paid_session):
     assert record.redeem_txid == txid(fallback_tx)
 
 
+def test_fallback_lock_is_reported_only_to_its_customer(paid_session):
+    """A pending fallback is `Locked` for its own customer; a customer with no
+    refund gets `RefundNotFound`, whoever else is waiting."""
+    harness, alice, _, request, _msg = paid_session
+    harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    with pytest.raises(Locked):
+        alice.redeem_fallback()
+    with pytest.raises(RefundNotFound):
+        harness.customer("stranger").redeem_fallback()
+
+
 def test_customer_rebuilt_from_seed_redeems(paid_session):
     """A customer needs no state beyond its wallet seed: instances rebuilt
     from the seed on the same ledger find and claim both refund paths."""
@@ -432,6 +445,37 @@ def multi_signer_session(harness, tamper_values=False):
     harness.merchant.process_payment(msg)
     harness.ledger.advance_height(1)
     return dave, eve, request, plan
+
+
+def test_multi_signer_paying_with_several_coins(harness):
+    """dave pays his share as two coins: his entry still locks to his own
+    child 0, eve redeems hers jointly and dave claims his fallback."""
+    dave = harness.customer("dave")
+    eve = harness.customer("eve")
+    harness.fund([(dave, 15_000), (dave, 15_000), (eve, 30_000)], merchant_keys=8)
+    request = harness.merchant.create_request(60_000)
+    eve_friend_priv, eve_friend_pub = keygen(b"eve-friend")
+    plan = [
+        RefundEntry(R_PUB, 25_000, cosigner_pubkey=dave.wallet.pub),
+        RefundEntry(eve_friend_pub, 25_000, cosigner_pubkey=eve.wallet.pub),
+    ]
+    msg = pay_joint(request, [(dave, 30_000), (eve, 30_000)], plan)
+    assert len(msg.transactions[0].inputs) == 3
+    harness.merchant.process_payment(msg)
+    harness.ledger.advance_height(1)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    assert issue.entry_children[0] == (dave.wallet.xpub, 0)
+    assert issue.entry_children[1] == (eve.wallet.xpub, 0)
+    joint = eve.redeem_with_refundee(eve_friend_priv)
+    harness.ledger.advance_height(
+        max(t.lock_height for t in issue.tc2s) - harness.ledger.height
+    )
+    fallback = dave.redeem_fallback()
+    harness.ledger.advance_height(1)
+    assert harness.ledger.is_spent(txid(issue.tc1), 1) == (True, txid(joint))
+    dave_tc2 = next(t for t in issue.tc2s if txid(t) == fallback.inputs[0].prev_txid)
+    assert harness.ledger.is_spent(txid(dave_tc2), 0) == (True, txid(fallback))
 
 
 def test_pay_joint_embeds_all_xpubs(harness):

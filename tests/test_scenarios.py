@@ -2,6 +2,7 @@
 
 import pytest
 
+from refundsim.cli import main
 from refundsim.scenarios import (
     ConfigError,
     Scenario,
@@ -168,3 +169,48 @@ def test_recovery_too_few_sessions_rejected(sessions):
         run_scenario(
             Scenario(ScenarioName.RECOVERY, config={"sessions": sessions}), out_dir=None
         )
+
+
+OUT_OF_RANGE = [
+    ("Mixer", "k=0"),
+    ("Mixer", "outputs_per_tx=0"),
+    ("Mixer", "jitter_window=0"),
+    ("Mixer", "n_customers=0"),
+    ("Aggregate", "n_customers=0"),
+    ("HonestRefund", "refund_value=0"),
+    ("Silkroad", "amount=0"),
+    ("HonestRefund", "lock_blocks=0"),
+    ("HonestRefund", "lock_blocks=1"),
+    ("Recovery", "max_child_index=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config", OUT_OF_RANGE, ids=[f"{n}-{c}" for n, c in OUT_OF_RANGE]
+)
+def test_out_of_range_config_is_a_config_error(name, config, tmp_path, capsys):
+    key, value = config.split("=")
+    with pytest.raises(ConfigError):
+        run_scenario(
+            Scenario(ScenarioName.parse(name), config={key: int(value)}), out_dir=None
+        )
+    argv = ["scenario", "run", name, "--config", config, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,smallest", [
+    ("HonestRefund", 2), ("Silkroad", 2), ("MultiSigner", 2), ("Marketplace", 3),
+    ("Recovery", 4),
+])
+def test_smallest_lock_blocks_runs(name, smallest, tmp_path):
+    """A story that waits for a lock height it has already passed is a config
+    error; the smallest lock that leaves it room runs and passes."""
+    def run(lock_blocks):
+        scenario = Scenario(ScenarioName.parse(name), config={"lock_blocks": lock_blocks})
+        return run_scenario(scenario, out_dir=str(tmp_path))
+
+    with pytest.raises(ConfigError):
+        run(smallest - 1)
+    verdict = run(smallest)
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
