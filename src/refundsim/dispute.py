@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 
 from .curve import SECP256K1, Point
 from .keys import (
+    ChildMasker,
     DegenerateChild,
     ExtendedPublicKey,
     derive_child_public,
@@ -40,6 +41,10 @@ class NotRedeemed(Exception):
 
 class ChainDataMissing(Exception):
     """A transaction named by a record is not on the ledger."""
+
+
+class MaskCheckFailed(Exception):
+    """A masked key recovery accepted disagrees with `mask_child`."""
 
 
 @dataclass(frozen=True)
@@ -304,30 +309,25 @@ class RecoveryResult:
 
 
 def _match_masked_key(
-    xpub: ExtendedPublicKey,
-    masking_priv: int,
-    target_check,
-    max_child_index: int,
-    children: dict[tuple[ExtendedPublicKey, int], Point],
-) -> Optional[tuple[int, Point]]:
-    """Try child indexes 0..max against a predicate on the masked point.
+    xpub: ExtendedPublicKey, masker: ChildMasker, target_check, max_child_index: int
+) -> bool:
+    """Whether a child index 0..max has a masked point that passes the predicate.
 
-    ``children`` caches each derived child by (extended key, index); a
-    degenerate index is cached as None and skipped.
+    A degenerate index is skipped.  The accepted index is re-derived by
+    `derive_child_public` and `mask_child`, the definition a linkage proof
+    replays; a disagreement with the masker raises `MaskCheckFailed`.
     """
     for index in range(max_child_index + 1):
-        if (xpub, index) not in children:
-            try:
-                children[xpub, index] = derive_child_public(xpub, index)
-            except DegenerateChild:
-                children[xpub, index] = None
-        child = children[xpub, index]
-        if child is None:
+        try:
+            masked = masker.mask(xpub, index)
+        except DegenerateChild:
             continue
-        masked = mask_child(child, masking_priv)
-        if target_check(index, masked):
-            return index, masked
-    return None
+        if target_check(masked):
+            child = derive_child_public(xpub, index)
+            if mask_child(child, masker.masking_priv) != masked:
+                raise MaskCheckFailed(f"masked child {index} disagrees with mask_child")
+            return True
+    return False
 
 
 def recover_database(
@@ -342,11 +342,11 @@ def recover_database(
     time-locked pay-to-key transaction); refunds of either kind still waiting
     in the mempool count too.  Masked-child reconstruction then
     ties each refund back to its payment.  Refunds nobody has redeemed yet
-    yield records with a zeroed redeem slot.  Each child key is derived at
-    most once per call.
+    yield records with a zeroed redeem slot.  Masking costs one ``mul`` per
+    (masking key, extended key) pair tried, plus one definitional check per
+    hit (`_match_masked_key`).
     """
     telemetry = RecoveryTelemetry()
-    children: dict[tuple[ExtendedPublicKey, int], Point] = {}
     mains: dict[bytes, ExtendedPublicKey] = {}
     tc1s: dict[bytes, tuple[Transaction, int, int]] = {}  # txid -> (tx, priv, key idx)
     tc2s: dict[bytes, tuple[Transaction, int, int]] = {}
@@ -381,18 +381,17 @@ def recover_database(
                     found.setdefault(tid, (tx, *wallet_keys[pub]))
 
     # fallback refunds name a masked child key on their first output; matching
-    # it identifies the paying customer and the fallback child index
-    tc2_matches: dict[bytes, tuple[bytes, int]] = {}  # tc2 txid -> (main txid, index)
+    # it identifies the paying customer
+    tc2_matches: dict[bytes, bytes] = {}  # tc2 txid -> main txid
     for tc2_id, (tc2, priv, _idx) in tc2s.items():
         target = tc2.outputs[0].script.pubkey_hash
+        masker = ChildMasker(priv)
         for main_id, xpub in mains.items():
             telemetry.key_ops += 1
-            hit = _match_masked_key(
-                xpub, priv, lambda _i, mk: key_hash(mk) == target, max_child_index,
-                children,
-            )
-            if hit:
-                tc2_matches[tc2_id] = (main_id, hit[0])
+            if _match_masked_key(
+                xpub, masker, lambda mk: key_hash(mk) == target, max_child_index
+            ):
+                tc2_matches[tc2_id] = main_id
                 break
 
     # joint refunds are tied through their redeems: a revealed script whose
@@ -419,12 +418,12 @@ def recover_database(
                 if txin.prev_txid == tc1_id and txin.reveal_script:
                     revealed.setdefault(spender, set()).update(txin.reveal_script.keys)
         all_keys = set().union(*revealed.values())
+        masker = ChildMasker(priv)
         for main_id, xpub in mains.items():
             telemetry.key_ops += 1
-            hit = _match_masked_key(
-                xpub, priv, lambda _i, mk: mk in all_keys, max_child_index, children
-            )
-            if hit:
+            if _match_masked_key(
+                xpub, masker, lambda mk: mk in all_keys, max_child_index
+            ):
                 tc1_matches[tc1_id] = main_id
                 # the record keeps the earliest confirmed redeem
                 first = min(
@@ -452,7 +451,7 @@ def recover_database(
 
     result = RecoveryResult(telemetry=telemetry)
     matched_mains: set[bytes] = set()
-    for tc2_id, (main_id, _fallback_index) in sorted(
+    for tc2_id, main_id in sorted(
         tc2_matches.items(), key=lambda kv: tc2s[kv[0]][2]
     ):
         tc1_id = next(

@@ -8,6 +8,18 @@ can additionally *mask* a child key into the point
 key from m's public half, and nobody else can link the masked key back to the
 parent without solving DH.
 
+Masking is linear in the child.  A non-hardened child is ``child = P + t*G``
+with ``t`` the HMAC tweak of the parent ``P`` and the index, so
+
+    ``m * child = m*P + (t*m mod n)*G``.
+
+`ChildMasker` masks several indexes of one extended key under one masking key
+this way: one ``mul`` for ``m*P`` per (masking key, extended key) pair, then
+two ``g_mul`` per index.  Database recovery, the mixer's chunk keys and the
+aggregate emission's per-transaction masks use it.  A lone mask
+(`issue_refund`, linkage proofs) uses `mask_child`, the definition, which
+costs one ``mul`` per child; tests hold the two paths equal.
+
 All functions are pure; curve parameters are injectable for tests and default
 to secp256k1.
 """
@@ -182,3 +194,42 @@ def unmask_child_private(
         raise IdentityPoint("merchant key is the identity")
     offset = int.from_bytes(dh_shared(child_priv, merchant_pub, curve), "big")
     return (child_priv + offset) % curve.n
+
+
+class ChildMasker:
+    """Masks children of extended keys under one masking key, by linearity.
+
+    ``mask(parent, index)`` equals
+    ``mask_child(derive_child_public(parent, index), m)`` and raises where
+    they would: `IndexOutOfRange` and `DegenerateChild` for the child,
+    `IdentityPoint` for the shared or the masked point.  ``m*P`` is computed
+    once per parent, at its first non-degenerate index; each index then
+    costs two ``g_mul`` and no ``mul``.
+    """
+
+    def __init__(self, masking_priv: int, curve: CurveGroup = SECP256K1):
+        self.masking_priv = masking_priv
+        self.curve = curve
+        self._scaled: dict[ExtendedPublicKey, Point] = {}  # parent -> m*P
+
+    def mask(self, parent: ExtendedPublicKey, index: int) -> Point:
+        curve = self.curve
+        m = self.masking_priv % curve.n
+        if not 0 <= index < NON_HARDENED_LIMIT:
+            raise IndexOutOfRange(f"index {index} not in [0, 2^31)")
+        t = _tweak(parent, index, curve)
+        if t == 0:
+            raise DegenerateChild(f"tweak is zero at index {index}")
+        if m == 0:  # m*child is the identity whatever the child
+            derive_child_public(parent, index, curve)
+            raise IdentityPoint("shared point is the identity")
+        if parent not in self._scaled:
+            self._scaled[parent] = curve.mul(m, parent.pubkey)
+        # for m != 0 mod the prime order, m*child is the identity iff child is
+        shared = curve.add(self._scaled[parent], curve.g_mul(t * m))
+        if shared is None:
+            raise DegenerateChild(f"child at index {index} is the identity")
+        masked = curve.add(parent.pubkey, curve.g_mul(t + point_hash_scalar(shared, curve)))
+        if masked is None:
+            raise IdentityPoint("masked key is the identity")
+        return masked

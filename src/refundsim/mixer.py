@@ -27,11 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
-from .keys import (
-    ExtendedPublicKey,
-    derive_child_public,
-    mask_child,
-)
+from .keys import ChildMasker, ExtendedPublicKey
 from .ledger import SimLedger
 from .protocol import (
     CustomerWallet,
@@ -97,11 +93,8 @@ def derive_chunk_keys(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    out = []
-    for index in range(k):
-        child = derive_child_public(refundee_xpub, index)
-        out.append(mask_child(child, merchant_priv))
-    return out
+    masker = ChildMasker(merchant_priv)
+    return [masker.mask(refundee_xpub, index) for index in range(k)]
 
 
 # -- batching and emission ----------------------------------------------------------
@@ -389,11 +382,19 @@ def _feasible_assignments(
     and no chunk is emitted before its customer paid.  Returns the exact
     count and a function building the assignment of each rank in
     [0, count), in search order: outputs by descending value, each given
-    to the customers in turn.  Counts are memoized on (position, remaining
-    totals), so nothing is enumerated.
+    to the customers in turn.  Nothing is enumerated: counts are memoized on
+    the position and the remaining totals.  Customers who may take exactly
+    the same outputs (one class per tuple of ``payment_height <=
+    emission_height``) are interchangeable, since swapping two of them maps
+    completions one to one; the memo key sorts the remaining totals within
+    each class, so the states stay polynomial in the class sizes.
     """
     order = sorted(range(len(outputs)), key=lambda i: -outputs[i].value)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    classes: dict[tuple[bool, ...], list[int]] = {}
+    for c, customer in enumerate(customers):
+        signature = tuple(payment_heights[customer] <= out.emission_height for out in outputs)
+        classes.setdefault(signature, []).append(c)
+    memo: dict[tuple, int] = {}
 
     def moves(pos: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         out = outputs[order[pos]]
@@ -404,9 +405,10 @@ def _feasible_assignments(
     def count(pos: int, remaining: tuple[int, ...]) -> int:
         if pos == len(order):
             return int(not any(remaining))
-        if (pos, remaining) not in memo:
-            memo[pos, remaining] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
-        return memo[pos, remaining]
+        key = (pos, *(tuple(sorted(remaining[c] for c in cls)) for cls in classes.values()))
+        if key not in memo:
+            memo[key] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
+        return memo[key]
 
     start = tuple(totals[c] for c in customers)
 
@@ -586,13 +588,14 @@ class AggregateService:
             priv, pub, funding = self.merchant.reserve_funded_key(
                 sum(c.value for c in chunks), "aggregate-joint-funding"
             )
-            scripts = []
-            for c in chunks:
-                child_c = derive_child_public(c.customer_xpub, c.flat_index)
-                masked_c = mask_child(child_c, priv)
-                child_r = derive_child_public(c.refundee_xpub, c.chunk_index)
-                masked_r = mask_child(child_r, priv)
-                scripts.append(NOfNScript((masked_c, masked_r)))
+            masker = ChildMasker(priv)
+            scripts = [
+                NOfNScript((
+                    masker.mask(c.customer_xpub, c.flat_index),
+                    masker.mask(c.refundee_xpub, c.chunk_index),
+                ))
+                for c in chunks
+            ]
             outs = [
                 TxOutput(c.value, ScriptHash(script.script_hash()))
                 for c, script in zip(chunks, scripts)
@@ -612,11 +615,14 @@ class AggregateService:
             priv, pub, funding = self.merchant.reserve_funded_key(
                 sum(c.value for c in chunks), "aggregate-fallback-funding"
             )
-            outs = []
-            for c in chunks:
-                child = derive_child_public(c.customer_xpub, c.flat_index)
-                masked = mask_child(child, priv)
-                outs.append(TxOutput(c.value, PayToPubkeyHash(key_hash(masked))))
+            masker = ChildMasker(priv)
+            outs = [
+                TxOutput(
+                    c.value,
+                    PayToPubkeyHash(key_hash(masker.mask(c.customer_xpub, c.flat_index))),
+                )
+                for c in chunks
+            ]
             tx = build_funded_tx(outs, funding, (priv, pub), lock)
             tid = self.merchant.broadcast(tx, "aggregate fallback emission")
             fallback_txs.append(tx)

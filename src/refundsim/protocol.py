@@ -996,8 +996,7 @@ class Customer:
         """Build the payment message; the merchant broadcasts the transaction."""
         self.verify_request(request)
         entries = tuple(refund_plan)
-        if sum(e.value for e in entries) > request.amount:
-            raise ValueError("refund plan exceeds the payment amount")
+        check_payment_plan(request.amount, [e.value for e in entries])
         funding = self.wallet.select(request.amount)
         main = build_main_tc(
             funding,
@@ -1135,6 +1134,17 @@ class Customer:
         return self._claim("fallback", located, [], self.fallback_pub)
 
 
+def check_payment_plan(
+    amount: int, refund_values: Sequence[int], shares: Sequence[int] = ()
+) -> None:
+    """Raise ValueError unless co-payers' shares, if any, sum to `amount`
+    and the refunds return at most `amount`."""
+    if shares and sum(shares) != amount:
+        raise ValueError("shares must sum to the requested amount")
+    if sum(refund_values) > amount:
+        raise ValueError("refund plan exceeds the payment amount")
+
+
 def pay_joint(
     request: PaymentRequest,
     participants: Sequence[tuple[Customer, int]],
@@ -1147,13 +1157,11 @@ def pay_joint(
     embeds every participant's extended key, and refund entries carry
     co-signer bindings naming the participant each refund belongs to.
     """
-    total_share = sum(share for _c, share in participants)
-    if total_share != request.amount:
-        raise ValueError("shares must sum to the requested amount")
     lead = participants[0][0]
     lead.verify_request(request)
-    if sum(e.value for e in refund_plan) > request.amount:
-        raise ValueError("refund plan exceeds the payment amount")
+    check_payment_plan(
+        request.amount, [e.value for e in refund_plan], [share for _c, share in participants]
+    )
     funding: list[FundingOutpoint] = []
     signers: list[tuple[int, Point]] = []
     xpubs = []

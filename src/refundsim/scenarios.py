@@ -13,7 +13,10 @@ appends the ledger soundness checks, writes the transcript and returns the
 `Verdict`.  Every config value is an integer of at least 1 (the flags
 `encrypt` and `unequal` may be 0); a config that leaves a story no room, such
 as a lock height already passed when the story must wait for it, is a
-`ConfigError`.
+`ConfigError`.  So is a config whose values break a rule the story would
+meet later (a refund above the amount paid, shares that do not sum to it, a
+refund smaller than its chunk count): each runner checks those rules, by the
+functions that enforce them, before it logs anything.
 
 `--disable-defense` replays the vanilla refund behavior (pay the latest
 refund address directly) so the attack scenarios demonstrate the baseline
@@ -53,6 +56,7 @@ from .protocol import (
     RefundIssue,
     RefundAddressUpdate,
     UpdateChannel,
+    check_payment_plan,
     pay_joint,
 )
 from .transactions import (
@@ -378,6 +382,14 @@ class Env:
 # -- scenario bodies ---------------------------------------------------------------
 
 
+def _require(rule, *args) -> None:
+    """Apply a rule the story enforces later now, reporting a breach as a ConfigError."""
+    try:
+        rule(*args)
+    except (ValueError, mixer.ChunkTooSmall) as exc:
+        raise ConfigError(f"config breaks a rule of the story: {exc}") from exc
+
+
 def _joint_spend_blocked(
     issue: RefundIssue, signers: list[tuple[int, Point]], thief_pub: Point
 ) -> bool:
@@ -399,12 +411,11 @@ def _run_honest_refund(env: Env) -> list[Assertion]:
     cfg = env.config
     alice = env.new_customer("alice")
     bob_priv, bob_pub = env.new_keypair("bob")
+    plan = [RefundEntry(bob_pub, cfg["refund_value"])]
+    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
     env.seed_funds([(alice, cfg["amount"])])
 
-    session = env.pay(
-        alice, cfg["amount"], [RefundEntry(bob_pub, cfg["refund_value"])],
-        bool(cfg["encrypt"]), memo="order",
-    )
+    session = env.pay(alice, cfg["amount"], plan, bool(cfg["encrypt"]), memo="order")
     env.log("merchant", "payment-request", f"amount={cfg['amount']}")
     env.log("alice", "paid", f"main={session.main_txid.hex()[:12]}")
     env.ledger.advance_height(1)
@@ -482,12 +493,11 @@ def _run_silkroad(env: Env) -> list[Assertion]:
     cfg = env.config
     mallory = env.new_customer("mallory")
     trader_priv, trader_pub = env.new_keypair("silkroad-trader")
+    plan = [RefundEntry(trader_pub, cfg["refund_value"])]
+    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
     env.seed_funds([(mallory, cfg["amount"])])
 
-    session = env.pay(
-        mallory, cfg["amount"], [RefundEntry(trader_pub, cfg["refund_value"])],
-        bool(cfg["encrypt"]),
-    )
+    session = env.pay(mallory, cfg["amount"], plan, bool(cfg["encrypt"]))
     env.log("mallory", "paid-with-trader-refund-address", "")
     env.ledger.advance_height(1)
 
@@ -542,12 +552,11 @@ def _run_marketplace(env: Env) -> list[Assertion]:
     carol = env.new_customer("carol")
     _friend_priv, friend_pub = env.new_keypair("friend")
     rogue_priv, rogue_pub = env.new_keypair("rogue-trader")
+    plan = [RefundEntry(friend_pub, cfg["refund_value"])]
+    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
     env.seed_funds([(carol, cfg["amount"])])
 
-    session = env.pay(
-        carol, cfg["amount"], [RefundEntry(friend_pub, cfg["refund_value"])],
-        bool(cfg["encrypt"]),
-    )
+    session = env.pay(carol, cfg["amount"], plan, bool(cfg["encrypt"]))
     env.ledger.advance_height(1)
     env.log("carol", "paid", "")
 
@@ -626,15 +635,19 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
     eve = env.new_customer("eve")  # malicious co-signer
     trader_priv, trader_pub = env.new_keypair("silkroad-trader")
     _eve_friend_priv, eve_friend_pub = env.new_keypair("eve-friend")
-    env.seed_funds([(dave, cfg["share"]), (eve, cfg["share"])])
-
-    request = env.merchant.create_request(cfg["amount"])
+    payers = [(dave, cfg["share"]), (eve, cfg["share"])]
     # eve builds the shared refund_to and names the trader as dave's refundee
     plan = [
         RefundEntry(trader_pub, cfg["refund_value"], cosigner_pubkey=dave.wallet.pub),
         RefundEntry(eve_friend_pub, cfg["refund_value"], cosigner_pubkey=eve.wallet.pub),
     ]
-    msg = pay_joint(request, [(dave, cfg["share"]), (eve, cfg["share"])], plan)
+    _require(
+        check_payment_plan, cfg["amount"], [e.value for e in plan], [s for _c, s in payers]
+    )
+    env.seed_funds(payers)
+
+    request = env.merchant.create_request(cfg["amount"])
+    msg = pay_joint(request, payers, plan)
     env.merchant.process_payment(msg)
     env.ledger.advance_height(1)
     env.log("dave+eve", "joint-payment", f"entries={len(plan)}")
@@ -703,16 +716,17 @@ def _run_recovery(env: Env) -> list[Assertion]:
     for i in range(cfg["sessions"]):
         customers.append(env.new_customer(f"customer{i}"))
         refundee_keys.append(env.new_keypair(f"refundee{i}"))
+    plans = [[RefundEntry(r_pub, cfg["refund_value"])] for _r_priv, r_pub in refundee_keys]
+    for plan in plans:
+        _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
     env.seed_funds(
         [(customer, cfg["amount"]) for customer in customers],
         merchant_keys=4 * cfg["sessions"],
     )
 
     issues = []
-    for i, (customer, (_r_priv, r_pub)) in enumerate(zip(customers, refundee_keys)):
-        session = env.pay(
-            customer, cfg["amount"], [RefundEntry(r_pub, cfg["refund_value"])], False
-        )
+    for i, (customer, plan) in enumerate(zip(customers, plans)):
+        session = env.pay(customer, cfg["amount"], plan, False)
         env.ledger.advance_height(1)
         issues.append(env.issue_refund(session.merchant_data, f"customer{i}"))
         env.log("merchant", "refund-issued", f"session={i}")
@@ -790,6 +804,8 @@ def _run_mixer(env: Env) -> list[Assertion]:
     totals = [cfg["amount"]] * n
     if cfg["unequal"]:
         totals = [cfg["amount"] + 10_000 * i for i in range(n)]
+    for total in totals:
+        _require(mixer.split_value, total, cfg["k"])
     customers, refundees = env.mix_parties(totals)
     service = mixer.MixerService(
         env.merchant,
@@ -863,6 +879,7 @@ def _no_metadata_leakage(env: Env, truth: mixer.MixGroundTruth, refundees) -> bo
 def _run_aggregate(env: Env) -> list[Assertion]:
     cfg = env.config
     n = cfg["n_customers"]
+    _require(mixer.split_value, cfg["amount"], cfg["k"])
     customers, refundees = env.mix_parties([cfg["amount"]] * n)
     service = mixer.AggregateService(
         env.merchant,

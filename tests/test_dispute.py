@@ -3,10 +3,11 @@
 import dataclasses
 
 import pytest
-import refundsim.dispute
 from hypothesis import given, settings, strategies as st
 
+from refundsim.curve import SECP256K1
 from refundsim.dispute import (
+    MaskCheckFailed,
     NotRedeemed,
     RecordStore,
     RefundRecord,
@@ -17,7 +18,7 @@ from refundsim.dispute import (
     recover_database,
     verify_linkage_proof,
 )
-from refundsim.keys import keygen
+from refundsim.keys import ChildMasker, keygen
 from refundsim.protocol import RefundEntry
 from refundsim.transactions import txid
 
@@ -284,24 +285,37 @@ def test_recovery_telemetry_within_bounds(harness):
     assert result.telemetry.search_ops <= ell * two_k
 
 
-def test_recovery_derives_each_child_once(harness, monkeypatch):
+def test_recovery_masks_with_one_mul_per_key_pair(harness, monkeypatch):
+    """Each (masking key, extended key) pair tried costs one mul, and each hit
+    one more for its definitional check; every rebuild starts cold."""
     run_sessions(harness, 3, ["joint", "fallback", "joint"])
-    tried = []
-    derive = refundsim.dispute.derive_child_public
-
-    def counting_derive(xpub, index):
-        tried.append((xpub, index))
-        return derive(xpub, index)
-
-    monkeypatch.setattr(refundsim.dispute, "derive_child_public", counting_derive)
+    muls = []
+    real_mul = SECP256K1.mul
+    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
     result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
     assert len(result.records) == 3
     # the matching order is unchanged, so are the counters
     assert (result.telemetry.key_ops, result.telemetry.search_ops) == (10, 68)
-    assert tried and len(tried) == len(set(tried))
+    # three fallbacks and the two jointly redeemed refunds are hits
+    hits = len(result.records) + 2
+    first = len(muls)
+    assert 0 < first <= result.telemetry.key_ops + hits
     again = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
-    assert len(tried) == 2 * len(set(tried))  # every rebuild starts cold
+    assert len(muls) == 2 * first
     assert again.records == result.records
+
+
+def test_recovery_raises_when_the_batch_mask_is_wrong(harness, monkeypatch):
+    """A batch path that answers index i with the masked key of index i + 1
+    makes the search accept the wrong index; the definitional check raises
+    instead of returning a record."""
+    run_sessions(harness, 3, ["joint", "fallback", "joint"])
+    real_mask = ChildMasker.mask
+    monkeypatch.setattr(
+        ChildMasker, "mask", lambda self, parent, index: real_mask(self, parent, index + 1)
+    )
+    with pytest.raises(MaskCheckFailed):
+        recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
 
 
 def test_recovery_matches_monitor_choice_on_multi_redeem(harness):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import reference as ref
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
+    ChildMasker,
     DegenerateChild,
     ExtendedPublicKey,
     IdentityPoint,
@@ -340,3 +341,95 @@ def test_toy_curve_degenerate_children_skipped(toy_curve):
             assert usable > index
             assert child == derive_child_public(parent, usable, curve=toy_curve)
     assert hit_degenerate, "4000 trials on a 199-order group should hit a degenerate"
+
+
+# -- batch masking by linearity ------------------------------------------------------
+
+
+def _outcome(fn):
+    """The point `fn` returns, or the type of the key error it raises."""
+    try:
+        return fn()
+    except (DegenerateChild, IdentityPoint) as exc:
+        return type(exc)
+
+
+def _check_batch_against_definition(curve, parents, maskers, indexes):
+    """ChildMasker against derive_child_public + mask_child; returns the outcomes seen."""
+    seen = set()
+    for parent in parents:
+        children = {
+            i: _outcome(lambda: derive_child_public(parent, i, curve=curve)) for i in indexes
+        }
+        for m in maskers:
+            masker = ChildMasker(m, curve=curve)
+            for i in indexes:
+                child = children[i]
+                want = child if isinstance(child, type) else _outcome(
+                    lambda: mask_child(child, m, curve=curve)
+                )
+                assert _outcome(lambda: masker.mask(parent, i)) == want, (parent, m, i)
+                seen.add(want if isinstance(want, type) else "point")
+    return seen
+
+
+def test_toy_batch_mask_matches_definition_exhaustive(toy_curve):
+    """Every parent and every masking key (0 included) at index 0, and every
+    parent over indexes 0..7 under a few maskers: same point, same error."""
+    chain = b"\x07" * 32
+    parents = [ExtendedPublicKey(toy_curve.g_mul(p), chain) for p in range(1, toy_curve.n)]
+    seen = _check_batch_against_definition(toy_curve, parents, range(toy_curve.n), [0])
+    seen |= _check_batch_against_definition(
+        toy_curve, parents, [0, 1, 26, toy_curve.n - 1], range(8)
+    )
+    assert seen == {"point", DegenerateChild, IdentityPoint}
+
+
+def test_toy_batch_mask_degenerate_cases(toy_curve):
+    """A zero tweak and an identity child raise DegenerateChild, and masker 26
+    on a child equal to the generator raises IdentityPoint, as mask_child does."""
+    chain = b"\x07" * 32
+    found = {}
+    for p in range(1, toy_curve.n):
+        parent = ExtendedPublicKey(toy_curve.g_mul(p), chain)
+        for index in range(64):
+            try:
+                child = derive_child_public(parent, index, curve=toy_curve)
+            except DegenerateChild as exc:
+                found.setdefault(str(exc).split(" ")[0], (parent, index))
+                continue
+            if child == toy_curve.g:
+                found.setdefault("generator", (parent, index))
+    assert set(found) == {"tweak", "child", "generator"}
+    masker = ChildMasker(26, curve=toy_curve)
+    for kind in ("tweak", "child"):
+        with pytest.raises(DegenerateChild):
+            masker.mask(*found[kind])
+    with pytest.raises(IdentityPoint):
+        masker.mask(*found["generator"])
+    with pytest.raises(IndexOutOfRange):
+        masker.mask(found["generator"][0], 2**31)
+
+
+def test_batch_mask_matches_definition_secp256k1():
+    """Indexes 0..16 of two extended keys under three masking keys."""
+    parents = [
+        ExtendedPublicKey(keygen(b"batch-parent-%d" % i)[1], bytes([i + 1]) * 32)
+        for i in range(2)
+    ]
+    maskers = [keygen(b"batch-masker-%d" % i)[0] for i in range(3)]
+    assert _check_batch_against_definition(SECP256K1, parents, maskers, range(17)) == {"point"}
+
+
+def test_batch_mask_one_mul_per_parent(monkeypatch):
+    """m*P is computed once per extended key, at its first index, then reused."""
+    muls = []
+    real_mul = SECP256K1.mul
+    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
+    parents = [ExtendedPublicKey(keygen(b"mul-parent-%d" % i)[1], bytes(32)) for i in range(2)]
+    masker = ChildMasker(keygen(b"mul-masker")[0])
+    assert muls == []
+    for index in range(5):
+        for parent in parents:
+            masker.mask(parent, index)
+    assert muls == [parent.pubkey for parent in parents]

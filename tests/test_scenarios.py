@@ -1,5 +1,7 @@
 """Scenario harness: verdicts, determinism, defense mutations."""
 
+import time
+
 import pytest
 
 from refundsim.cli import main
@@ -7,6 +9,7 @@ from refundsim.scenarios import (
     ConfigError,
     Scenario,
     ScenarioName,
+    Transcript,
     report_storage_comparison,
     run_scenario,
 )
@@ -197,6 +200,49 @@ def test_out_of_range_config_is_a_config_error(name, config, tmp_path, capsys):
     argv = ["scenario", "run", name, "--config", config, "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+RELATIONAL = [
+    ("HonestRefund", "refund_value=60000"),
+    ("Silkroad", "refund_value=60000"),
+    ("Marketplace", "refund_value=60000"),
+    ("MultiSigner", "share=20000"),
+    ("MultiSigner", "refund_value=40000"),
+    ("Recovery", "refund_value=60000"),
+    ("Mixer", "amount=3"),
+    ("Aggregate", "amount=3"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config", RELATIONAL, ids=[f"{n}-{c}" for n, c in RELATIONAL]
+)
+def test_relational_config_is_a_config_error(name, config, tmp_path, capsys, monkeypatch):
+    """Values in range that break a rule of the story (a refund above the
+    amount, shares that miss it, fewer units than chunks) are rejected before
+    the story logs anything."""
+    logged = []
+    monkeypatch.setattr(Transcript, "log", lambda self, *args: logged.append(args))
+    key, value = config.split("=")
+    with pytest.raises(ConfigError):
+        run_scenario(
+            Scenario(ScenarioName.parse(name), config={key: int(value)}), out_dir=None
+        )
+    assert logged == []
+    argv = ["scenario", "run", name, "--config", config, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["Mixer", "Aggregate"])
+def test_mixing_scales_to_twelve_customers(name, tmp_path):
+    """The exact linkage count stays small when the customers are interchangeable."""
+    start = time.perf_counter()
+    scenario = Scenario(ScenarioName.parse(name), config={"n_customers": 12})
+    verdict = run_scenario(scenario, out_dir=str(tmp_path))
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
+    assert time.perf_counter() - start < 30
 
 
 @pytest.mark.parametrize("name,smallest", [
