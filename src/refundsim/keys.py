@@ -20,6 +20,18 @@ aggregate emission's per-transaction masks use it.  A lone mask
 (`issue_refund`, linkage proofs) uses `mask_child`, the definition, which
 costs one ``mul`` per child; tests hold the two paths equal.
 
+The customer computes the same shared point from its side,
+
+    ``m * child = (x + t) * M``,
+
+with ``x`` its private key and ``M = m*G`` the masker's public key, so every
+child it tries under one masker multiplies the same base ``M``.
+`ChildUnmasker` serves the several indexes tried under one masker: the first
+two through `unmask_child_private`, the definition (one ``mul`` each), where
+refund discovery's hits land; from the third on through ``M``'s fixed-base
+table (`CurveGroup.fixed_base`), built once, at under half a ``mul`` per
+index.  Tests hold it equal to the definition.
+
 All functions are pure; curve parameters are injectable for tests and default
 to secp256k1.
 """
@@ -135,9 +147,15 @@ def derive_child_private(
     parent: ExtendedPublicKey,
     index: int,
     curve: CurveGroup = SECP256K1,
+    *,
+    pair_checked: bool = False,
 ) -> int:
-    """Derive the child private key; requires the matching parent key pair."""
-    if curve.g_mul(parent_priv) != parent.pubkey:
+    """Derive the child private key; requires the matching parent key pair.
+
+    Checking the pair costs a ``g_mul``.  A caller deriving several children
+    of one pair checks it at the first and passes ``pair_checked=True`` after.
+    """
+    if not pair_checked and curve.g_mul(parent_priv) != parent.pubkey:
         raise KeyMismatch("private key does not match extended public key")
     if not 0 <= index < NON_HARDENED_LIMIT:
         raise IndexOutOfRange(f"index {index} not in [0, 2^31)")
@@ -233,3 +251,35 @@ class ChildMasker:
         if masked is None:
             raise IdentityPoint("masked key is the identity")
         return masked
+
+
+class ChildUnmasker:
+    """Unmasks child private keys masked under one masker's public key ``M``.
+
+    ``unmask(child_priv)`` equals ``unmask_child_private(child_priv, M)`` and
+    raises where it would.  The first two unmasks go through that definition:
+    a customer's refund discovery finds a joint refund at its first index and
+    a one-entry session's fallback at its second, so a hit costs no table.
+    The third builds ``M``'s fixed-base table, which every later unmask uses
+    in place of a ``mul``.
+    """
+
+    def __init__(self, masker_pub: Point, curve: CurveGroup = SECP256K1):
+        if masker_pub is None:
+            raise IdentityPoint("merchant key is the identity")
+        self.masker_pub = masker_pub
+        self.curve = curve
+        self._uses = 0
+        self._table = None
+
+    def unmask(self, child_priv: int) -> int:
+        curve = self.curve
+        self._uses += 1
+        if self._uses <= 2:
+            return unmask_child_private(child_priv, self.masker_pub, curve)
+        if self._table is None:
+            self._table = curve.fixed_base(self.masker_pub)
+        shared = self._table(child_priv)
+        if shared is None:
+            raise IdentityPoint("shared point is the identity")
+        return (child_priv + point_hash_scalar(shared, curve)) % curve.n

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
-from .keys import ChildMasker, ExtendedPublicKey
+from .keys import ChildMasker, ChildUnmasker, ExtendedPublicKey
 from .ledger import SimLedger
 from .protocol import (
     CustomerWallet,
@@ -337,8 +337,9 @@ def sweep_chunks(
     """
     claimed = []
     total = 0
+    unmasker = ChildUnmasker(masker_pub)
     for index in range(max_index + 1):
-        masked_priv = refundee_wallet.masked_private(masker_pub, index)
+        masked_priv = refundee_wallet.masked_private(unmasker, index)
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)
         for loc in ledger.find_by_pubkey(masked_point):
@@ -660,15 +661,16 @@ class AggregateService:
         """Customer and refundee jointly claim every chunk of a session."""
         redeems = []
         for detail in self.details[merchant_data]:
-            chunk, mask = detail.chunk, detail.masking_pub
+            chunk = detail.chunk
+            unmasker = ChildUnmasker(detail.masking_pub)  # two unmasks: no table
             masked_c, masked_r = detail.script.keys
             joint_tx = self.ledger.get_transaction(detail.joint_txid)
             redeem = build_redeem(
                 joint_tx,
                 detail.joint_vout,
                 [
-                    (customer_wallet.masked_private(mask, chunk.flat_index), masked_c),
-                    (refundee_wallet.masked_private(mask, chunk.chunk_index), masked_r),
+                    (customer_wallet.masked_private(unmasker, chunk.flat_index), masked_c),
+                    (refundee_wallet.masked_private(unmasker, chunk.chunk_index), masked_r),
                 ],
                 dest=dest,
                 reveal_script=detail.script,

@@ -33,13 +33,13 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from . import dispute
 from .curve import SECP256K1, Point
 from .keys import (
+    ChildUnmasker,
     ExtendedPublicKey,
     derive_child_private,
     dh_shared,
     keygen,
     mask_child,
     next_usable_index,
-    unmask_child_private,
 )
 from .ledger import SimLedger
 from .transactions import (
@@ -511,14 +511,19 @@ class CustomerWallet:
         return chosen
 
     def child_private(self, index: int) -> int:
-        """Child private key at `index`, derived (and its key pair checked) once."""
+        """Child private key at `index`, derived once; the key pair is checked at the first."""
         if index not in self._children:
-            self._children[index] = derive_child_private(self.priv, self.xpub, index)
+            self._children[index] = derive_child_private(
+                self.priv, self.xpub, index, pair_checked=bool(self._children)
+            )
         return self._children[index]
 
-    def masked_private(self, masker_pub: Point, index: int) -> int:
-        """Private key of child `index` as masked under `masker_pub`."""
-        return unmask_child_private(self.child_private(index), masker_pub)
+    def masked_private(self, unmasker: ChildUnmasker, index: int) -> int:
+        """Private key of child `index` as masked under the unmasker's masker key.
+
+        Keep one unmasker per masker key across the indexes tried under it.
+        """
+        return unmasker.unmask(self.child_private(index))
 
 
 # -- merchant-side sessions --------------------------------------------------------
@@ -1056,25 +1061,39 @@ class Customer:
         targets: Callable[[Transaction], dict[bytes, int]],
         lookup: Callable[[Point], bytes],
     ) -> Optional[LocatedRefund]:
-        """First output among ``txs`` (txid, tx) that a masked child of self unlocks.
+        """First unspent output among ``txs`` (txid, tx) that a masked child of self unlocks.
 
         ``targets`` maps a transaction's candidate locks to their output
         positions; ``lookup`` is the lock a masked child point would carry.
-        Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried.
+        Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried,
+        through one unmasker per funder.  A repeat customer's earlier refunds
+        are spent and skipped; if every output found is spent, the first is
+        returned, for the claim to report as already spent.
         """
+        unmaskers: dict[Point, ChildUnmasker] = {}
+        first_spent = None
         for tid, tx in txs:
             locks = targets(tx)
             if not locks:
                 continue
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
             for funder in funders:
+                unmasker = unmaskers.setdefault(funder, ChildUnmasker(funder))
                 for index in range(MAX_CHILD_SCAN + 1):
-                    masked_priv = self.wallet.masked_private(funder, index)
+                    masked_priv = self.wallet.masked_private(unmasker, index)
                     masked_point = SECP256K1.g_mul(masked_priv)
                     out_idx = locks.get(lookup(masked_point))
-                    if out_idx is not None:
-                        return LocatedRefund(tx, tid, out_idx, masked_priv, masked_point)
-        return None
+                    if out_idx is None:
+                        continue
+                    found = LocatedRefund(tx, tid, out_idx, masked_priv, masked_point)
+                    # a pending transaction's outputs exist only once it confirms
+                    if not (
+                        self.ledger.output_exists(tid, out_idx)
+                        and self.ledger.is_spent(tid, out_idx)[0]
+                    ):
+                        return found
+                    first_spent = first_spent or found
+        return first_spent
 
     def find_joint_refund(self, refundee_pub: Point) -> Optional[LocatedRefund]:
         """Scan the chain for a joint refund locking self to the refundee."""

@@ -16,7 +16,11 @@ as a lock height already passed when the story must wait for it, is a
 `ConfigError`.  So is a config whose values break a rule the story would
 meet later (a refund above the amount paid, shares that do not sum to it, a
 refund smaller than its chunk count): each runner checks those rules, by the
-functions that enforce them, before it logs anything.
+functions that enforce them, before it logs anything.  `Env` checks the
+merchant wallet's capacity before the runner starts: each scenario states
+the keys its story takes (`KeyDemand`), and a wallet too small for them is a
+`ConfigError`; the faucet funds each seeded merchant key for the largest
+transaction it may fund.
 
 `--disable-defense` replays the vanilla refund behavior (pay the latest
 refund address directly) so the attack scenarios demonstrate the baseline
@@ -124,6 +128,73 @@ _FLAGS = {"encrypt", "unequal"}  # the only keys that may be 0
 
 
 @dataclass(frozen=True)
+class KeyDemand:
+    """The merchant wallet keys a story takes.
+
+    `receiving` keys only receive: request keys, payment addresses and chunk
+    masking keys.  Each of the `funded` keys funds one transaction that pays
+    at most `largest`.  The faucet funds the wallet's first `seeded` keys.
+    """
+
+    receiving: int
+    funded: int
+    largest: int
+    seeded: int
+
+
+def _refund_demand(cfg: dict[str, int], direct: bool) -> KeyDemand:
+    # request key and payment address; the joint refund and its fallback,
+    # or one direct refund
+    return KeyDemand(2, 1 if direct else 2, cfg["refund_value"], 8)
+
+
+def _multi_signer_demand(cfg: dict[str, int], direct: bool) -> KeyDemand:
+    # one joint refund holding both entries, then one fallback per co-signer
+    return KeyDemand(2, 1 if direct else 3, 2 * cfg["refund_value"], 8)
+
+
+def _recovery_demand(cfg: dict[str, int], _direct: bool) -> KeyDemand:
+    sessions = cfg["sessions"]
+    return KeyDemand(2 * sessions, 2 * sessions, cfg["refund_value"], 4 * sessions)
+
+
+def _emissions(cfg: dict[str, int], largest_total: int) -> tuple[int, int]:
+    """Transactions in one mixed emission of every customer's `k` chunks, and
+    a bound on the value one of them pays: its outputs, each at most the
+    largest chunk."""
+    chunks = cfg["n_customers"] * cfg["k"]
+    per_tx = cfg["outputs_per_tx"]
+    return -(-chunks // per_tx), min(per_tx, chunks) * -(-largest_total // cfg["k"])
+
+
+def _mixer_demand(cfg: dict[str, int], _direct: bool) -> KeyDemand:
+    n = cfg["n_customers"]
+    txs, largest = _emissions(
+        cfg, cfg["amount"] + (10_000 * (n - 1) if cfg["unequal"] else 0)
+    )
+    # a request key, a payment address and a chunk masking key per customer
+    return KeyDemand(3 * n, txs, largest, 4 * n + 4)
+
+
+def _aggregate_demand(cfg: dict[str, int], _direct: bool) -> KeyDemand:
+    n = cfg["n_customers"]
+    txs, largest = _emissions(cfg, cfg["amount"])
+    # the joint chunks and the fallback chunks are emitted apart
+    return KeyDemand(2 * n, 2 * txs, largest, 4 * n + 4)
+
+
+_KEY_DEMAND = {
+    ScenarioName.HONEST_REFUND: _refund_demand,
+    ScenarioName.SILKROAD: _refund_demand,
+    ScenarioName.MARKETPLACE: _refund_demand,
+    ScenarioName.MULTI_SIGNER: _multi_signer_demand,
+    ScenarioName.RECOVERY: _recovery_demand,
+    ScenarioName.MIXER: _mixer_demand,
+    ScenarioName.AGGREGATE: _aggregate_demand,
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: ScenarioName
     seed: int = 1
@@ -221,7 +292,22 @@ class AddressBook:
         return out
 
 
-MERCHANT_KEY_FUNDS = 200_000  # seeded onto each funded merchant wallet key
+MERCHANT_KEY_FUNDS = 200_000  # seeded onto each funded merchant wallet key, at least
+
+
+def _check_capacity(demand: KeyDemand, wallet_size: int) -> None:
+    """Raise ConfigError unless the wallet holds every key the story takes.
+
+    Receiving keys prefer unfunded ones, so the story runs out of neither
+    kind while its keys number at most the wallet's and its funded keys at
+    most the seeded keys the wallet holds.
+    """
+    seeded = min(demand.seeded, wallet_size)
+    if demand.funded > seeded or demand.receiving + demand.funded > wallet_size:
+        raise ConfigError(
+            f"the story takes {demand.receiving} receiving and {demand.funded} funded "
+            f"merchant keys; the wallet holds {wallet_size} keys, {seeded} of them funded"
+        )
 
 
 class Env:
@@ -236,6 +322,8 @@ class Env:
         self.transcript = Transcript()
         self.book = AddressBook()
         wallet_size = 2 ** self.config.get("wallet_k", 6)
+        self.demand = _KEY_DEMAND[scenario.name](self.config, scenario.disable_defense)
+        _check_capacity(self.demand, wallet_size)
         self.merchant = Merchant(
             "merchant",
             scenario.seed_bytes("merchant"),
@@ -303,17 +391,17 @@ class Env:
             recipient = CustomerWallet(self.scenario.seed_bytes(f"recipient{i}"))
             self.book.register_key(recipient.pub, f"recipient{i}")
             recipients.append(recipient)
-        self.seed_funds(list(zip(payers, totals)), merchant_keys=4 * len(totals) + 4)
+        self.seed_funds(list(zip(payers, totals)))
         return payers, recipients
 
-    def seed_funds(
-        self,
-        customer_payouts: list[tuple[Customer, int]],
-        merchant_keys: int = 8,
-    ) -> None:
+    def seed_funds(self, customer_payouts: list[tuple[Customer, int]]) -> None:
+        """Pay the customers, and each seeded merchant key enough for the
+        largest transaction it may fund."""
+        per_key = max(MERCHANT_KEY_FUNDS, self.demand.largest)
+        merchant_keys = self.demand.seeded
         payouts = [(c.wallet.pub, value) for c, value in customer_payouts]
         for i in range(merchant_keys):
-            payouts.append((self.merchant.wallet.key(i)[1], MERCHANT_KEY_FUNDS))
+            payouts.append((self.merchant.wallet.key(i)[1], per_key))
         seed_tx = build_seed_tx(payouts)
         result = self.ledger.broadcast(seed_tx)
         assert result, result
@@ -323,7 +411,7 @@ class Env:
             customer.wallet.credit(FundingOutpoint(sid, i, value))
         for i in range(merchant_keys):
             self.merchant.wallet.credit(
-                i, FundingOutpoint(sid, len(customer_payouts) + i, MERCHANT_KEY_FUNDS)
+                i, FundingOutpoint(sid, len(customer_payouts) + i, per_key)
             )
         self.log("faucet", "seeded", f"tx={sid.hex()[:12]}")
         self.baseline = self.book.balances(self.ledger)
@@ -719,10 +807,7 @@ def _run_recovery(env: Env) -> list[Assertion]:
     plans = [[RefundEntry(r_pub, cfg["refund_value"])] for _r_priv, r_pub in refundee_keys]
     for plan in plans:
         _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
-    env.seed_funds(
-        [(customer, cfg["amount"]) for customer in customers],
-        merchant_keys=4 * cfg["sessions"],
-    )
+    env.seed_funds([(customer, cfg["amount"]) for customer in customers])
 
     issues = []
     for i, (customer, plan) in enumerate(zip(customers, plans)):

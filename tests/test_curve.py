@@ -190,3 +190,63 @@ def test_toy_add_every_pair(toy_curve):
     for p1 in all_points:
         for p2 in all_points:
             assert toy_curve.add(p1, p2) == ref.ref_add(p1, p2, ref.TOY_P)
+
+
+# -- fixed-base combs ---------------------------------------------------------------
+
+
+def test_generator_comb_is_43_rows_of_32_points():
+    comb = SECP256K1._comb
+    assert [len(row) for row in comb] == [32] * 43
+    for i, d in ((0, 1), (0, 32), (1, 17), (42, 32)):
+        assert comb[i][d - 1] == ref.ref_mul(d * 64**i, ref.G)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+def test_toy_comb_every_width_base_and_scalar(toy_curve, bits):
+    """The one builder and walker, at full-length rows, against the oracle:
+    the generator and several other bases, every scalar below n."""
+    n = toy_curve.n
+    rows = (n.bit_length() + bits) // bits
+    bases = [toy_curve.g] + [toy_curve.g_mul(a) for a in (2, 57, ref.TOY_LAM, n - 1)]
+    for base in bases:
+        comb = toy_curve._build_comb(base, bits, rows)
+        assert [len(row) for row in comb] == [1 << (bits - 1)] * rows
+        for k in range(n):
+            got = toy_curve._to_affine(toy_curve._comb_walk((0, 1, 0, 0), comb, bits, k))
+            assert got == ref.ref_mul(k, base, ref.TOY_P, ref.TOY_N), (base, k)
+
+
+def test_toy_fixed_base_every_point_and_scalar(toy_curve):
+    """Every base and every scalar up to 2n + 1 (so 0, n - 1 and the multiples
+    of n), over GLV halves of every sign pairing."""
+    n = toy_curve.n
+    signs = {(k1 < 0, k2 < 0) for k1, k2 in map(toy_curve._split, range(n)) if k1 and k2}
+    assert len(signs) == 4
+    for base in ref.toy_all_points()[1:]:
+        table = toy_curve.fixed_base(base)
+        for k in range(2 * n + 2):
+            assert table(k) == ref.ref_mul(k, base, ref.TOY_P, ref.TOY_N), (base, k)
+
+
+def test_fixed_base_rejects_the_identity(toy_curve):
+    with pytest.raises(ValueError):
+        toy_curve.fixed_base(None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(pt=points, ks=st.lists(scalars, min_size=1, max_size=8))
+def test_fixed_base_matches_mul(pt, ks):
+    table = SECP256K1.fixed_base(pt)
+    for k in ks:
+        assert table(k) == SECP256K1.mul(k, pt)
+
+
+def test_fixed_base_edge_scalars():
+    pt = ref.ref_mul(0xC0FFEE, ref.G)
+    table = SECP256K1.fixed_base(pt)
+    for k in EDGE_SCALARS + [N, 2 * N, 5 * N + 1]:
+        assert table(k) == ref.ref_mul(k, pt), hex(k)
+    generator = SECP256K1.fixed_base(ref.G)
+    for k in EDGE_SCALARS:
+        assert generator(k) == SECP256K1.g_mul(k), hex(k)

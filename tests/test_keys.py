@@ -10,6 +10,7 @@ import reference as ref
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
     ChildMasker,
+    ChildUnmasker,
     DegenerateChild,
     ExtendedPublicKey,
     IdentityPoint,
@@ -433,3 +434,84 @@ def test_batch_mask_one_mul_per_parent(monkeypatch):
         for parent in parents:
             masker.mask(parent, index)
     assert muls == [parent.pubkey for parent in parents]
+
+
+# -- batch unmasking through a fixed-base table -------------------------------------
+
+
+def _check_unmasker_against_definition(curve, parents, masker_privs, indexes):
+    """ChildUnmasker against derive_child_private + unmask_child_private, one
+    unmasker per (parent, masker) over `indexes`; returns the outcomes seen."""
+    seen = set()
+    for priv, parent in parents:
+        children = {
+            i: _outcome(lambda: derive_child_private(priv, parent, i, curve=curve))
+            for i in indexes
+        }
+        for m in masker_privs:
+            m_pub = curve.g_mul(m)
+            unmasker = ChildUnmasker(m_pub, curve=curve)
+            for i in indexes:
+                child = children[i]
+                if isinstance(child, type):
+                    seen.add(child)
+                    continue
+                want = _outcome(lambda: unmask_child_private(child, m_pub, curve=curve))
+                assert _outcome(lambda: unmasker.unmask(child)) == want, (parent, m, i)
+                seen.add("key")
+    return seen
+
+
+def test_toy_unmasker_matches_definition(toy_curve):
+    """Every parent key under a few maskers, indexes 0..16: the first two
+    through the definition, the rest through the table."""
+    chain = b"\x07" * 32
+    parents = [
+        (p, ExtendedPublicKey(toy_curve.g_mul(p), chain)) for p in range(1, toy_curve.n)
+    ]
+    seen = _check_unmasker_against_definition(
+        toy_curve, parents, [1, 2, ref.TOY_LAM, toy_curve.n - 1], range(17)
+    )
+    assert seen == {"key", DegenerateChild}
+
+
+def test_toy_unmasker_identity_cases(toy_curve):
+    """An identity masker key, and a child key of 0 mod n whose shared point
+    is the identity, raise IdentityPoint on both paths."""
+    with pytest.raises(IdentityPoint):
+        ChildUnmasker(None, curve=toy_curve)
+    unmasker = ChildUnmasker(toy_curve.g_mul(5), curve=toy_curve)
+    for use in range(4):  # two definitional unmasks, then two through the table
+        with pytest.raises(IdentityPoint):
+            unmask_child_private(toy_curve.n * use, toy_curve.g_mul(5), curve=toy_curve)
+        with pytest.raises(IdentityPoint):
+            unmasker.unmask(toy_curve.n * use)
+
+
+def test_unmasker_matches_definition_secp256k1():
+    """Indexes 0..16 of two key pairs under three masker keys."""
+    parents = []
+    for i in range(2):
+        priv, pub = keygen(b"unmask-parent-%d" % i)
+        parents.append((priv, ExtendedPublicKey(pub, bytes([i + 1]) * 32)))
+    maskers = [keygen(b"unmask-masker-%d" % i)[0] for i in range(3)]
+    seen = _check_unmasker_against_definition(SECP256K1, parents, maskers, range(17))
+    assert seen == {"key"}
+
+
+def test_unmasker_builds_one_table_after_two_definitions(monkeypatch):
+    muls, tables = [], []
+    real_mul, real_fixed_base = SECP256K1.mul, SECP256K1.fixed_base
+    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
+    monkeypatch.setattr(
+        SECP256K1, "fixed_base", lambda pt: tables.append(pt) or real_fixed_base(pt)
+    )
+    m_pub = keygen(b"table-masker")[1]
+    unmasker = ChildUnmasker(m_pub)
+    for child in range(1, 3):
+        unmasker.unmask(child)
+    assert (muls, tables) == ([m_pub, m_pub], [])
+    for child in range(3, 18):
+        unmasker.unmask(child)
+    assert (muls, tables) == ([m_pub, m_pub], [m_pub])
+

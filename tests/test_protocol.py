@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refundsim import dispute, protocol
+from refundsim import dispute, keys, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
+    KeyMismatch,
     derive_child_private,
     dh_shared,
     keygen,
@@ -689,17 +690,95 @@ def test_discovery_finds_nothing_for_customer_who_never_paid(paid_session):
     assert_discovery_matches_reference(stranger, r_pub)
 
 
+def test_wallet_checks_its_key_pair_once(monkeypatch):
+    """Seventeen children cost one g_mul of the wallet key, at the first
+    derivation; a wallet whose key no longer matches still fails there."""
+    wallet = CustomerWallet(b"pair-check")
+    want = [derive_child_private(wallet.priv, wallet.xpub, i) for i in range(17)]
+    calls = []
+    real_g_mul = SECP256K1.g_mul
+    monkeypatch.setattr(SECP256K1, "g_mul", lambda k: calls.append(k) or real_g_mul(k))
+    assert [wallet.child_private(i) for i in range(17)] == want
+    assert calls == [wallet.priv]
+    tampered = CustomerWallet(b"pair-check")
+    tampered.priv += 1
+    with pytest.raises(KeyMismatch):
+        tampered.child_private(0)
+
+
+@pytest.mark.parametrize("path", ["joint", "fallback"])
+def test_repeat_customer_claims_every_refund(harness, path):
+    """A customer who paid twice claims both refunds in turn: the walk skips
+    the first, already spent, and only a third claim is AlreadySpent."""
+    alice = harness.customer("alice")
+    r_priv, r_pub = keygen(b"repeat-refundee")
+    harness.fund([(alice, 100_000)])
+    issues = [pay_and_issue(harness, alice, r_pub) for _ in range(2)]
+    settle_fallbacks(harness)
+    claim = {
+        "joint": lambda: alice.redeem_with_refundee(r_priv, r_pub),
+        "fallback": alice.redeem_fallback,
+    }[path]
+    claimed = []
+    for _ in issues:
+        claimed.append(claim().inputs[0].prev_txid)
+        harness.ledger.advance_height(1)
+    assert claimed == [txid(i.tc1 if path == "joint" else i.tc2) for i in issues]
+    with pytest.raises(AlreadySpent):
+        claim()
+
+
+def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, monkeypatch):
+    """Counted: a fallback session whose walk passes two earlier customers'
+    fallbacks makes two `mul` under each funder it tries and builds one table
+    for each funder whose fallback is not its own; the definitions of child
+    derivation and unmasking are still on its path."""
+    customers = [harness.customer(f"walk{i}") for i in range(3)]
+    refundees = [keygen(b"walk-refundee-%d" % i) for i in range(3)]
+    harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
+    for customer, (r_priv, r_pub) in zip(customers[:2], refundees):
+        pay_and_issue(harness, customer, r_pub)
+        customer.redeem_with_refundee(r_priv, r_pub)
+        harness.ledger.advance_height(1)
+    last = customers[2]
+    issue = pay_and_issue(harness, last, refundees[2][1])
+    harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
+    settle_fallbacks(harness)
+
+    muls, tables, unmasks, derives = [], [], [], []
+    real_mul, real_fixed_base = SECP256K1.mul, SECP256K1.fixed_base
+    real_unmask, real_derive = keys.unmask_child_private, protocol.derive_child_private
+    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
+    monkeypatch.setattr(
+        SECP256K1, "fixed_base", lambda pt: tables.append(pt) or real_fixed_base(pt)
+    )
+    monkeypatch.setattr(
+        keys, "unmask_child_private", lambda *a, **kw: unmasks.append(a) or real_unmask(*a, **kw)
+    )
+    monkeypatch.setattr(
+        protocol, "derive_child_private",
+        lambda *a, **kw: derives.append(a) or real_derive(*a, **kw),
+    )
+    found = last.find_fallback()
+    assert found is not None and found.txid == txid(issue.tc2)
+    funders = set(muls)
+    assert len(funders) == 3  # two earlier fallbacks, then its own
+    assert all(muls.count(funder) == 2 for funder in funders)
+    assert len(tables) == 2 and set(tables) < funders
+    assert len(unmasks) == len(muls) and derives
+
+
 def test_joint_discovery_cost_does_not_grow_with_position(harness, monkeypatch):
     """Counted, not timed: the sixth session's joint discovery unmasks as
     many candidate keys as the first one's."""
     unmasks = []
-    real_unmask = protocol.unmask_child_private
+    real_unmask = keys.unmask_child_private
 
     def counting_unmask(*args, **kwargs):
         unmasks.append(args)
         return real_unmask(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "unmask_child_private", counting_unmask)
+    monkeypatch.setattr(keys, "unmask_child_private", counting_unmask)
     customers = [harness.customer(f"joint{i}") for i in range(6)]
     harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
     per_session = []

@@ -211,6 +211,11 @@ RELATIONAL = [
     ("Recovery", "refund_value=60000"),
     ("Mixer", "amount=3"),
     ("Aggregate", "amount=3"),
+    # more merchant keys than the wallet holds, or than the faucet funds
+    ("Mixer", "k=40"),
+    ("Aggregate", "outputs_per_tx=1"),
+    ("Recovery", "wallet_k=2"),
+    ("Recovery", "sessions=200"),
 ]
 
 
@@ -219,8 +224,8 @@ RELATIONAL = [
 )
 def test_relational_config_is_a_config_error(name, config, tmp_path, capsys, monkeypatch):
     """Values in range that break a rule of the story (a refund above the
-    amount, shares that miss it, fewer units than chunks) are rejected before
-    the story logs anything."""
+    amount, shares that miss it, fewer units than chunks, more merchant keys
+    than the wallet holds) are rejected before the story logs anything."""
     logged = []
     monkeypatch.setattr(Transcript, "log", lambda self, *args: logged.append(args))
     key, value = config.split("=")
@@ -233,6 +238,24 @@ def test_relational_config_is_a_config_error(name, config, tmp_path, capsys, mon
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+LARGE_REFUNDS = [
+    ("HonestRefund", {"amount": 300_000, "refund_value": 300_000}),
+    ("MultiSigner", {"amount": 400_000, "share": 200_000, "refund_value": 150_000}),
+    ("Mixer", {"amount": 1_000_000}),
+    ("Aggregate", {"amount": 1_000_000}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config", LARGE_REFUNDS, ids=[n for n, _c in LARGE_REFUNDS]
+)
+def test_refunds_above_the_default_merchant_funds_run(name, config):
+    """The faucet funds each merchant key for the largest transaction the
+    story may fund from it."""
+    verdict = run_scenario(Scenario(ScenarioName.parse(name), config=config), out_dir=None)
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
 
 
 @pytest.mark.parametrize("name", ["Mixer", "Aggregate"])
