@@ -36,8 +36,8 @@ def _build_scenario(args) -> Scenario:
     return Scenario(
         name=ScenarioName.parse(args.name),
         seed=args.seed,
-        config=_parse_config(getattr(args, "config", "") or ""),
-        disable_defense=getattr(args, "disable_defense", False),
+        config=_parse_config(args.config),
+        disable_defense=args.disable_defense,
     )
 
 
@@ -82,13 +82,11 @@ def _cmd_db_recover(args) -> int:
     scenario = Scenario(
         name=ScenarioName.RECOVERY,
         seed=args.seed,
-        config=_parse_config(args.config or ""),
+        config=_parse_config(args.config),
     )
     verdict = run_scenario(scenario, out_dir=args.out_dir)
     print("\n".join(verdict.lines()))
-    db_path = os.path.join(args.out_dir, f"recovery_seed{args.seed}.db")
-    if os.path.exists(db_path):
-        print(f"  recovered database: {db_path}")
+    print(f"  recovered database: {verdict.env.merchant.store.path}")
     return 0 if verdict.all_passed else 1
 
 

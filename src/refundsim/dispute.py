@@ -10,6 +10,7 @@ third party replay the child-key derivation from on-chain data alone.
 
 from __future__ import annotations
 
+import enum
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -22,7 +23,7 @@ from .keys import (
     derive_child_public,
     mask_child,
 )
-from .ledger import SimLedger
+from .ledger import LocatorRole, SimLedger
 from .transactions import (
     DataCarrier,
     NOfNScript,
@@ -241,14 +242,10 @@ def verify_linkage_proof(proof: LinkageProof, ledger: SimLedger) -> ProofCheck:
     redeem = ledger.get_transaction(record.redeem_txid)
     if main is None or tc1 is None or tc2 is None or redeem is None:
         return ProofCheck(False, "chain-data-missing")
-    chain_xpub = None
-    for xpub in extract_all_xpubs(main):
-        if xpub == proof.customer_xpub:
-            chain_xpub = xpub
-    if chain_xpub is None:
+    if proof.customer_xpub not in extract_all_xpubs(main):
         return ProofCheck(False, "xpub-not-in-payment")
     try:
-        child = derive_child_public(chain_xpub, proof.child_index)
+        child = derive_child_public(proof.customer_xpub, proof.child_index)
     except DegenerateChild:
         return ProofCheck(False, "degenerate-child")
     if child != proof.child_point:
@@ -284,6 +281,57 @@ def verify_linkage_proof(proof: LinkageProof, ledger: SimLedger) -> ProofCheck:
     return ProofCheck(True)
 
 
+# -- reading a refund pair off the chain ----------------------------------------
+
+
+class RefundShape(enum.Enum):
+    JOINT = "joint"
+    FALLBACK = "fallback"
+
+
+def refund_shape(tx: Transaction) -> Optional[RefundShape]:
+    """Which refund a merchant-funded transaction is, confirmed or pending.
+
+    A joint refund pays script hashes; a fallback is time-locked.
+    """
+    if any(isinstance(out.script, ScriptHash) for out in tx.outputs):
+        return RefundShape.JOINT
+    if tx.lock_height > 0:
+        return RefundShape.FALLBACK
+    return None
+
+
+def joint_spenders(ledger: SimLedger, tc1_id: bytes) -> list[bytes]:
+    """Confirmed spenders of a joint refund's script-hash outputs.
+
+    A joint refund still in the mempool has no outputs yet, so no spenders.
+    """
+    tc1 = ledger.get_transaction(tc1_id)
+    spenders = (
+        ledger.is_spent(tc1_id, i)[1]
+        for i, out in enumerate(tc1.outputs if tc1 else ())
+        if isinstance(out.script, ScriptHash)
+    )
+    return [tid for tid in spenders if tid is not None]
+
+
+def fill_redeem(record: RefundRecord, joint: list[bytes], ledger: SimLedger) -> RefundRecord:
+    """The record with its redeem slot set to the pair's earliest confirmed spend.
+
+    Candidates are ``joint``, the `joint_spenders` of the record's joint
+    refund, and the spender of its fallback output; the earliest by (height,
+    txid) wins, and the slot stays zero without one.  A fallback's spend
+    confirms after the fallback, so its spender is read only when the
+    fallback has confirmed and no joint spend confirmed at or before it.
+    """
+    height = ledger.confirmation_height
+    fallback = height(record.refund_tc2_txid)
+    if fallback is not None and all(height(tid) > fallback for tid in joint):
+        joint = joint + [ledger.is_spent(record.refund_tc2_txid, 0)[1]]
+    spends = [tid for tid in joint if tid is not None]
+    return record.with_redeem(min(spends, key=lambda t: (height(t), t), default=_ZERO_ID))
+
+
 # -- database recovery ------------------------------------------------------------
 
 
@@ -293,7 +341,8 @@ class RecoveryTelemetry:
 
     ``key_ops`` counts masked-child reconstruction attempts, one per
     (candidate wallet key, payment transaction, refund flavor); ``search_ops``
-    counts ledger queries.
+    counts the ledger's answered queries: every ``find_by_pubkey`` and
+    every ``is_spent``.
     """
 
     key_ops: int = 0
@@ -336,141 +385,101 @@ def recover_database(
     """Rebuild the refund records from the chain and the deterministic wallet.
 
     The wallet re-derives every key it could ever have issued; searching the
-    ledger for each classifies the hits into payment transactions (merchant
-    is recipient and an extended key is embedded), joint refunds (merchant
-    funds a script-hash transaction), and fallback refunds (merchant funds a
-    time-locked pay-to-key transaction); refunds of either kind still waiting
-    in the mempool count too.  Masked-child reconstruction then
-    ties each refund back to its payment.  Refunds nobody has redeemed yet
-    yield records with a zeroed redeem slot.  Masking costs one ``mul`` per
-    (masking key, extended key) pair tried, plus one definitional check per
-    hit (`_match_masked_key`).
+    ledger for each finds the payment transactions (merchant is recipient
+    and extended keys are embedded) and the transactions the merchant
+    funded, confirmed or still in the mempool; `refund_shape` tells joint
+    refunds from fallbacks.  Masked-child reconstruction ties each refund to
+    its payment: a fallback through its locked key hash, a joint refund
+    through the scripts its redeems reveal, each under every extended key
+    the payment embeds.  `fill_redeem` fills each record's redeem slot, so
+    refunds nobody has redeemed yet yield records with a zeroed slot.
+    Masking costs one ``mul`` per (masking key, extended key) pair tried,
+    plus one definitional check per hit (`_match_masked_key`).
     """
     telemetry = RecoveryTelemetry()
-    mains: dict[bytes, ExtendedPublicKey] = {}
-    tc1s: dict[bytes, tuple[Transaction, int, int]] = {}  # txid -> (tx, priv, key idx)
-    tc2s: dict[bytes, tuple[Transaction, int, int]] = {}
+    queries_before = ledger.queries
+    mains: dict[bytes, list[ExtendedPublicKey]] = {}
+    refunds: dict[bytes, tuple] = {}  # txid -> (tx, shape, funding priv, key idx)
     wallet_keys: dict[Point, tuple[int, int]] = {}  # pub -> (priv, key idx)
+
+    def note_refund(tid: bytes, tx: Transaction, priv: int, idx: int) -> None:
+        shape = refund_shape(tx)
+        if shape is not None and tid not in refunds:
+            refunds[tid] = (tx, shape, priv, idx)
 
     for i in range(merchant_wallet.size):
         priv, pub = merchant_wallet.key(i)
         wallet_keys[pub] = (priv, i)
-        telemetry.search_ops += 1
         for loc in ledger.find_by_pubkey(pub):
             tx = ledger.get_transaction(loc.txid)
-            if loc.role.value == "incoming":
-                xpub = extract_xpub(tx)
-                if xpub is not None and loc.txid not in mains:
-                    mains[loc.txid] = xpub
-            elif loc.role.value == "outgoing-p2sh":
-                tc1s.setdefault(loc.txid, (tx, priv, i))
-            elif loc.role.value == "outgoing-p2pkh" and tx.lock_height > 0:
-                tc2s.setdefault(loc.txid, (tx, priv, i))
+            if loc.role is LocatorRole.INCOMING:
+                xpubs = extract_all_xpubs(tx)
+                if xpubs:
+                    mains.setdefault(loc.txid, xpubs)
+            elif loc.role is not LocatorRole.REDEEM:
+                note_refund(loc.txid, tx, priv, i)
     # refunds still in the mempool are in flight: a fallback waits for its
     # lock, and a refund pair issued just before the loss waits to confirm
     for tid, tx in ledger.mempool.items():
-        if any(isinstance(o.script, ScriptHash) for o in tx.outputs):
-            found = tc1s
-        elif tx.lock_height:
-            found = tc2s
-        else:
-            continue
-        for txin in tx.inputs:
-            for _sig, pub in txin.witness:
-                if pub in wallet_keys:
-                    found.setdefault(tid, (tx, *wallet_keys[pub]))
+        signer = next(
+            (wallet_keys[pub] for txin in tx.inputs for _sig, pub in txin.witness
+             if pub in wallet_keys),
+            None,
+        )
+        if signer is not None:
+            note_refund(tid, tx, *signer)
 
-    # fallback refunds name a masked child key on their first output; matching
-    # it identifies the paying customer
-    tc2_matches: dict[bytes, bytes] = {}  # tc2 txid -> main txid
-    for tc2_id, (tc2, priv, _idx) in tc2s.items():
-        target = tc2.outputs[0].script.pubkey_hash
-        masker = ChildMasker(priv)
-        for main_id, xpub in mains.items():
-            telemetry.key_ops += 1
-            if _match_masked_key(
-                xpub, masker, lambda mk: key_hash(mk) == target, max_child_index
-            ):
-                tc2_matches[tc2_id] = main_id
-                break
-
-    # joint refunds are tied through their redeems: a revealed script whose
-    # reconstructed masked child matches pins (payment, joint refund, redeem)
-    redeem_by_tc1: dict[bytes, bytes] = {}
-    tc1_matches: dict[bytes, bytes] = {}  # tc1 txid -> main txid
-    for tc1_id, (tc1, priv, _idx) in tc1s.items():
-        spenders = []
-        for out_idx, out in enumerate(tc1.outputs):
-            if not isinstance(out.script, ScriptHash):
+    # a fallback locks a masked child's key hash; a joint refund is tied
+    # through its redeems' revealed scripts, so an unredeemed one matches none
+    joint: dict[bytes, list[bytes]] = {}  # joint refund txid -> its spenders
+    matched: dict[bytes, bytes] = {}  # refund txid -> main txid
+    for tid, (tx, shape, priv, _idx) in refunds.items():
+        if shape is RefundShape.JOINT:
+            joint[tid] = joint_spenders(ledger, tid)
+            revealed = {
+                key
+                for spender in joint[tid]
+                for txin in ledger.get_transaction(spender).inputs
+                if txin.prev_txid == tid and txin.reveal_script
+                for key in txin.reveal_script.keys
+            }
+            if not revealed:
                 continue
-            if not ledger.output_exists(tc1_id, out_idx):
-                continue  # a joint refund still in the mempool has no outputs yet
-            telemetry.search_ops += 1
-            spent, spender = ledger.is_spent(tc1_id, out_idx)
-            if spent:
-                spenders.append((out_idx, spender))
-        if not spenders:
-            continue
-        revealed: dict[bytes, set[Point]] = {}
-        for out_idx, spender in spenders:
-            spend_tx = ledger.get_transaction(spender)
-            for txin in spend_tx.inputs:
-                if txin.prev_txid == tc1_id and txin.reveal_script:
-                    revealed.setdefault(spender, set()).update(txin.reveal_script.keys)
-        all_keys = set().union(*revealed.values())
+            target = revealed.__contains__
+        else:
+            locked = tx.outputs[0].script.pubkey_hash
+            target = lambda mk, locked=locked: key_hash(mk) == locked
         masker = ChildMasker(priv)
-        for main_id, xpub in mains.items():
+        for main_id, xpubs in mains.items():
             telemetry.key_ops += 1
-            if _match_masked_key(
-                xpub, masker, lambda mk: mk in all_keys, max_child_index
+            if any(
+                _match_masked_key(xpub, masker, target, max_child_index) for xpub in xpubs
             ):
-                tc1_matches[tc1_id] = main_id
-                # the record keeps the earliest confirmed redeem
-                first = min(
-                    revealed,
-                    key=lambda tid: (ledger.confirmation_height(tid), tid),
-                )
-                redeem_by_tc1[tc1_id] = first
+                matched[tid] = main_id
                 break
 
     # every refund issue allocates its joint funding key immediately before
     # its fallback funding key(s), and the wallet hands out funded keys in
-    # index order; walking refund transactions by wallet-key index therefore
-    # pairs each fallback with its companion joint refund
-    companion_tc1: dict[bytes, bytes] = {}
-    timeline = sorted(
-        [(idx, "tc1", tid) for tid, (_tx, _p, idx) in tc1s.items()]
-        + [(idx, "tc2", tid) for tid, (_tx, _p, idx) in tc2s.items()]
-    )
-    current_tc1: Optional[bytes] = None
-    for _idx, kind, tid in timeline:
-        if kind == "tc1":
-            current_tc1 = tid
-        elif current_tc1 is not None:
-            companion_tc1[tid] = current_tc1
-
+    # index order; walking refunds by wallet-key index therefore pairs each
+    # fallback with its companion joint refund, unless a redeem tied the
+    # payment's joint refund already
+    tc1_of_main = {main_id: tid for tid, main_id in matched.items() if tid in joint}
     result = RecoveryResult(telemetry=telemetry)
-    matched_mains: set[bytes] = set()
-    for tc2_id, main_id in sorted(
-        tc2_matches.items(), key=lambda kv: tc2s[kv[0]][2]
-    ):
-        tc1_id = next(
-            (t for t, m in tc1_matches.items() if m == main_id), None
-        )
-        if tc1_id is None:
-            tc1_id = companion_tc1.get(tc2_id)
-        if tc1_id is None:
+    companion: Optional[bytes] = None
+    for tid, (_tx, shape, _priv, _idx) in sorted(refunds.items(), key=lambda kv: kv[1][3]):
+        if shape is RefundShape.JOINT:
+            companion = tid
             continue
-        redeem_id = redeem_by_tc1.get(tc1_id, _ZERO_ID)
-        # a confirmed fallback may have been claimed by the customer alone
-        if redeem_id == _ZERO_ID and ledger.output_exists(tc2_id, 0):
-            telemetry.search_ops += 1
-            redeem_id = ledger.is_spent(tc2_id, 0)[1] or _ZERO_ID
-        if redeem_id == _ZERO_ID:
+        main_id = matched.get(tid)
+        tc1_id = tc1_of_main.get(main_id, companion)
+        if main_id is None or tc1_id is None:
+            continue
+        record = fill_redeem(RefundRecord(main_id, tc1_id, tid), joint[tc1_id], ledger)
+        if record.redeem_txid == _ZERO_ID:
             result.pending.append(main_id)
-        result.records.append(RefundRecord(main_id, tc1_id, tc2_id, redeem_id))
-        matched_mains.add(main_id)
+        result.records.append(record)
 
-    result.unmatched = sorted(set(mains) - matched_mains)
+    telemetry.search_ops = ledger.queries - queries_before
+    result.unmatched = sorted(set(mains) - {r.main_txid for r in result.records})
     result.records.sort(key=lambda r: r.main_txid)
     return result

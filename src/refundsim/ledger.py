@@ -91,6 +91,7 @@ class SimLedger:
         # search key -> (chain position, txid) of each confirmed transaction
         # that names it; see _search_keys
         self._by_key: dict[object, list[tuple[int, bytes]]] = {}
+        self.queries = 0  # find_by_pubkey and is_spent calls answered
 
     # -- queries ---------------------------------------------------------
 
@@ -113,6 +114,7 @@ class SimLedger:
 
     def is_spent(self, tx_id: bytes, index: int) -> tuple[bool, Optional[bytes]]:
         """Whether an output is consumed, and by which confirmed transaction."""
+        self.queries += 1
         key = (tx_id, index)
         if key not in self._outputs:
             raise UnknownOutput(f"{tx_id.hex()[:16]}:{index}")
@@ -197,6 +199,7 @@ class SimLedger:
         Only the confirmed transactions indexed under the key, its hash or
         its encoding are classified, in chain order.
         """
+        self.queries += 1
         needle_hash = key_hash(pub)
         needle_enc = SECP256K1.encode_point(pub)
         hits = sorted({

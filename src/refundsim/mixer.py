@@ -251,37 +251,35 @@ class MixerService:
     def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> list[int]:
         """Split a refundable session's entries into chunks and batch them.
 
-        Every refund entry must name a refundee extended key.  Returns the
-        batch positions taken; emission waits for enough distinct customers
-        or the batch timeout.
+        Every refund entry must name a refundee extended key; all entries
+        are checked before the masking key is taken or a chunk queued.
+        Returns the batch positions taken; emission waits for enough
+        distinct customers or the batch timeout.
         """
         if not self.merchant.refundable(merchant_data):
             raise WindowExpired("session is not refundable")
         session = self.merchant.sessions[merchant_data]
+        plans = []
+        for entry in session.entries:
+            if not isinstance(entry.refundee, ExtendedPublicKey):
+                raise MixerError("mixing requires refundee extended keys")
+            plans.append(split_value(entry.value - self.service_fee, self.k))
         masker_idx = self.merchant.wallet.allocate()
         masker_priv, masker_pub = self.merchant.wallet.key(masker_idx)
         self.merchant.key_log.register(masker_pub, "chunk-masking-key")
         self.masker_pubs[merchant_data] = masker_pub
         positions = []
-        total = 0
-        for entry in session.entries:
-            if not isinstance(entry.refundee, ExtendedPublicKey):
-                raise MixerError("mixing requires refundee extended keys")
-            payable = entry.value - self.service_fee
-            if payable < self.k:
-                raise ChunkTooSmall("refund too small after the service fee")
-            plan = split_value(payable, self.k)
+        for entry, plan in zip(session.entries, plans):
             masked = derive_chunk_keys(entry.refundee, self.k, masker_priv)
             for chunk_value, masked_key in zip(plan.chunks, masked):
                 self.merchant.key_log.register(masked_key, "masked-chunk-key")
                 positions.append(
                     self.batch.add(MixChunk(masked_key, chunk_value, merchant_data))
                 )
-            total += payable
         session.state = SessionState.REFUND_ISSUED
         self.truth.customers.append(customer_name)
         self.truth.origin_names[merchant_data] = customer_name
-        self.truth.refund_totals[customer_name] = total
+        self.truth.refund_totals[customer_name] = sum(plan.total for plan in plans)
         self.truth.payment_heights[customer_name] = session.paid_height
         return positions
 
@@ -541,11 +539,14 @@ class AggregateService:
         session = self.merchant.sessions[merchant_data]
         xpub = session.customer_xpubs[0]
         n = len(session.entries)
-        total = 0
-        for i, entry in enumerate(session.entries):
+        plans = []
+        for entry in session.entries:
             if not isinstance(entry.refundee, ExtendedPublicKey):
                 raise MixerError("aggregate mode requires refundee extended keys")
-            plan = split_value(entry.value, self.k)
+            plans.append(split_value(entry.value, self.k))
+        total = sum(plan.total for plan in plans)
+        fallback_plan = split_value(total, self.k)
+        for i, (entry, plan) in enumerate(zip(session.entries, plans)):
             for j, chunk_value in enumerate(plan.chunks):
                 self.pending_joint.append(
                     AggregateChunk(
@@ -557,8 +558,6 @@ class AggregateService:
                         value=chunk_value,
                     )
                 )
-            total += entry.value
-        fallback_plan = split_value(total, self.k)
         for j, chunk_value in enumerate(fallback_plan.chunks):
             self.pending_fallback.append(
                 AggregateFallbackChunk(

@@ -885,39 +885,23 @@ class Merchant:
     # -- monitoring -----------------------------------------------------------
 
     def monitor(self) -> None:
-        """Fill redeem slots from confirmed spends of issued refunds.
+        """Fill empty redeem slots of issued refunds by `dispute.fill_redeem`.
 
-        The earliest confirmed spend (ties broken by txid) of a record's
-        joint-refund outputs or fallback output becomes its redeem entry.
-        The record file is rewritten once, and only if a slot was filled.
+        Safe while a refund pair still waits in the mempool: its slots stay
+        empty.  The record file is rewritten once, and only if a slot was
+        filled.
         """
         changed = False
         for session in self.sessions.values():
             issue = session.refund
-            if issue is None:
+            empty = [r for r in issue.records if r.redeem_txid == bytes(32)] if issue else []
+            if not empty:
                 continue
-            # map each record to the entry outputs covered by its fallback owner
-            for pos, record in enumerate(issue.records):
-                if record.redeem_txid != bytes(32):
-                    continue
-                tc1_id, tc2_id = record.refund_tc1_txid, record.refund_tc2_txid
-                candidates = []
-                for out_idx, out in enumerate(issue.tc1.outputs):
-                    if isinstance(out.script, ScriptHash):
-                        spent, spender = self.ledger.is_spent(tc1_id, out_idx)
-                        if spent:
-                            candidates.append(spender)
-                if self.ledger.output_exists(tc2_id, 0):  # confirmed once lock passes
-                    spent, spender = self.ledger.is_spent(tc2_id, 0)
-                    if spent:
-                        candidates.append(spender)
-                if candidates:
-                    chosen = min(
-                        candidates,
-                        key=lambda t: (self.ledger.confirmation_height(t), t),
-                    )
-                    updated = record.with_redeem(chosen)
-                    issue.records[pos] = updated
+            joint = dispute.joint_spenders(self.ledger, empty[0].refund_tc1_txid)
+            for record in empty:
+                updated = dispute.fill_redeem(record, joint, self.ledger)
+                if updated != record:
+                    issue.records[issue.records.index(record)] = updated
                     self.records[self.records.index(record)] = updated
                     session.state = SessionState.REDEEMED
                     changed = True

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -313,10 +314,10 @@ def _check_capacity(demand: KeyDemand, wallet_size: int) -> None:
 class Env:
     """One run's plumbing: resolved config, ledger, merchant, actors, accounting."""
 
-    def __init__(self, scenario: Scenario, out_dir: Optional[str]):
+    def __init__(self, scenario: Scenario, record_dir: str):
         self.scenario = scenario
         self.config = scenario.resolved_config()
-        self.out_dir = out_dir
+        self.record_dir = record_dir  # where a story keeps its record file
         self.ledger = SimLedger()
         self.key_log = KeyRoleLog()
         self.transcript = Transcript()
@@ -796,7 +797,7 @@ def _run_recovery(env: Env) -> list[Assertion]:
     cfg = env.config
     if cfg["sessions"] < 3:
         raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
-    db_path = os.path.join(env.out_dir or ".", f"recovery_seed{env.scenario.seed}.db")
+    db_path = os.path.join(env.record_dir, f"recovery_seed{env.scenario.seed}.db")
     env.merchant.store = dispute.RecordStore(db_path)
 
     customers = []
@@ -1043,10 +1044,12 @@ _RUNNERS = {
 def run_scenario(scenario: Scenario, out_dir: Optional[str] = ".") -> Verdict:
     """Execute a named scenario end-to-end on a fresh ledger.
 
-    The transcript is written to `out_dir` unless it is None.
+    The transcript is written to `out_dir` unless it is None; a run without
+    one keeps its record file in a temporary directory removed at its end.
     """
-    env = Env(scenario, out_dir)
-    assertions = _RUNNERS[scenario.name](env) + env.soundness_assertions()
+    with tempfile.TemporaryDirectory() as scratch:
+        env = Env(scenario, out_dir or scratch)
+        assertions = _RUNNERS[scenario.name](env) + env.soundness_assertions()
     path = None
     if out_dir is not None:
         fname = f"{scenario.name.value.lower()}_seed{scenario.seed}.transcript.log"

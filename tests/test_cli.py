@@ -93,6 +93,14 @@ def test_ledger_dump(capsys):
     assert all("raw=" in l for l in lines)
 
 
+def test_ledger_dump_of_recovery_writes_no_file(tmp_path, monkeypatch, capsys):
+    """A run with no output directory keeps its record file in a temporary one."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["ledger", "dump", "Recovery"]) == 0
+    assert "height=" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_db_dump_and_recover(tmp_path, capsys):
     code = main(["db", "recover", "--seed", "2", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out

@@ -20,6 +20,7 @@ from refundsim.dispute import (
 )
 from refundsim.keys import ChildMasker, keygen
 from refundsim.protocol import RefundEntry
+from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import txid
 
 
@@ -383,3 +384,58 @@ def test_monitor_without_updates_keeps_existing_record_file(harness, tmp_path):
     harness.merchant.store = RecordStore(str(path))
     harness.merchant.monitor()
     assert path.read_bytes() == b"\x01" * 128
+
+
+# -- monitor and recovery read a refund pair alike ------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "name", ["HonestRefund", "Silkroad", "Marketplace", "MultiSigner", "Recovery"]
+)
+def test_recovery_equals_the_monitored_records(name, seed, tmp_path):
+    """Every record monitor kept, co-signers' included, is rebuilt byte for byte."""
+    env = run_scenario(Scenario(ScenarioName.parse(name), seed=seed), str(tmp_path)).env
+    result = recover_database(env.merchant.wallet, env.ledger)
+    kept = sorted(env.merchant.records, key=lambda r: r.main_txid)
+    assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]
+    assert result.unmatched == []
+
+
+def test_recovery_queries_each_output_once(tmp_path, monkeypatch):
+    """Two fallbacks share one joint refund; its outputs are still read once,
+    and search_ops counts every find_by_pubkey and is_spent made."""
+    env = run_scenario(Scenario(ScenarioName.MULTI_SIGNER, seed=1), str(tmp_path)).env
+    calls = []
+    for method in ("find_by_pubkey", "is_spent"):
+        real = getattr(env.ledger, method)
+        monkeypatch.setattr(
+            env.ledger, method, lambda *a, real=real: calls.append(a) or real(*a)
+        )
+    result = recover_database(env.merchant.wallet, env.ledger)
+    assert len(result.records) == 2
+    assert len(calls) == len(set(calls)) == result.telemetry.search_ops
+
+
+def test_recovery_keeps_a_fallback_claimed_before_the_joint_redeem(harness):
+    """The earlier fallback claim fills the slot in monitor and in recovery alike."""
+    _request, issue, customer, r_priv = run_sessions(harness, 1, [None])[0]
+    assert harness.ledger.height >= issue.tc2.lock_height
+    fallback = customer.redeem_fallback()
+    harness.ledger.advance_height(1)
+    customer.redeem_with_refundee(r_priv)
+    harness.ledger.advance_height(1)
+    harness.merchant.monitor()
+    assert harness.merchant.records[0].redeem_txid == txid(fallback)
+    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    assert result.records == harness.merchant.records
+
+
+def test_monitor_before_the_refund_pair_confirms(paid_session):
+    """monitor right after issuing neither raises nor fills the slot."""
+    harness, _alice, _r, request, _msg = paid_session
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert txid(issue.tc1) in harness.ledger.mempool
+    harness.merchant.monitor()
+    assert harness.merchant.records == [issue.record]
+    assert issue.record.redeem_txid == bytes(32)

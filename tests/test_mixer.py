@@ -17,6 +17,7 @@ from refundsim.mixer import (
     ChunkTooSmall,
     MixBatch,
     MixChunk,
+    MixerError,
     MixerService,
     _feasible_assignments,
     analyze_linkage,
@@ -24,7 +25,7 @@ from refundsim.mixer import (
     split_value,
     sweep_chunks,
 )
-from refundsim.protocol import CustomerWallet, RefundEntry
+from refundsim.protocol import CustomerWallet, RefundEntry, SessionState
 from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import (
     PayToPubkeyHash,
@@ -520,3 +521,30 @@ def test_aggregate_analyzer_still_ambiguous():
     harness.ledger.advance_height(4)
     report = analyze_linkage(harness.ledger, service.truth, rng_seed=2)
     assert report.feasible_assignments > 1
+
+
+@pytest.mark.parametrize("service_cls, enqueue, queued", [
+    (MixerService, "enqueue_refund", lambda s: s.batch.entries),
+    (AggregateService, "aggregate_refund", lambda s: s.pending_joint + s.pending_fallback),
+])
+def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued):
+    """A session whose second entry names a plain key is refused before any
+    chunk is queued or wallet key taken; the session stays paid."""
+    from conftest import Harness
+
+    harness = Harness(tag=b"reject", lock_blocks=30, window_blocks=400)
+    customer = harness.customer("payer", b"reject")
+    wallet = CustomerWallet(b"reject-refundee")
+    harness.fund([(customer, 100_000)], merchant_keys=8)
+    service = service_cls(harness.merchant, k=4, rng_seed=3)
+    request = harness.merchant.create_request(100_000)
+    plan = [RefundEntry(wallet.xpub, 50_000), RefundEntry(keygen(b"plain")[1], 30_000)]
+    harness.merchant.process_payment(customer.pay(request, plan))
+    harness.ledger.advance_height(1)
+    untouched = copy.deepcopy(harness.merchant.wallet)
+    with pytest.raises(MixerError):
+        getattr(service, enqueue)(request.merchant_data, customer.name)
+    assert queued(service) == []
+    assert service.truth.customers == []
+    assert harness.merchant.session_state(request.merchant_data) is SessionState.PAID
+    assert harness.merchant.wallet.allocate() == untouched.allocate()
