@@ -23,10 +23,11 @@ from .keys import (
     derive_child_public,
     mask_child,
 )
-from .ledger import LocatorRole, SimLedger
+from .ledger import SimLedger
 from .transactions import (
     DataCarrier,
     NOfNScript,
+    PayToPubkeyHash,
     ScriptHash,
     Transaction,
     key_hash,
@@ -125,7 +126,10 @@ class RecordStore:
         ]
 
     def rewrite(self, records: list[RefundRecord]) -> None:
-        """Replace the records via a synced temporary file renamed over the old one."""
+        """Replace the records via a synced temporary file renamed over the old one.
+
+        The directory is synced after the rename, so a crash cannot undo it.
+        """
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -134,6 +138,11 @@ class RecordStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
+            dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except BaseException:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -301,6 +310,22 @@ def refund_shape(tx: Transaction) -> Optional[RefundShape]:
     return None
 
 
+def refund_locks(tx: Transaction, shape: RefundShape) -> dict[bytes, int]:
+    """Lock -> output position for each locked output, if ``tx`` is a ``shape`` refund.
+
+    A joint refund locks script hashes and a fallback key hashes; any
+    other transaction, a refund of the other shape included, locks nothing.
+    """
+    if refund_shape(tx) is not shape:
+        return {}
+    joint = shape is RefundShape.JOINT
+    return {
+        out.script.script_hash if joint else out.script.pubkey_hash: i
+        for i, out in enumerate(tx.outputs)
+        if isinstance(out.script, ScriptHash if joint else PayToPubkeyHash)
+    }
+
+
 def joint_spenders(ledger: SimLedger, tc1_id: bytes) -> list[bytes]:
     """Confirmed spenders of a joint refund's script-hash outputs.
 
@@ -385,10 +410,10 @@ def recover_database(
     """Rebuild the refund records from the chain and the deterministic wallet.
 
     The wallet re-derives every key it could ever have issued; searching the
-    ledger for each finds the payment transactions (merchant is recipient
-    and extended keys are embedded) and the transactions the merchant
-    funded, confirmed or still in the mempool; `refund_shape` tells joint
-    refunds from fallbacks.  Masked-child reconstruction ties each refund to
+    ledger for each finds the transactions the key signs, confirmed or still
+    in the mempool, which `refund_shape` reads as joint refunds, fallbacks
+    or neither, and the payments: any other transaction that embeds
+    extended keys.  Masked-child reconstruction ties each refund to
     its payment: a fallback through its locked key hash, a joint refund
     through the scripts its redeems reveal, each under every extended key
     the payment embeds.  `fill_redeem` fills each record's redeem slot, so
@@ -410,14 +435,11 @@ def recover_database(
     for i in range(merchant_wallet.size):
         priv, pub = merchant_wallet.key(i)
         wallet_keys[pub] = (priv, i)
-        for loc in ledger.find_by_pubkey(pub):
-            tx = ledger.get_transaction(loc.txid)
-            if loc.role is LocatorRole.INCOMING:
-                xpubs = extract_all_xpubs(tx)
-                if xpubs:
-                    mains.setdefault(loc.txid, xpubs)
-            elif loc.role is not LocatorRole.REDEEM:
-                note_refund(loc.txid, tx, priv, i)
+        for tid, tx in ledger.find_by_pubkey(pub):
+            if any(wpub == pub for txin in tx.inputs for _sig, wpub in txin.witness):
+                note_refund(tid, tx, priv, i)
+            elif xpubs := extract_all_xpubs(tx):
+                mains.setdefault(tid, xpubs)
     # refunds still in the mempool are in flight: a fallback waits for its
     # lock, and a refund pair issued just before the loss waits to confirm
     for tid, tx in ledger.mempool.items():

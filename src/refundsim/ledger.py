@@ -9,12 +9,15 @@ Admission is final: only `broadcast` checks a transaction and computes its
 txid.  It admits a new txid whose inputs are confirmed, unspent and claimed
 by no pending transaction.  Nothing else can then spend those inputs, and no
 witness or value changes, so confirmation re-checks nothing.
+
+Search only finds: `find_by_pubkey` returns the confirmed transactions that
+a key index names.  Telling a payment from a refund, and one refund from
+another, is `dispute`'s reading of the transaction, not the ledger's.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator, Optional
 
 from .curve import SECP256K1, Point
@@ -35,20 +38,6 @@ from .transactions import (
 
 class UnknownOutput(Exception):
     pass
-
-
-class LocatorRole(enum.Enum):
-    INCOMING = "incoming"
-    OUTGOING_P2SH = "outgoing-p2sh"
-    OUTGOING_P2PKH = "outgoing-p2pkh"
-    REDEEM = "redeem"
-
-
-@dataclass(frozen=True)
-class TxLocator:
-    txid: bytes
-    height: int
-    role: LocatorRole
 
 
 _ENCODED_KEY_BYTES = 1 + SECP256K1.coord_bytes
@@ -187,67 +176,23 @@ class SimLedger:
 
     # -- search -------------------------------------------------------------
 
-    def find_by_pubkey(self, pub: Point) -> list[TxLocator]:
-        """Locate confirmed transactions involving a public key.
+    def find_by_pubkey(self, pub: Point) -> list[tuple[bytes, Transaction]]:
+        """(txid, tx) of every confirmed transaction involving a key, in chain order.
 
-        Matches on-chain-visible appearances only: P2PKH outputs paying the
-        key's hash, witness keys, keys inside revealed multisig scripts, and
-        data-carrier payloads embedding the compressed key.  Roles follow the
-        wallet-owner's perspective: signing an input makes the key a sender
-        (a redeem when the spent output was a script hash or time-locked);
-        otherwise appearing as an output or payload makes it a recipient.
-        Only the confirmed transactions indexed under the key, its hash or
-        its encoding are classified, in chain order.
+        Matches on-chain-visible appearances only: the key signs an input or
+        sits in a revealed script, a P2PKH output pays its hash, or a
+        data-carrier payload embeds its compressed encoding.  Only the
+        transactions indexed under the key, its hash or its encoding are
+        read; what a transaction is to the key's owner is the caller's
+        question.
         """
         self.queries += 1
-        needle_hash = key_hash(pub)
-        needle_enc = SECP256K1.encode_point(pub)
         hits = sorted({
             *self._by_key.get(pub, ()),
-            *self._by_key.get(needle_hash, ()),
-            *self._by_key.get(needle_enc, ()),
+            *self._by_key.get(key_hash(pub), ()),
+            *self._by_key.get(SECP256K1.encode_point(pub), ()),
         })
-        found = []
-        for _position, tid in hits:
-            tx, height = self._tx_index[tid]
-            role = self._classify(tx, pub, needle_hash, needle_enc)
-            if role is not None:
-                found.append(TxLocator(tid, height, role))
-        return found
-
-    def _classify(
-        self, tx: Transaction, pub: Point, needle_hash: bytes, needle_enc: bytes
-    ) -> Optional[LocatorRole]:
-        signs = False
-        spends_refund_shaped = False
-        in_revealed_script = False
-        for txin in tx.inputs:
-            source = self.get_transaction(txin.prev_txid)
-            if any(wpub == pub for _sig, wpub in txin.witness):
-                signs = True
-                if source is not None:
-                    src_script = source.outputs[txin.prev_index].script
-                    if isinstance(src_script, ScriptHash) or source.lock_height > 0:
-                        spends_refund_shaped = True
-            if txin.reveal_script and pub in txin.reveal_script.keys:
-                in_revealed_script = True
-        if signs or in_revealed_script:
-            if spends_refund_shaped or in_revealed_script:
-                return LocatorRole.REDEEM
-            if any(isinstance(o.script, ScriptHash) for o in tx.outputs):
-                return LocatorRole.OUTGOING_P2SH
-            return LocatorRole.OUTGOING_P2PKH
-        receives = any(
-            isinstance(o.script, PayToPubkeyHash) and o.script.pubkey_hash == needle_hash
-            for o in tx.outputs
-        )
-        embedded = any(
-            isinstance(o.script, DataCarrier) and needle_enc in o.script.payload
-            for o in tx.outputs
-        )
-        if receives or embedded:
-            return LocatorRole.INCOMING
-        return None
+        return [(tid, self._tx_index[tid][0]) for _position, tid in hits]
 
     # -- rendering ------------------------------------------------------------
 

@@ -340,13 +340,12 @@ def sweep_chunks(
         masked_priv = refundee_wallet.masked_private(unmasker, index)
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)
-        for loc in ledger.find_by_pubkey(masked_point):
-            tx = ledger.get_transaction(loc.txid)
+        for tid, tx in ledger.find_by_pubkey(masked_point):
             for vout, out in enumerate(tx.outputs):
                 if (
                     isinstance(out.script, PayToPubkeyHash)
                     and out.script.pubkey_hash == wanted
-                    and ledger.unspent_output(loc.txid, vout) is not None
+                    and ledger.unspent_output(tid, vout) is not None
                 ):
                     redeem = build_redeem(
                         tx, vout, [(masked_priv, masked_point)], dest

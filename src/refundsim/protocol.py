@@ -206,6 +206,8 @@ class RefundEntry:
     def decode(cls, data: bytes) -> "RefundEntry":
         cur = _Cursor(data)
         flags = cur.u8()
+        if flags > 3:
+            raise ValueError(f"unknown refund entry flags {flags:#x}")
         cosigner = cur.point() if flags & 1 else None
         if flags & 2:
             refundee: Union[Point, ExtendedPublicKey] = ExtendedPublicKey(
@@ -339,7 +341,10 @@ class PaymentMsg:
         transactions = tuple(deserialize_tx(cur.lv()) for _ in range(cur.u16()))
         refund_to = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
         sealed = None
-        if cur.u8():
+        present = cur.u8()
+        if present > 1:
+            raise ValueError(f"sealed-presence byte {present} is not 0 or 1")
+        if present:
             sealed = SealedRefundTo(cur.lv(), cur.point())
         memo = cur.lv().decode("utf-8")
         cur.done()
@@ -577,6 +582,15 @@ class MerchantSession:
         return len(self.customer_xpubs) > 1
 
 
+def _check_cosigner_bindings(
+    entries: Sequence[RefundEntry], signer_keys: Sequence[Point]
+) -> None:
+    """Raise BadTransaction if an entry binds a key that signed no payment input."""
+    for entry in entries:
+        if entry.cosigner_pubkey is not None and entry.cosigner_pubkey not in signer_keys:
+            raise BadTransaction("co-signer binding is not a payment signer")
+
+
 class Merchant:
     """Merchant actor: request issuance, payment intake, hardened refunds."""
 
@@ -675,12 +689,9 @@ class Merchant:
         signer_keys = tuple(
             dict.fromkeys(pub for txin in main.inputs for _sig, pub in txin.witness)
         )
-        if len(xpubs) > 1:
-            for entry in entries:
-                if entry.cosigner_pubkey is None:
-                    raise BadTransaction("multi-signer refund entry lacks a co-signer")
-                if entry.cosigner_pubkey not in signer_keys:
-                    raise BadTransaction("co-signer binding is not a payment signer")
+        if len(xpubs) > 1 and any(e.cosigner_pubkey is None for e in entries):
+            raise BadTransaction("multi-signer refund entry lacks a co-signer")
+        _check_cosigner_bindings(entries, signer_keys)
         result = self.ledger.broadcast(main)
         if not result:
             raise BadTransaction(f"payment rejected: {result.reason} {result.detail}")
@@ -724,6 +735,7 @@ class Merchant:
             raise UnknownSession(update.merchant_data.hex())
         if not self.refundable(update.merchant_data):
             raise WindowExpired("session is not refundable")
+        _check_cosigner_bindings(update.new_entries, session.cosigner_keys)
         if update.channel is UpdateChannel.EMAIL:
             old_values = sorted(e.value for e in session.entries)
             new_values = sorted(e.value for e in update.new_entries)
@@ -931,15 +943,6 @@ class Merchant:
 # -- customer side -----------------------------------------------------------------
 
 
-def _fallback_locks(tx: Transaction) -> dict[bytes, int]:
-    """Key hash -> output position of a time-locked transaction's pay-to-key outputs."""
-    return {
-        out.script.pubkey_hash: i
-        for i, out in enumerate(tx.outputs)
-        if isinstance(out.script, PayToPubkeyHash) and tx.lock_height
-    }
-
-
 @dataclass(frozen=True)
 class LocatedRefund:
     """An output that one of the customer's masked children unlocks."""
@@ -1042,13 +1045,13 @@ class Customer:
     def _locate(
         self,
         txs: Iterable[tuple[bytes, Transaction]],
-        targets: Callable[[Transaction], dict[bytes, int]],
+        shape: dispute.RefundShape,
         lookup: Callable[[Point], bytes],
     ) -> Optional[LocatedRefund]:
         """First unspent output among ``txs`` (txid, tx) that a masked child of self unlocks.
 
-        ``targets`` maps a transaction's candidate locks to their output
-        positions; ``lookup`` is the lock a masked child point would carry.
+        Candidates are the ``shape`` refunds, by `dispute.refund_locks`;
+        ``lookup`` is the lock a masked child point would carry.
         Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried,
         through one unmasker per funder.  A repeat customer's earlier refunds
         are spent and skipped; if every output found is spent, the first is
@@ -1057,7 +1060,7 @@ class Customer:
         unmaskers: dict[Point, ChildUnmasker] = {}
         first_spent = None
         for tid, tx in txs:
-            locks = targets(tx)
+            locks = dispute.refund_locks(tx, shape)
             if not locks:
                 continue
             funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
@@ -1083,17 +1086,13 @@ class Customer:
         """Scan the chain for a joint refund locking self to the refundee."""
         return self._locate(
             self._since_payment(),
-            lambda tx: {
-                out.script.script_hash: i
-                for i, out in enumerate(tx.outputs)
-                if isinstance(out.script, ScriptHash)
-            },
+            dispute.RefundShape.JOINT,
             lambda point: NOfNScript((point, refundee_pub)).script_hash(),
         )
 
     def find_fallback(self) -> Optional[LocatedRefund]:
         """Scan the chain for the time-locked fallback addressed to self."""
-        return self._locate(self._since_payment(), _fallback_locks, key_hash)
+        return self._locate(self._since_payment(), dispute.RefundShape.FALLBACK, key_hash)
 
     # -- redemption ---------------------------------------------------------------
 
@@ -1131,7 +1130,9 @@ class Customer:
         located = self.find_fallback()
         if located is None:
             # a fallback waits in the mempool until its lock height passes
-            if self._locate(self.ledger.mempool.items(), _fallback_locks, key_hash):
+            if self._locate(
+                self.ledger.mempool.items(), dispute.RefundShape.FALLBACK, key_hash
+            ):
                 raise Locked("fallback refund still time-locked")
             raise RefundNotFound("no fallback refund addressed to this wallet")
         return self._claim("fallback", located, [], self.fallback_pub)

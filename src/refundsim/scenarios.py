@@ -371,9 +371,8 @@ class Env:
     def issue_refund(self, merchant_data: bytes, fallback_label: str) -> RefundIssue:
         """Issue the refund pair, label its escrows and fallbacks, and confirm it."""
         issue = self.merchant.issue_refund(merchant_data)
-        for out in issue.tc1.outputs:
-            if isinstance(out.script, ScriptHash):
-                self.book.register_script_hash(out.script.script_hash, "escrow")
+        for lock in dispute.refund_locks(issue.tc1, dispute.RefundShape.JOINT):
+            self.book.register_script_hash(lock, "escrow")
         for tc2 in issue.tc2s:
             self.book.register_key_hash(tc2.outputs[0].script.pubkey_hash, fallback_label)
         self.ledger.advance_height(1)

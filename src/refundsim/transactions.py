@@ -288,7 +288,10 @@ def deserialize_tx(data: bytes) -> Transaction:
             for _ in range(r.u32())
         )
         reveal = None
-        if r.u8():
+        has_script = r.u8()
+        if has_script > 1:
+            raise ValueError(f"has-script byte {has_script} is not 0 or 1")
+        if has_script:
             count = r.u8()
             reveal = NOfNScript.decode(
                 bytes([count]) + r.take(count * POINT_SIZE)

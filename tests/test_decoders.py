@@ -1,4 +1,7 @@
-"""Every wire decoder raises only ValueError on malformed bytes."""
+"""Every wire decoder raises only ValueError on malformed bytes and accepts
+only canonical ones: whatever it decodes encodes back to the same bytes."""
+
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,27 +51,46 @@ PAYMENT = PaymentMsg(
 )
 RECORD = RefundRecord(txid(MAIN), txid(TC1), b"\x04" * 32, txid(REDEEM))
 
-# (decoder, one valid encoding it accepts)
+# (decoder, its encoder, one valid encoding it accepts)
 DECODERS = {
-    "deserialize_tx": (deserialize_tx, serialize_tx(REDEEM)),
-    "deserialize_tx_main": (deserialize_tx, serialize_tx(MAIN)),
-    "NOfNScript": (NOfNScript.decode, two_of_two(C_PUB, R_PUB).encode()),
-    "PaymentRequest": (PaymentRequest.decode, REQUEST.encode()),
-    "PaymentMsg": (PaymentMsg.decode, PAYMENT.encode()),
-    "PaymentAck": (PaymentAck.decode, PaymentAck(PAYMENT, "ack", b"\x0a" * 64).encode()),
-    "RefundEntry": (RefundEntry.decode, ENTRIES[1].encode()),
+    "deserialize_tx": (deserialize_tx, serialize_tx, serialize_tx(REDEEM)),
+    "deserialize_tx_main": (deserialize_tx, serialize_tx, serialize_tx(MAIN)),
+    "NOfNScript": (NOfNScript.decode, NOfNScript.encode, two_of_two(C_PUB, R_PUB).encode()),
+    "PaymentRequest": (PaymentRequest.decode, PaymentRequest.encode, REQUEST.encode()),
+    "PaymentMsg": (PaymentMsg.decode, PaymentMsg.encode, PAYMENT.encode()),
+    "PaymentAck": (
+        PaymentAck.decode, PaymentAck.encode, PaymentAck(PAYMENT, "ack", b"\x0a" * 64).encode()
+    ),
+    "RefundEntry": (RefundEntry.decode, RefundEntry.encode, ENTRIES[1].encode()),
     "RefundAddressUpdate": (
         RefundAddressUpdate.decode,
+        RefundAddressUpdate.encode,
         RefundAddressUpdate(b"\x07" * 16, ENTRIES, UpdateChannel.EMAIL).encode(),
     ),
-    "ExtendedPublicKey": (ExtendedPublicKey.decode, XPUB.encode()),
-    "RefundRecord": (RefundRecord.deserialize, RECORD.serialize()),
+    "ExtendedPublicKey": (ExtendedPublicKey.decode, ExtendedPublicKey.encode, XPUB.encode()),
+    "RefundRecord": (RefundRecord.deserialize, RefundRecord.serialize, RECORD.serialize()),
 }
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+# positions of one-byte presence markers, which read 0 or 1 and nothing else
+HAS_SCRIPT_AT = first_difference(
+    serialize_tx(REDEEM),
+    serialize_tx(dataclasses.replace(
+        REDEEM, inputs=(dataclasses.replace(REDEEM.inputs[0], reveal_script=None),)
+    )),
+)
+SEALED_AT = first_difference(
+    PAYMENT.encode(), dataclasses.replace(PAYMENT, sealed_refund_to=None).encode()
+)
 
 
 @pytest.mark.parametrize("name", sorted(DECODERS))
 def test_valid_encodings_decode(name):
-    decode, data = DECODERS[name]
+    decode, _encode, data = DECODERS[name]
     decode(data)
 
 
@@ -105,8 +127,24 @@ MUTATIONS = st.lists(
 @given(ops=MUTATIONS)
 @example(ops=[("truncate", 0, 0)])  # empty input
 def test_mutated_encodings_raise_only_value_error(name, ops):
-    decode, data = DECODERS[name]
+    decode, _encode, data = DECODERS[name]
     try:
         decode(mutate(data, ops))
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=100, deadline=None)
+@given(ops=MUTATIONS)
+@example(ops=[("set", 0, 0x83)])  # RefundEntry flag bits beyond 1 and 2
+@example(ops=[("set", HAS_SCRIPT_AT, 2)])  # a transaction input's has-script byte
+@example(ops=[("set", SEALED_AT, 2)])  # a payment's sealed-presence byte
+def test_decoded_mutations_reencode_to_the_same_bytes(name, ops):
+    decode, encode, data = DECODERS[name]
+    mutated = mutate(data, ops)
+    try:
+        value = decode(mutated)
+    except ValueError:
+        return
+    assert encode(value) == mutated

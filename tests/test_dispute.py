@@ -1,6 +1,8 @@
 """Records, storage model, linkage proofs, database recovery."""
 
 import dataclasses
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,22 @@ def test_store_rewrite_failure_keeps_old_file(tmp_path):
         store.rewrite([make_record(3), Unserializable()])
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.db"]
+
+
+def test_store_rewrite_syncs_file_then_directory(tmp_path, monkeypatch):
+    """The renamed file's directory entry is synced too, after the file."""
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = tmp_path / "records.db"
+    RecordStore(str(path)).rewrite([make_record(1)])
+    assert synced == [(False, path.stat().st_ino), (True, tmp_path.stat().st_ino)]
 
 
 def test_store_drops_torn_tail(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from refundsim.curve import SECP256K1
 from refundsim.keys import ExtendedPublicKey, keygen, mask_child, unmask_child_private
-from refundsim.ledger import LocatorRole, SimLedger, TxLocator, UnknownOutput
+from refundsim.ledger import SimLedger, UnknownOutput
 from refundsim.transactions import (
     DataCarrier,
     FundingOutpoint,
@@ -110,8 +110,13 @@ def test_is_spent_unknown_output():
     assert ledger.is_spent(sid, 0) == (False, None)
 
 
+def txids(found):
+    return [tid for tid, _tx in found]
+
+
 def test_find_by_pubkey_roles_full_flow():
-    """Payment key sees Incoming; funding keys see their refund shapes."""
+    """Each key finds the transactions it takes part in: the payment key its
+    payment, funding keys their refunds, the masked key its redeem."""
     ledger, sid = seeded_ledger()
     fresh_priv, fresh_pub = keygen(b"unused-key")
     assert ledger.find_by_pubkey(fresh_pub) == []
@@ -121,8 +126,7 @@ def test_find_by_pubkey_roles_full_flow():
     )
     assert ledger.broadcast(main)
     ledger.advance_height(1)
-    roles = {loc.role for loc in ledger.find_by_pubkey(PAY_PUB)}
-    assert roles == {LocatorRole.INCOMING}
+    assert ledger.find_by_pubkey(PAY_PUB) == [(txid(main), main)]
 
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
@@ -136,10 +140,8 @@ def test_find_by_pubkey_roles_full_flow():
     assert ledger.broadcast(tc1) and ledger.broadcast(tc2)
     ledger.advance_height(2)
 
-    m1_roles = {loc.role for loc in ledger.find_by_pubkey(M_PUB)}
-    assert LocatorRole.OUTGOING_P2SH in m1_roles
-    m2_roles = {loc.role for loc in ledger.find_by_pubkey(M2_PUB)}
-    assert LocatorRole.OUTGOING_P2PKH in m2_roles
+    assert txid(tc1) in txids(ledger.find_by_pubkey(M_PUB))
+    assert txid(tc2) in txids(ledger.find_by_pubkey(M2_PUB))
 
     script = two_of_two(masked_key, R_PUB)
     masked_priv = unmask_child_private(C_PRIV, M_PUB)
@@ -149,28 +151,36 @@ def test_find_by_pubkey_roles_full_flow():
     )
     assert ledger.broadcast(redeem)
     ledger.advance_height(1)
-    masked_roles = {loc.role for loc in ledger.find_by_pubkey(masked_key)}
-    assert LocatorRole.REDEEM in masked_roles
+    # the fallback pays the masked key's hash; the redeem reveals the key
+    assert txids(ledger.find_by_pubkey(masked_key)) == [txid(tc2), txid(redeem)]
     # the embedded extended key is searchable through the data carrier
-    xpub_locs = ledger.find_by_pubkey(C_PUB)
-    assert any(loc.txid == txid(main) for loc in xpub_locs)
+    assert txid(main) in txids(ledger.find_by_pubkey(C_PUB))
     # spender id recorded
     assert ledger.is_spent(txid(tc1), 0) == (True, txid(redeem))
 
 
 def scan_by_pubkey(ledger, pub):
-    """find_by_pubkey as a classification of every confirmed transaction."""
+    """find_by_pubkey by definition: every confirmed transaction in which the
+    key signs an input, is in a revealed script, is paid by hash, or is
+    embedded in a data-carrier payload."""
     needle_hash, needle_enc = key_hash(pub), SECP256K1.encode_point(pub)
-    found = []
-    for height, tid, tx in ledger.all_confirmed():
-        role = ledger._classify(tx, pub, needle_hash, needle_enc)
-        if role is not None:
-            found.append(TxLocator(tid, height, role))
-    return found
+
+    def involves(tx):
+        return any(
+            any(wpub == pub for _sig, wpub in txin.witness)
+            or (txin.reveal_script is not None and pub in txin.reveal_script.keys)
+            for txin in tx.inputs
+        ) or any(
+            (isinstance(o.script, PayToPubkeyHash) and o.script.pubkey_hash == needle_hash)
+            or (isinstance(o.script, DataCarrier) and needle_enc in o.script.payload)
+            for o in tx.outputs
+        )
+
+    return [(tid, tx) for _height, tid, tx in ledger.all_confirmed() if involves(tx)]
 
 
 def test_find_by_pubkey_matches_full_scan():
-    """The key index finds what classifying every confirmed transaction finds."""
+    """The key index finds what scanning every confirmed transaction finds."""
     ledger = SimLedger()
     seed = build_seed_tx([
         (C_PUB, 50_000), (M_PUB, 100_000), (M2_PUB, 100_000),
@@ -219,17 +229,13 @@ def test_find_by_pubkey_matches_full_scan():
     keys = [C_PUB, M_PUB, M2_PUB, R_PUB, PAY_PUB, masked_key, offset_pub, late_pub, fresh_pub]
     for pub in keys:
         assert ledger.find_by_pubkey(pub) == scan_by_pubkey(ledger, pub), pub
-    assert ledger.find_by_pubkey(offset_pub) == [
-        TxLocator(txid(offset_tx), 2, LocatorRole.INCOMING)
-    ]
+    assert ledger.find_by_pubkey(offset_pub) == [(txid(offset_tx), offset_tx)]
     assert ledger.find_by_pubkey(late_pub) == []
 
     ledger.advance_height(10 - ledger.height)
     for pub in keys:
         assert ledger.find_by_pubkey(pub) == scan_by_pubkey(ledger, pub), pub
-    assert ledger.find_by_pubkey(late_pub) == [
-        TxLocator(txid(late), 10, LocatorRole.INCOMING)
-    ]
+    assert ledger.find_by_pubkey(late_pub) == [(txid(late), late)]
     assert len(ledger.find_by_pubkey(R_PUB)) > 2
 
 

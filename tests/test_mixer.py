@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refundsim import dispute
+from refundsim import dispute, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import derive_child_public, keygen, mask_child, unmask_child_private
 from refundsim.ledger import SimLedger
@@ -513,6 +513,27 @@ def test_aggregate_joint_redeem_and_proofs():
         for proof in service.chunk_proofs(md):
             check = dispute.verify_linkage_proof(proof, harness.ledger)
             assert check.ok, check.reason
+
+
+def test_fallback_scan_skips_time_locked_joint_emissions(monkeypatch):
+    """Aggregate joint emissions are time-locked but pay script hashes, so
+    they are joint refunds: the fallback scan builds no unmasker for their
+    funders, although they confirm between the payment and the fallback."""
+    harness, service, customers, _r, _mds = aggregate_env(n_customers=1, tag=b"agg-fb")
+    joint_txs, fallback_txs = service.emit()
+    assert max(tx.lock_height for tx in joint_txs) < min(tx.lock_height for tx in fallback_txs)
+    harness.ledger.advance_height(
+        max(tx.lock_height for tx in fallback_txs) - harness.ledger.height + 1
+    )
+    built = []
+    real_unmasker = protocol.ChildUnmasker
+    monkeypatch.setattr(
+        protocol, "ChildUnmasker", lambda pub: built.append(pub) or real_unmasker(pub)
+    )
+    found = customers[0].find_fallback()
+    assert found is not None and found.tx in fallback_txs
+    joint_funders = {pub for tx in joint_txs for txin in tx.inputs for _sig, pub in txin.witness}
+    assert built and joint_funders.isdisjoint(built)
 
 
 def test_aggregate_analyzer_still_ambiguous():

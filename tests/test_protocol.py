@@ -498,6 +498,38 @@ def test_multi_signer_requires_bindings(harness):
         harness.merchant.process_payment(msg)
 
 
+def test_single_signer_binding_to_a_stranger_rejected(harness):
+    """A co-signer binding must name a payment signer even with one signer,
+    so no refund is issued for it (issuing one used to fail at the binding
+    after reserving a funded key)."""
+    alice = harness.customer("alice")
+    harness.fund([(alice, 50_000)])
+    request = harness.merchant.create_request(50_000)
+    plan = [RefundEntry(R_PUB, 25_000, cosigner_pubkey=keygen(b"stranger")[1])]
+    msg = alice.pay(request, plan)
+    with pytest.raises(BadTransaction, match="co-signer binding"):
+        harness.merchant.process_payment(msg)
+    assert not harness.ledger.mempool
+    with pytest.raises(WindowExpired):
+        harness.merchant.issue_refund(request.merchant_data)
+
+
+def test_address_update_binding_to_a_stranger_rejected(paid_session):
+    """An address update may not bind a co-signer who did not sign the
+    payment either; the entries on file stay, and their refund issues."""
+    harness, _alice, _refundee, request, _msg = paid_session
+    stranger_pub = keygen(b"stranger")[1]
+    update = RefundAddressUpdate(
+        request.merchant_data,
+        (RefundEntry(R_PUB, 30_000, cosigner_pubkey=stranger_pub),),
+        UpdateChannel.EMAIL,
+    )
+    with pytest.raises(BadTransaction, match="co-signer binding"):
+        harness.merchant.update_refund_addresses(update)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert issue.tc2.outputs[0].value == 30_000
+
+
 def test_multi_signer_per_cosigner_fallbacks(harness):
     _dave, _eve, request, _plan = multi_signer_session(harness)
     issue = harness.merchant.issue_refund(request.merchant_data)

@@ -161,7 +161,7 @@ def test_search_completeness_against_scenario_keys(tmp_path):
     customer_pub = session.customer_xpubs[0].pubkey
     expected.append((customer_pub, session.main_txid))
     for pub, wanted_txid in expected:
-        found = {loc.txid for loc in ledger.find_by_pubkey(pub)}
+        found = {tid for tid, _tx in ledger.find_by_pubkey(pub)}
         assert wanted_txid in found
 
 
