@@ -20,6 +20,7 @@ from .keys import (
     ChildMasker,
     DegenerateChild,
     ExtendedPublicKey,
+    KeyDerivationError,
     derive_child_public,
     mask_child,
 )
@@ -387,15 +388,30 @@ def _match_masked_key(
 ) -> bool:
     """Whether a child index 0..max has a masked point that passes the predicate.
 
-    A degenerate index is skipped.  The accepted index is re-derived by
-    `derive_child_public` and `mask_child`, the definition a linkage proof
-    replays; a disagreement with the masker raises `MaskCheckFailed`.
+    Indexes 0 and 1 are masked one at a time, since the hits land there: a
+    joint refund's at child 0 and a one-entry fallback's at child 1.  The
+    rest of the sweep is one `ChildMasker.mask_many` batch, read in index
+    order, so the first match and the first error are those of masking
+    index by index.  A degenerate index is skipped.  The accepted index is
+    re-derived by `derive_child_public` and `mask_child`, the definition a
+    linkage proof replays; a disagreement with the masker raises
+    `MaskCheckFailed`.
     """
-    for index in range(max_child_index + 1):
-        try:
-            masked = masker.mask(xpub, index)
-        except DegenerateChild:
+
+    def masked_children():
+        for index in range(min(2, max_child_index + 1)):
+            try:
+                yield index, masker.mask(xpub, index)
+            except DegenerateChild as exc:
+                yield index, exc
+        sweep = range(2, max_child_index + 1)
+        yield from zip(sweep, masker.mask_many(xpub, sweep))
+
+    for index, masked in masked_children():
+        if isinstance(masked, DegenerateChild):
             continue
+        if isinstance(masked, KeyDerivationError):
+            raise masked
         if target_check(masked):
             child = derive_child_public(xpub, index)
             if mask_child(child, masker.masking_priv) != masked:
@@ -409,35 +425,36 @@ def recover_database(
 ) -> RecoveryResult:
     """Rebuild the refund records from the chain and the deterministic wallet.
 
-    The wallet re-derives every key it could ever have issued; searching the
-    ledger for each finds the transactions the key signs, confirmed or still
-    in the mempool, which `refund_shape` reads as joint refunds, fallbacks
-    or neither, and the payments: any other transaction that embeds
-    extended keys.  Masked-child reconstruction ties each refund to
-    its payment: a fallback through its locked key hash, a joint refund
-    through the scripts its redeems reveal, each under every extended key
-    the payment embeds.  `fill_redeem` fills each record's redeem slot, so
-    refunds nobody has redeemed yet yield records with a zeroed slot.
-    Masking costs one ``mul`` per (masking key, extended key) pair tried,
-    plus one definitional check per hit (`_match_masked_key`).
+    The wallet re-derives every public key it could ever have issued, in
+    one batch (`MerchantWallet.public_keys`); searching the ledger for each
+    finds the transactions the key signs, confirmed or still in the
+    mempool, which `refund_shape` reads as joint refunds, fallbacks or
+    neither, and the payments: any other transaction that embeds extended
+    keys.  Only a key that signs a refund has its private key derived, by
+    `MerchantWallet.key`, which checks it against the batch.  Masked-child
+    reconstruction ties each refund to its payment: a fallback through its
+    locked key hash, a joint refund through the scripts its redeems reveal,
+    each under every extended key the payment embeds.  `fill_redeem` fills
+    each record's redeem slot, so refunds nobody has redeemed yet yield
+    records with a zeroed slot.  Masking costs one ``mul`` per (masking
+    key, extended key) pair tried, plus one definitional check per hit
+    (`_match_masked_key`).
     """
     telemetry = RecoveryTelemetry()
     queries_before = ledger.queries
     mains: dict[bytes, list[ExtendedPublicKey]] = {}
     refunds: dict[bytes, tuple] = {}  # txid -> (tx, shape, funding priv, key idx)
-    wallet_keys: dict[Point, tuple[int, int]] = {}  # pub -> (priv, key idx)
+    wallet_keys = {pub: i for i, pub in enumerate(merchant_wallet.public_keys())}
 
-    def note_refund(tid: bytes, tx: Transaction, priv: int, idx: int) -> None:
+    def note_refund(tid: bytes, tx: Transaction, idx: int) -> None:
         shape = refund_shape(tx)
         if shape is not None and tid not in refunds:
-            refunds[tid] = (tx, shape, priv, idx)
+            refunds[tid] = (tx, shape, merchant_wallet.key(idx)[0], idx)
 
-    for i in range(merchant_wallet.size):
-        priv, pub = merchant_wallet.key(i)
-        wallet_keys[pub] = (priv, i)
+    for pub, i in wallet_keys.items():
         for tid, tx in ledger.find_by_pubkey(pub):
             if any(wpub == pub for txin in tx.inputs for _sig, wpub in txin.witness):
-                note_refund(tid, tx, priv, i)
+                note_refund(tid, tx, i)
             elif xpubs := extract_all_xpubs(tx):
                 mains.setdefault(tid, xpubs)
     # refunds still in the mempool are in flight: a fallback waits for its
@@ -449,7 +466,7 @@ def recover_database(
             None,
         )
         if signer is not None:
-            note_refund(tid, tx, *signer)
+            note_refund(tid, tx, signer)
 
     # a fallback locks a masked child's key hash; a joint refund is tied
     # through its redeems' revealed scripts, so an unredeemed one matches none

@@ -15,8 +15,10 @@ with ``t`` the HMAC tweak of the parent ``P`` and the index, so
 
 `ChildMasker` masks several indexes of one extended key under one masking key
 this way: one ``mul`` for ``m*P`` per (masking key, extended key) pair, then
-two ``g_mul`` per index.  Database recovery, the mixer's chunk keys and the
-aggregate emission's per-transaction masks use it.  A lone mask
+two ``g_mul`` per index, or for a long sweep of indexes two batched walks
+(``mask_many``, over `CurveGroup.g_mul_many`).  Database recovery, the
+mixer's chunk keys and the aggregate emission's per-transaction masks use
+it.  A lone mask
 (`issue_refund`, linkage proofs) uses `mask_child`, the definition, which
 costs one ``mul`` per child; tests hold the two paths equal.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Sequence
 
 from .curve import SECP256K1, CurveGroup, Point
 
@@ -111,8 +114,8 @@ def point_hash_scalar(point: Point, curve: CurveGroup = SECP256K1) -> int:
     return int.from_bytes(left, "big") % curve.n
 
 
-def keygen(rng_seed: bytes, curve: CurveGroup = SECP256K1) -> tuple[int, Point]:
-    """Deterministically derive a keypair from a seed.
+def seed_scalar(rng_seed: bytes, curve: CurveGroup = SECP256K1) -> int:
+    """The private key `keygen` derives from a seed.
 
     The seed is hashed and reduced mod n; a zero reduction re-hashes, so any
     non-empty seed yields a valid key.
@@ -124,6 +127,12 @@ def keygen(rng_seed: bytes, curve: CurveGroup = SECP256K1) -> tuple[int, Point]:
     while k == 0:
         digest = hashlib.sha256(digest).digest()
         k = int.from_bytes(digest, "big") % curve.n
+    return k
+
+
+def keygen(rng_seed: bytes, curve: CurveGroup = SECP256K1) -> tuple[int, Point]:
+    """Deterministically derive a keypair from a seed (`seed_scalar`)."""
+    k = seed_scalar(rng_seed, curve)
     return k, curve.g_mul(k)
 
 
@@ -222,7 +231,9 @@ class ChildMasker:
     they would: `IndexOutOfRange` and `DegenerateChild` for the child,
     `IdentityPoint` for the shared or the masked point.  ``m*P`` is computed
     once per parent, at its first non-degenerate index; each index then
-    costs two ``g_mul`` and no ``mul``.
+    costs two ``g_mul`` and no ``mul``.  ``mask_many(parent, indexes)``
+    masks a whole sweep with two `CurveGroup.g_mul_many` walks in place of
+    the per-index ``g_mul`` and ``add``.
     """
 
     def __init__(self, masking_priv: int, curve: CurveGroup = SECP256K1):
@@ -230,27 +241,70 @@ class ChildMasker:
         self.curve = curve
         self._scaled: dict[ExtendedPublicKey, Point] = {}  # parent -> m*P
 
-    def mask(self, parent: ExtendedPublicKey, index: int) -> Point:
+    def _checked_tweak(self, parent: ExtendedPublicKey, index: int) -> int:
+        """The index's tweak, raising where ``mask`` does before any point sum."""
         curve = self.curve
-        m = self.masking_priv % curve.n
         if not 0 <= index < NON_HARDENED_LIMIT:
             raise IndexOutOfRange(f"index {index} not in [0, 2^31)")
         t = _tweak(parent, index, curve)
         if t == 0:
             raise DegenerateChild(f"tweak is zero at index {index}")
-        if m == 0:  # m*child is the identity whatever the child
+        if self.masking_priv % curve.n == 0:  # m*child is the identity whatever the child
             derive_child_public(parent, index, curve)
             raise IdentityPoint("shared point is the identity")
+        return t
+
+    def _scaled_parent(self, parent: ExtendedPublicKey) -> Point:
         if parent not in self._scaled:
-            self._scaled[parent] = curve.mul(m, parent.pubkey)
+            self._scaled[parent] = self.curve.mul(self.masking_priv, parent.pubkey)
+        return self._scaled[parent]
+
+    def mask(self, parent: ExtendedPublicKey, index: int) -> Point:
+        curve = self.curve
+        t = self._checked_tweak(parent, index)
         # for m != 0 mod the prime order, m*child is the identity iff child is
-        shared = curve.add(self._scaled[parent], curve.g_mul(t * m))
+        shared = curve.add(self._scaled_parent(parent), curve.g_mul(t * self.masking_priv))
         if shared is None:
             raise DegenerateChild(f"child at index {index} is the identity")
         masked = curve.add(parent.pubkey, curve.g_mul(t + point_hash_scalar(shared, curve)))
         if masked is None:
             raise IdentityPoint("masked key is the identity")
         return masked
+
+    def mask_many(self, parent: ExtendedPublicKey, indexes: Sequence[int]) -> list:
+        """``mask(parent, i)`` for each of `indexes`, as the point it returns
+        or the `KeyDerivationError` it raises.
+
+        The shared points ``m*P + (t*m)*G`` come from one ``g_mul_many``
+        walk started at ``m*P``, and the masked points ``P + (t + H*)*G``
+        from one started at ``P``.
+        """
+        curve = self.curve
+        results: list = [None] * len(indexes)
+        tweaks: dict[int, int] = {}  # position -> tweak
+        for pos, index in enumerate(indexes):
+            try:
+                tweaks[pos] = self._checked_tweak(parent, index)
+            except KeyDerivationError as exc:
+                results[pos] = exc
+        if not tweaks:
+            return results
+        shared = curve.g_mul_many(
+            [t * self.masking_priv for t in tweaks.values()],
+            [self._scaled_parent(parent)] * len(tweaks),
+        )
+        offsets: dict[int, int] = {}  # position -> t + H*(shared)
+        for (pos, t), point in zip(tweaks.items(), shared):
+            if point is None:
+                results[pos] = DegenerateChild(f"child at index {indexes[pos]} is the identity")
+            else:
+                offsets[pos] = t + point_hash_scalar(point, curve)
+        masked = curve.g_mul_many(list(offsets.values()), [parent.pubkey] * len(offsets))
+        for pos, point in zip(offsets, masked):
+            results[pos] = point if point is not None else IdentityPoint(
+                "masked key is the identity"
+            )
+        return results
 
 
 class ChildUnmasker:

@@ -181,6 +181,32 @@ def _partition(interleaved: Sequence, outputs_per_tx: int) -> list[list]:
     return groups
 
 
+def check_mixable(origins: int, chunks_per_origin: int, outputs_per_tx: int) -> None:
+    """Raise ValueError unless `_mixed_groups` emits a mixed emission.
+
+    A mixed emission spans at least two transactions, and no transaction
+    carries the chunks of a single origin.  With `origins` customers of
+    `chunks_per_origin` chunks each, `_interleave_by_origin` cycles through
+    the origins in a fixed order, so adjacent entries always differ, and
+    `_partition` cuts the cycle into groups of `outputs_per_tx`, the last
+    one shorter.  Every group therefore mixes exactly when every group
+    holds two chunks or more: `outputs_per_tx` >= 2 and no lone chunk
+    left over for the last group.  A single origin has nothing to mix with.
+    """
+    if origins < 2:
+        return
+    chunks = origins * chunks_per_origin
+    if chunks <= outputs_per_tx:
+        raise ValueError(
+            f"all {chunks} chunks fit in one transaction of {outputs_per_tx} outputs"
+        )
+    if outputs_per_tx < 2 or chunks % outputs_per_tx == 1:
+        raise ValueError(
+            f"{chunks} chunks at {outputs_per_tx} per transaction leave one "
+            "transaction a lone chunk of a single origin"
+        )
+
+
 def _mixed_groups(
     entries: Sequence,
     rng: random.Random,

@@ -35,11 +35,13 @@ from .curve import SECP256K1, Point
 from .keys import (
     ChildUnmasker,
     ExtendedPublicKey,
+    KeyMismatch,
     derive_child_private,
     dh_shared,
     keygen,
     mask_child,
     next_usable_index,
+    seed_scalar,
 )
 from .ledger import SimLedger
 from .transactions import (
@@ -437,21 +439,40 @@ class IdentityRegistry:
 
 
 class MerchantWallet:
-    """Deterministic key chain: key i is a pure function of the master seed."""
+    """Deterministic key chain: key i is a pure function of the master seed.
+
+    ``key(i)`` derives one key pair by `keygen`, the definition.
+    ``public_keys()`` derives every public key at once, hashing each seed
+    by keygen's own rule (`seed_scalar`) and multiplying in one
+    `CurveGroup.g_mul_many` batch; once it has, ``key(i)`` raises
+    `KeyMismatch` for a key whose point differs from the batch's.
+    """
 
     def __init__(self, master_seed: bytes, size: int = 256):
         self.master_seed = master_seed
         self.size = size
         self._cache: dict[int, tuple[int, Point]] = {}
+        self._public: Optional[tuple[Point, ...]] = None
         self._utxos: dict[int, list[FundingOutpoint]] = {}
         self._allocated: set[int] = set()
 
+    def _seed(self, index: int) -> bytes:
+        return self.master_seed + b"/" + index.to_bytes(4, "big")
+
     def key(self, index: int) -> tuple[int, Point]:
         if index not in self._cache:
-            self._cache[index] = keygen(
-                self.master_seed + b"/" + index.to_bytes(4, "big")
-            )
+            priv, pub = keygen(self._seed(index))
+            if self._public is not None and self._public[index] != pub:
+                raise KeyMismatch(f"wallet key {index} differs from the batch-derived key")
+            self._cache[index] = (priv, pub)
         return self._cache[index]
+
+    def public_keys(self) -> tuple[Point, ...]:
+        """Every key's public point, in index order, derived once per wallet."""
+        if self._public is None:
+            scalars = [seed_scalar(self._seed(i)) for i in range(self.size)]
+            self._public = tuple(SECP256K1.g_mul_many(scalars, [None] * self.size))
+        return self._public
 
     def credit(self, index: int, outpoint: FundingOutpoint) -> None:
         self._utxos.setdefault(index, []).append(outpoint)

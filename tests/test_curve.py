@@ -91,12 +91,66 @@ def test_edge_scalars(k):
     assert SECP256K1.mul(k, ref.G) == ref.ref_mul(k, ref.G)
 
 
+def _first_comb_entry(k):
+    """The point the walk adds at the generator comb's first row for ``k``."""
+    digit = k % N & 63
+    return SECP256K1.g_mul(digit if digit <= 32 else digit - 64)
+
+
+START_KINDS = ["none", "g", "neg-g", "first", "neg-first", "other"]
+
+
+def _start(kind, k):
+    """A start of the given kind; the first-entry kinds make the walk's first
+    addition a doubling or a sum that is the identity."""
+    first = _first_comb_entry(k)
+    return {
+        "none": None,
+        "g": ref.G,
+        "neg-g": SECP256K1.negate(ref.G),
+        "first": first,
+        "neg-first": SECP256K1.negate(first),
+        "other": ref.ref_mul(0xC0FFEE, ref.G),
+    }[kind]
+
+
+@settings(max_examples=15, deadline=None)
+@given(pairs=st.lists(st.tuples(scalars, st.sampled_from(START_KINDS)), max_size=10))
+def test_g_mul_many_matches_g_mul(pairs):
+    ks = [k for k, _kind in pairs]
+    starts = [_start(kind, k) for k, kind in pairs]
+    want = [SECP256K1.add(start, SECP256K1.g_mul(k)) for k, start in zip(ks, starts)]
+    assert SECP256K1.g_mul_many(ks, starts) == want
+
+
+def test_g_mul_many_edge_scalars():
+    """Every edge scalar in one call, from the identity and from colliding starts."""
+    assert SECP256K1.g_mul_many(EDGE_SCALARS, [None] * len(EDGE_SCALARS)) == [
+        ref.ref_mul(k, ref.G) for k in EDGE_SCALARS
+    ]
+    for kind in ("g", "neg-g", "first", "neg-first"):
+        starts = [_start(kind, k) for k in EDGE_SCALARS]
+        assert SECP256K1.g_mul_many(EDGE_SCALARS, starts) == [
+            ref.ref_add(start, ref.ref_mul(k, ref.G)) for k, start in zip(EDGE_SCALARS, starts)
+        ], kind
+
+
+def test_g_mul_many_empty_and_unpaired():
+    assert SECP256K1.g_mul_many([], []) == []
+    with pytest.raises(ValueError):
+        SECP256K1.g_mul_many([1, 2], [None])
+
+
 def test_scalars_reduced_mod_n():
     pt = ref.ref_mul(7, ref.G)
     assert SECP256K1.g_mul(N) is None
     assert SECP256K1.g_mul(N + 3) == ref.ref_mul(3, ref.G)
     assert SECP256K1.mul(N + 3, pt) == ref.ref_mul(3, pt)
     assert SECP256K1.mul(-1, pt) == SECP256K1.negate(pt)
+    big = 2**300 + 7  # past the comb's rows unless reduced
+    assert SECP256K1.g_mul_many([N, N + 3, big], [None, None, pt]) == [
+        None, ref.ref_mul(3, ref.G), ref.ref_add(pt, ref.ref_mul(big % N, ref.G))
+    ]
 
 
 def test_pinned_scalars_have_negative_glv_halves():
@@ -183,6 +237,20 @@ def test_toy_mul_every_scalar_and_point(toy_curve):
 def test_toy_g_mul_every_scalar(toy_curve):
     for k in range(toy_curve.n + 2):
         assert toy_curve.g_mul(k) == ref.ref_mul(k, ref.TOY_G, ref.TOY_P, ref.TOY_N), k
+
+
+def test_toy_g_mul_many_every_scalar_and_start(toy_curve):
+    """One call over every scalar up to n + 1 from every start: repeated
+    scalars, the identity, G and -G, and every start that collides with a
+    comb entry the walk adds."""
+    all_points = ref.toy_all_points()
+    ks = [k for k in range(toy_curve.n + 2) for _start in all_points]
+    starts = [start for _k in range(toy_curve.n + 2) for start in all_points]
+    assert {None, toy_curve.g, toy_curve.negate(toy_curve.g)} <= set(starts)
+    got = toy_curve.g_mul_many(ks, starts)
+    for k, start, pt in zip(ks, starts, got):
+        want = ref.ref_add(start, ref.ref_mul(k, ref.TOY_G, ref.TOY_P, ref.TOY_N), ref.TOY_P)
+        assert pt == want, (k, start)
 
 
 def test_toy_add_every_pair(toy_curve):

@@ -20,8 +20,9 @@ from refundsim.dispute import (
     recover_database,
     verify_linkage_proof,
 )
-from refundsim.keys import ChildMasker, keygen
-from refundsim.protocol import RefundEntry
+from refundsim import protocol
+from refundsim.keys import ChildMasker, KeyMismatch, keygen
+from refundsim.protocol import MerchantWallet, RefundEntry
 from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import txid
 
@@ -335,6 +336,53 @@ def test_recovery_raises_when_the_batch_mask_is_wrong(harness, monkeypatch):
     )
     with pytest.raises(MaskCheckFailed):
         recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+
+
+def _funding_keys(ledger, records):
+    """The wallet keys that sign the records' joint refunds and fallbacks."""
+    return {
+        pub
+        for record in records
+        for tid in (record.refund_tc1_txid, record.refund_tc2_txid)
+        for txin in ledger.get_transaction(tid).inputs
+        for _sig, pub in txin.witness
+    }
+
+
+def test_cold_recovery_runs_keygen_once_per_refund_key(tmp_path, monkeypatch):
+    """A cold wallet derives its public keys in one batch and runs keygen,
+    the definition, once for each key that funds a refund; a warm wallet
+    rebuilds the same records."""
+    env = run_scenario(Scenario(ScenarioName.RECOVERY, seed=1), str(tmp_path)).env
+    warm = env.merchant.wallet
+    cold = MerchantWallet(warm.master_seed, warm.size)
+    seeds = []
+    real_keygen = protocol.keygen
+    monkeypatch.setattr(protocol, "keygen", lambda seed: seeds.append(seed) or real_keygen(seed))
+    result = recover_database(cold, env.ledger)
+    assert len(result.records) == 3
+    pubs = cold.public_keys()
+    funding = _funding_keys(env.ledger, result.records)
+    assert len(funding) == 6
+    assert sorted(seeds) == sorted(
+        warm.master_seed + b"/" + pubs.index(pub).to_bytes(4, "big") for pub in funding
+    )
+    assert recover_database(warm, env.ledger).records == result.records
+
+
+def test_recovery_checks_refund_keys_against_the_batch(harness):
+    """A batch point that differs from keygen's for a key that signs a refund
+    raises KeyMismatch instead of recovering through the wrong key."""
+    run_sessions(harness, 3, ["joint", "fallback", "joint"])
+    wallet = MerchantWallet(harness.merchant.wallet.master_seed, harness.merchant.wallet.size)
+    pubs = list(wallet.public_keys())
+    signer = pubs.index(min(_funding_keys(harness.ledger, harness.merchant.records)))
+    unused = len(pubs) - 1
+    assert not harness.ledger.find_by_pubkey(pubs[unused])
+    pubs[signer], pubs[unused] = pubs[unused], pubs[signer]
+    wallet._public = tuple(pubs)
+    with pytest.raises(KeyMismatch):
+        recover_database(wallet, harness.ledger, max_child_index=4)
 
 
 def test_recovery_matches_monitor_choice_on_multi_redeem(harness):

@@ -15,6 +15,7 @@ from refundsim.keys import (
     ExtendedPublicKey,
     IdentityPoint,
     IndexOutOfRange,
+    KeyDerivationError,
     KeyMismatch,
     derive_child_private,
     derive_child_public,
@@ -420,6 +421,39 @@ def test_batch_mask_matches_definition_secp256k1():
     ]
     maskers = [keygen(b"batch-masker-%d" % i)[0] for i in range(3)]
     assert _check_batch_against_definition(SECP256K1, parents, maskers, range(17)) == {"point"}
+
+
+def test_toy_mask_many_matches_mask(toy_curve):
+    """mask_many answers each index with the point mask returns or the error
+    it raises, for every parent under maskers 0, 1, 26 and n - 1, with a
+    repeated index and one out of range."""
+    chain = b"\x07" * 32
+    indexes = list(range(12)) + [3, 2**31]
+    seen = set()
+    for m in (0, 1, 26, toy_curve.n - 1):
+        for p in range(1, toy_curve.n):
+            parent = ExtendedPublicKey(toy_curve.g_mul(p), chain)
+            batch = ChildMasker(m, curve=toy_curve).mask_many(parent, indexes)
+            single = ChildMasker(m, curve=toy_curve)
+            assert len(batch) == len(indexes)
+            for index, got in zip(indexes, batch):
+                try:
+                    want = single.mask(parent, index)
+                except KeyDerivationError as exc:
+                    want = (type(exc), str(exc))
+                if isinstance(got, KeyDerivationError):
+                    got = (type(got), str(got))
+                assert got == want, (m, p, index)
+                kind = "point" if isinstance(want[0], int) else (want[0], want[1].split()[0])
+                seen.add((m != 0, kind))
+    # a zero tweak, an identity child, an identity masked key, and every
+    # error that a zero masker raises before any point sum
+    assert seen == {
+        (True, "point"), (True, (DegenerateChild, "tweak")), (True, (DegenerateChild, "child")),
+        (True, (IdentityPoint, "masked")), (True, (IndexOutOfRange, "index")),
+        (False, (DegenerateChild, "tweak")), (False, (DegenerateChild, "child")),
+        (False, (IdentityPoint, "shared")), (False, (IndexOutOfRange, "index")),
+    }
 
 
 def test_batch_mask_one_mul_per_parent(monkeypatch):

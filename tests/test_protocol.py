@@ -722,6 +722,15 @@ def test_discovery_finds_nothing_for_customer_who_never_paid(paid_session):
     assert_discovery_matches_reference(stranger, r_pub)
 
 
+def test_merchant_wallet_public_keys_match_keygen():
+    """The batch derives each key's point as keygen does, index by index."""
+    wallet = protocol.MerchantWallet(b"batch-wallet", 20)
+    single = protocol.MerchantWallet(b"batch-wallet", 20)
+    assert list(wallet.public_keys()) == [single.key(i)[1] for i in range(20)]
+    assert wallet.public_keys()[5] == keygen(b"batch-wallet/" + (5).to_bytes(4, "big"))[1]
+    assert [wallet.key(i) for i in range(20)] == [single.key(i) for i in range(20)]
+
+
 def test_wallet_checks_its_key_pair_once(monkeypatch):
     """Seventeen children cost one g_mul of the wallet key, at the first
     derivation; a wallet whose key no longer matches still fails there."""

@@ -6,6 +6,7 @@ import pytest
 
 from refundsim.cli import main
 from refundsim.scenarios import (
+    UNEQUAL_MAX_CUSTOMERS,
     ConfigError,
     Scenario,
     ScenarioName,
@@ -121,6 +122,15 @@ def test_mixer_unequal_config_breaks_ambiguity(tmp_path):
     assert verdict.all_passed
 
 
+def test_mixer_unequal_runs_at_its_customer_limit(tmp_path):
+    """The largest unequal-totals run stays within its 5 s budget and passes."""
+    start = time.perf_counter()
+    config = {"unequal": 1, "n_customers": UNEQUAL_MAX_CUSTOMERS}
+    verdict = run_scenario(Scenario(ScenarioName.MIXER, config=config), out_dir=str(tmp_path))
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
+    assert time.perf_counter() - start < 5
+
+
 def test_storage_report_values():
     report = report_storage_comparison(10, 72, 0)
     assert "702" in report and "128" in report  # 210 + 42*10 + 72
@@ -216,6 +226,14 @@ RELATIONAL = [
     ("Aggregate", "outputs_per_tx=1"),
     ("Recovery", "wallet_k=2"),
     ("Recovery", "sessions=200"),
+    # emissions that cannot mix: one transaction, or one holding a lone chunk
+    ("Mixer", "k=1"),
+    ("Mixer", "outputs_per_tx=100"),
+    ("Mixer", "outputs_per_tx=1"),
+    ("Mixer", "n_customers=3,outputs_per_tx=1"),
+    ("Mixer", "n_customers=3,k=3"),
+    # one customer above the unequal-totals limit
+    ("Mixer", f"unequal=1,n_customers={UNEQUAL_MAX_CUSTOMERS + 1}"),
 ]
 
 
@@ -228,11 +246,9 @@ def test_relational_config_is_a_config_error(name, config, tmp_path, capsys, mon
     than the wallet holds) are rejected before the story logs anything."""
     logged = []
     monkeypatch.setattr(Transcript, "log", lambda self, *args: logged.append(args))
-    key, value = config.split("=")
+    values = {key: int(value) for key, value in (p.split("=") for p in config.split(","))}
     with pytest.raises(ConfigError):
-        run_scenario(
-            Scenario(ScenarioName.parse(name), config={key: int(value)}), out_dir=None
-        )
+        run_scenario(Scenario(ScenarioName.parse(name), config=values), out_dir=None)
     assert logged == []
     argv = ["scenario", "run", name, "--config", config, "--out-dir", str(tmp_path)]
     assert main(argv) == 2
