@@ -9,21 +9,27 @@ supported.  Internally the arithmetic follows Bitcoin Core's libsecp256k1:
   uses the a = 0 formula.
 * A fixed-base comb (``ecmult_gen``; Lim and Lee) of width ``w`` for a
   base ``B`` holds, for row ``i``, the affine points ``d * 2^(w*i) * B``
-  with ``d = 1..2^(w-1)``.  Its walk recodes the scalar into signed
-  digits in ``[1 - 2^(w-1), 2^(w-1)]`` and adds one entry per non-zero
-  digit, with ``y`` negated for a negative one: additions only, no
-  doublings.  One builder and one walker serve every comb.
-* ``g_mul`` walks the generator's comb: 6-bit rows covering the whole
-  scalar (43 rows of 32 points on secp256k1), built at construction.
+  with ``d = 1..2^(w-1)``.  Its rows cover only the length of a scalar's
+  Gallant-Lambert-Vanstone halves ``k1 + k2 * lambda`` (the endomorphism
+  below).  The walk recodes each half into signed digits in
+  ``[1 - 2^(w-1), 2^(w-1)]`` and adds one entry per non-zero digit, with
+  ``y`` negated for a negative digit or a negative half.  The ``lambda``
+  half walks the same rows from the preimage of the accumulator under the
+  endomorphism, which then maps the sum back: x times beta^2 before, x
+  times beta after.  Additions only, no doublings.  One builder and one
+  walker serve every comb.
+* ``g_mul`` walks the generator's comb: 8-bit rows (17 rows of 128 points
+  on secp256k1), built at the first multiplication of G, not at import.
 * ``g_mul_many`` walks the same comb for many scalars at once, each with
-  its own start point: the accumulators stay affine and each row's
-  additions share one batch inversion.  It builds no table; from about
-  eight scalars on it beats one ``g_mul`` per scalar.
+  its own start point and two affine accumulators, one per GLV half; each
+  row's additions share one batch inversion.  From about four scalars on
+  it beats one ``g_mul`` per scalar.
+* ``lincomb(s, c, P)`` is ``s * G + c * P`` in one accumulator: the
+  ``mul`` loop for ``c * P``, then G's comb walk for ``s``, then one
+  inversion.  Schnorr verification uses it.
 * ``fixed_base(P)`` builds a 4-bit comb for any other base that is used
-  many times.  It splits each scalar with the GLV endomorphism below, and
-  its rows cover only the halves' length; the ``lambda`` half walks a copy
-  of the rows with every x multiplied by beta.  On secp256k1 (33 rows of
-  8 points) the build costs about 2.5 ``mul`` and each use about 0.4 of one.
+  many times (33 rows of 8 points on secp256k1): the build costs about
+  2.5 ``mul`` and each use about 0.4 of one.
 * ``mul`` runs one interleaved width-5 wNAF loop (``ecmult``) that adds the
   affine odd multiples ``P, 3P, ..., 15P``.  It first splits the scalar with
   the Gallant-Lambert-Vanstone endomorphism ``(x, y) -> (beta * x, y) =
@@ -42,12 +48,14 @@ to cross-check the arithmetic exhaustively.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence, Tuple
 
 Point = Optional[Tuple[int, int]]
 
 _JINF = (0, 1, 0, 0)
-_COMB_BITS = 6  # width of the generator's comb
+_COMB_BITS = 8  # width of the generator's comb
 _TABLE_BITS = 4  # width of a fixed_base comb
 _WNAF_BITS = 5
 _WNAF_TABLE = 1 << (_WNAF_BITS - 2)  # odd multiples P, 3P, ..., 15P
@@ -63,12 +71,14 @@ def _comb_rows(scalar_bits: int, bits: int) -> int:
 
 
 def _signed_digits(k: int, bits: int) -> list[int]:
-    """Signed comb digits of ``k >= 0`` in ``[1 - 2^(bits-1), 2^(bits-1)]``.
+    """Signed comb digits of ``k`` in ``[1 - 2^(bits-1), 2^(bits-1)]``.
 
     Least significant first, ending at the last non-zero digit.  A window
     above ``2^(bits-1)`` becomes ``window - 2^bits`` and carries one into
-    the next.
+    the next.  A negative ``k`` gets the digits of ``-k``, negated.
     """
+    if k < 0:
+        return [-digit for digit in _signed_digits(-k, bits)]
     size = 1 << (bits - 1)
     mask = (1 << bits) - 1
     digits = []
@@ -80,12 +90,6 @@ def _signed_digits(k: int, bits: int) -> list[int]:
             k += 1
         digits.append(digit)
     return digits
-
-
-def _jneg(pt, p: int):
-    """The negation of a Jacobian point."""
-    x, y, z, ratio = pt
-    return (x, (p - y) % p, z, ratio)
 
 
 def _wnaf(k: int) -> list[int]:
@@ -119,8 +123,8 @@ class CurveGroup:
             raise ValueError("square roots require p % 4 == 3")
         if a % p:
             raise ValueError("only curves with a = 0 are supported")
-        # a prime n above 32 divides no d * 2^j with d <= 32: no entry of a
-        # comb of width up to 6 is the identity, and no step d * B + B or
+        # a prime n above 128 divides no d * 2^j with d <= 128: no entry of a
+        # comb of width up to 8 is the identity, and no step d * B + B or
         # 2 * (2^(w-1) * B) of a table build lands on it
         if n <= 1 << (_COMB_BITS - 1):
             raise ValueError("group order must exceed the comb's digits")
@@ -134,17 +138,20 @@ class CurveGroup:
         self.g: Point = (gx, gy)
         self.coord_bytes = (p.bit_length() + 7) // 8
         self.scalar_bytes = (n.bit_length() + 7) // 8
-        self._comb = self._build_comb(
-            self.g, _COMB_BITS, _comb_rows(n.bit_length(), _COMB_BITS)
-        )
-        if self.g_mul(lam) != (beta * gx % p, gy):
-            raise ValueError("lam * G != (beta * gx, gy)")
         self._beta = beta % p
         self._basis = (a1, b1, a2, b2)
         # _split's rounding keeps each half below half the basis vectors'
         # summed components
-        half_bits = (max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2).bit_length()
-        self._table_rows = _comb_rows(half_bits, _TABLE_BITS)
+        self._half_bits = (max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2).bit_length()
+        # checked by plain double-and-add: no comb, and not through the
+        # endomorphism being checked
+        lam_g = _JINF
+        for bit in bin(lam % n)[2:]:
+            lam_g = self._double(lam_g)
+            if bit == "1":
+                lam_g = self._madd(lam_g, self.g)
+        if self._to_affine(lam_g) != (beta * gx % p, gy):
+            raise ValueError("lam * G != (beta * gx, gy)")
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.name})"
@@ -210,14 +217,16 @@ class CurveGroup:
     # The a = 0 formulas do not involve b, so a table of sums of a step is
     # built there by mixed addition ("effective affine" in libsecp256k1).
 
-    def _build_comb(self, base, bits: int, rows: int):
+    def _build_comb(self, base, bits: int):
         """``comb[i][d - 1] = d * 2^(bits*i) * base`` for ``d = 1..2^(bits-1)``, affine.
 
-        Row i sums its base ``B = 2^(bits*i) * base`` on the curve where B is
-        affine, up to ``2^(bits-1) * B``, and doubles that into the next
-        row's base; ``zbase`` is B's Z here.
+        The rows cover the GLV halves' length.  Row i sums its base
+        ``B = 2^(bits*i) * base`` on the curve where B is affine, up to
+        ``2^(bits-1) * B``, and doubles that into the next row's base;
+        ``zbase`` is B's Z here.
         """
         p = self.p
+        rows = _comb_rows(self._half_bits, bits)
         size = 1 << (bits - 1)
         chain = []
         point = (*base, 1, 1)
@@ -235,14 +244,29 @@ class CurveGroup:
         flat = self._chain_to_affine(chain, zbase)
         return [flat[i:i + size] for i in range(0, len(flat) - 1, size)]
 
-    def _comb_walk(self, acc, comb, bits: int, k: int):
-        """Jacobian ``acc + k * B`` for ``comb = _build_comb(B, bits, rows)``.
+    @cached_property
+    def _comb(self):
+        """The generator's comb, built at the first multiplication of G."""
+        return self._build_comb(self.g, _COMB_BITS)
 
-        ``k >= 0`` must be below ``2^(bits*rows - 1)``, so the recoding's
-        carry out of the top row is zero.
+    def _comb_walk(self, acc, comb, bits: int, k: int):
+        """Jacobian ``acc + k * B`` for ``comb = _build_comb(B, bits)``.
+
+        ``k`` splits into GLV halves ``k1 + k2 * lam``.  ``k2`` walks the
+        rows from the preimage of ``acc`` under the endomorphism, whose
+        image is then ``acc + k2 * lam * B``, and ``k1`` walks on from
+        there.  A half's sign is in its digits.
         """
-        p = self.p
-        madd = self._madd
+        p, beta = self.p, self._beta
+        k1, k2 = self._split(k % self.n)
+        x, y, z, ratio = acc
+        acc = self._walk_rows((x * beta * beta % p, y, z, ratio), comb, bits, k2)
+        x, y, z, ratio = acc
+        return self._walk_rows((x * beta % p, y, z, ratio), comb, bits, k1)
+
+    def _walk_rows(self, acc, comb, bits: int, k: int):
+        """Jacobian ``acc + k * B``, ``k`` of either sign below the rows' length."""
+        p, madd = self.p, self._madd
         for row, digit in zip(comb, _signed_digits(k, bits)):
             if digit > 0:
                 acc = madd(acc, row[digit - 1])
@@ -250,6 +274,41 @@ class CurveGroup:
                 x, y = row[-digit - 1]
                 acc = madd(acc, (x, p - y))
         return acc
+
+    def _add_each(self, acc, adds):
+        """``acc[i] += q`` for each ``(i, q)`` of `adds` (distinct ``i``), affine.
+
+        The additions share one inversion: a Montgomery batch inversion over
+        their x differences.  An accumulator that is the identity takes
+        ``q`` as it is; one whose x equals ``q``'s (a doubling, or a sum that
+        is the identity) goes through `add` alone.
+        """
+        p = self.p
+        sums = []  # (element, x2, y2, accumulator) of each sum to invert for
+        prefix = []  # prefix[j]: the product of the first j x differences
+        product = 1
+        for i, (x2, y2) in adds:
+            a = acc[i]
+            if a is None:
+                acc[i] = (x2, y2)
+            elif a[0] == x2:
+                acc[i] = self.add(a, (x2, y2))
+            else:
+                sums.append((i, x2, y2, a))
+                prefix.append(product)
+                product = product * (x2 - a[0]) % p
+        if not sums:
+            return
+        # one inversion of the whole product; walking back, inv inverts the
+        # product of the first j + 1 differences, so inv * prefix[j] inverts
+        # difference j
+        inv = pow(product, -1, p)
+        for j in range(len(sums) - 1, -1, -1):
+            i, x2, y2, (x1, y1) = sums[j]
+            slope = (y2 - y1) * inv * prefix[j] % p
+            inv = inv * (x2 - x1) % p
+            x3 = (slope * slope - x1 - x2) % p
+            acc[i] = (x3, (slope * (x1 - x3) - y1) % p)
 
     def _odd_multiples(self, pt):
         """Affine ``P, 3P, ..., 15P``: sums of ``2P`` on the curve where it is affine."""
@@ -272,6 +331,36 @@ class CurveGroup:
         c1 = (b2 * k + (n >> 1)) // n
         c2 = (-b1 * k + (n >> 1)) // n
         return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+    def _wnaf_mul(self, k: int, pt: Point):
+        """Jacobian ``k * pt``: GLV split, interleaved wNAF."""
+        k %= self.n
+        if k == 0 or pt is None:
+            return _JINF
+        p = self.p
+        beta = self._beta
+        odd = self._odd_multiples(pt)
+        k1, k2 = self._split(k)
+        # adds[i]: the table points added after the doubling for bit i
+        adds = []
+        for scalar, table in ((k1, odd), (k2, [(beta * x % p, y) for x, y in odd])):
+            # lookup[d] for signed odd d; negative d index from the end
+            lookup = [None] * (1 << _WNAF_BITS)
+            for j, (x, y) in enumerate(table):
+                lookup[2 * j + 1] = (x, y)
+                lookup[-2 * j - 1] = (x, p - y)
+            digits = _wnaf(scalar)
+            adds += [[] for _ in range(len(digits) - len(adds))]
+            for i, d in enumerate(digits):
+                if d:
+                    adds[i].append(lookup[d])
+        acc = _JINF
+        double, madd = self._double, self._madd
+        for points in reversed(adds):
+            acc = double(acc)
+            for q in points:
+                acc = madd(acc, q)
+        return acc
 
     # -- public API ----------------------------------------------------------
 
@@ -299,118 +388,61 @@ class CurveGroup:
 
     def mul(self, k: int, pt: Point) -> Point:
         """Generic scalar multiplication: GLV split, interleaved wNAF."""
-        k %= self.n
-        if k == 0 or pt is None:
-            return None
-        p = self.p
-        beta = self._beta
-        odd = self._odd_multiples(pt)
-        k1, k2 = self._split(k)
-        # adds[i]: the table points added after the doubling for bit i
-        adds = []
-        for scalar, table in ((k1, odd), (k2, [(beta * x % p, y) for x, y in odd])):
-            # lookup[d] for signed odd d; negative d index from the end
-            lookup = [None] * (1 << _WNAF_BITS)
-            for j, (x, y) in enumerate(table):
-                lookup[2 * j + 1] = (x, y)
-                lookup[-2 * j - 1] = (x, p - y)
-            digits = _wnaf(scalar)
-            adds += [[] for _ in range(len(digits) - len(adds))]
-            for i, d in enumerate(digits):
-                if d:
-                    adds[i].append(lookup[d])
-        acc = _JINF
-        double, madd = self._double, self._madd
-        for points in reversed(adds):
-            acc = double(acc)
-            for q in points:
-                acc = madd(acc, q)
-        return self._to_affine(acc)
+        return self._to_affine(self._wnaf_mul(k, pt))
 
     def g_mul(self, k: int) -> Point:
         """Fixed-base multiplication of the generator via its signed comb."""
-        return self._to_affine(self._comb_walk(_JINF, self._comb, _COMB_BITS, k % self.n))
+        return self._to_affine(self._comb_walk(_JINF, self._comb, _COMB_BITS, k))
+
+    def lincomb(self, s: int, c: int, pt: Point) -> Point:
+        """``s * G + c * pt`` in one accumulator, with one inversion.
+
+        ``mul``'s loop computes ``c * pt``, and G's comb walk for ``s``
+        continues from that Jacobian point.
+        """
+        return self._to_affine(self._comb_walk(self._wnaf_mul(c, pt), self._comb, _COMB_BITS, s))
 
     def g_mul_many(self, scalars: Sequence[int], starts: Sequence[Point]) -> list[Point]:
         """``[start + k * G for k, start in zip(scalars, starts)]`` in one comb walk.
 
         Every scalar walks the generator's comb in lockstep with the others,
-        its accumulator kept affine.  Each row's additions share one
-        inversion: a Montgomery batch inversion over their x differences.
-        An element whose accumulator is the identity takes the row's point
-        as it is; one whose x equals the row point's (a doubling, or a sum
-        that is the identity) goes through `add` alone.  The shared
-        inversion pays for itself from about eight scalars on; ``g_mul``
-        stays the path for one.
+        with two affine accumulators: its start plus ``k1 * G``, and
+        ``k2 * G`` for its second GLV half.  Each row's additions to all of
+        them share one inversion, and a last round of additions brings in
+        the second accumulator's image under the endomorphism,
+        ``k2 * lam * G``.  The shared inversion pays for itself from about
+        four scalars on; ``g_mul`` stays the path for one.
         """
         if len(scalars) != len(starts):
             raise ValueError("one start per scalar")
-        p, n = self.p, self.n
-        acc = list(starts)
-        digits = [_signed_digits(k % n, _COMB_BITS) for k in scalars]
-        for r, row in enumerate(self._comb):
-            sums = []  # (element, x2, y2, accumulator) of each sum to invert for
-            prefix = []  # prefix[j]: the product of the first j x differences
-            product = 1
-            for i, element_digits in enumerate(digits):
-                digit = element_digits[r] if r < len(element_digits) else 0
-                if not digit:
-                    continue
-                if digit > 0:
-                    x2, y2 = row[digit - 1]
-                else:
-                    x2, y2 = row[-digit - 1]
-                    y2 = p - y2
-                a = acc[i]
-                if a is None:
-                    acc[i] = (x2, y2)
-                elif a[0] == x2:
-                    acc[i] = self.add(a, (x2, y2))
-                else:
-                    sums.append((i, x2, y2, a))
-                    prefix.append(product)
-                    product = product * (x2 - a[0]) % p
-            if not sums:
-                continue
-            # one inversion of the whole product; walking back, inv inverts
-            # the product of the first j + 1 differences, so inv * prefix[j]
-            # inverts difference j
-            inv = pow(product, -1, p)
-            for j in range(len(sums) - 1, -1, -1):
-                i, x2, y2, (x1, y1) = sums[j]
-                slope = (y2 - y1) * inv * prefix[j] % p
-                inv = inv * (x2 - x1) % p
-                x3 = (slope * slope - x1 - x2) % p
-                acc[i] = (x3, (slope * (x1 - x3) - y1) % p)
-        return acc
+        p, n, m = self.p, self.n, len(scalars)
+        halves = [self._split(k % n) for k in scalars]
+        digits = [_signed_digits(k1, _COMB_BITS) for k1, _ in halves]
+        digits += [_signed_digits(k2, _COMB_BITS) for _, k2 in halves]
+        acc = list(starts) + [None] * m
+        for row, column in zip(self._comb, zip_longest(*digits, fillvalue=0)):
+            self._add_each(acc, [
+                (i, row[d - 1] if d > 0 else self.negate(row[-d - 1]))
+                for i, d in enumerate(column) if d
+            ])
+        beta = self._beta
+        self._add_each(acc, [
+            (i, (beta * q[0] % p, q[1])) for i, q in enumerate(acc[m:]) if q is not None
+        ])
+        return acc[:m]
 
     def fixed_base(self, base: Point) -> Callable[[int], Point]:
         """``k -> k * base`` through a signed comb for `base`, built once here.
 
         Building costs about as much as a few ``mul``; each use then costs a
         fraction of one, so a base multiplied several times pays it back.
-        The scalar splits into GLV halves ``k1 + k2 * lam``; a negative half
-        is walked by its magnitude, negating the accumulator around it.
+        It walks the comb as ``g_mul`` walks the generator's.
         """
         if base is None:
             raise ValueError("the identity has no table")
-        p, n, bits = self.p, self.n, _TABLE_BITS
-        comb = self._build_comb(base, bits, self._table_rows)
-        beta = self._beta
-        lam_comb = [[(beta * x % p, y) for x, y in row] for row in comb]
-        walk, split = self._comb_walk, self._split
-
-        def mul(k: int) -> Point:
-            k1, k2 = split(k % n)
-            acc = walk(_JINF, comb, bits, abs(k1))
-            if (k1 < 0) != (k2 < 0):
-                acc = _jneg(acc, p)
-            acc = walk(acc, lam_comb, bits, abs(k2))
-            if k2 < 0:
-                acc = _jneg(acc, p)
-            return self._to_affine(acc)
-
-        return mul
+        comb = self._build_comb(base, _TABLE_BITS)
+        walk, to_affine = self._comb_walk, self._to_affine
+        return lambda k: to_affine(walk(_JINF, comb, _TABLE_BITS, k))
 
     def lift_x(self, x: int, parity: int) -> Point:
         """Recover the point with the given x and y-parity, or None."""

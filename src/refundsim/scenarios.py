@@ -127,13 +127,19 @@ _DEFAULTS: dict[ScenarioName, dict[str, int]] = {
 }
 _FLAGS = {"encrypt", "unequal"}  # the only keys that may be 0
 # Counting linkage assignments over unequal refund totals
-# (`mixer.analyze_linkage`) grows exponentially with the customers: a Mixer
-# run with unequal=1 and the other values at their defaults takes 0.9 s at
-# 5 customers and 11 s, with 227 MB peak RSS, at 6 (seed 1, Python 3.11 on
-# a shared 2-core machine).  Within a 5 s budget, unequal=1 takes at most
-# this many customers.  A larger k raises the cost as well, which this limit
-# does not cover: 5 customers at k=6 give no result in 60 s.
-UNEQUAL_MAX_CUSTOMERS = 5
+# (`mixer.analyze_linkage`) grows exponentially with the customers and with
+# their chunks.  Within a 5 s budget, a Mixer run with unequal=1 takes at
+# most UNEQUAL_MAX_K[n_customers] chunks per refund; one or two customers
+# take every k the wallet holds, and six or more none.  Measured at seeds
+# 1-4 with the other values at their defaults (Python 3.11 on a shared
+# 2-core machine): 3 customers take 1.0 s at k=12 and 4.5-6.7 s at k=13;
+# 4 take 0.4 s at k=5 and 3.6-5.1 s at k=6 (32 s, with 739 MB peak RSS, at
+# k=7); 5 take 0.7-1.2 s at k=4 and give no result in 60 s at k=6; 6 take
+# 11 s, with 227 MB peak RSS, at the default k=4.  The cost is not
+# monotonic in k (4 customers take 2.6 s at k=8), so the limit is the first
+# k that leaves the budget, not the exact set of configs within it.
+UNEQUAL_MAX_K = {3: 12, 4: 5, 5: 4}
+UNEQUAL_MAX_CUSTOMERS = max(UNEQUAL_MAX_K)
 
 
 @dataclass(frozen=True)
@@ -896,10 +902,12 @@ def _run_mixer(env: Env) -> list[Assertion]:
     n = cfg["n_customers"]
     totals = [cfg["amount"]] * n
     if cfg["unequal"]:
-        if n > UNEQUAL_MAX_CUSTOMERS:
+        if n > UNEQUAL_MAX_CUSTOMERS or cfg["k"] > UNEQUAL_MAX_K.get(n, cfg["k"]):
+            limits = ", ".join(f"k={k} at {c}" for c, k in UNEQUAL_MAX_K.items())
             raise ConfigError(
-                f"unequal=1 takes at most {UNEQUAL_MAX_CUSTOMERS} customers: linkage "
-                "counting over unequal totals grows exponentially with them"
+                f"unequal=1 takes at most {UNEQUAL_MAX_CUSTOMERS} customers, and at most "
+                f"{limits} customers: linkage counting over unequal totals grows "
+                "exponentially with the customers and their chunks"
             )
         totals = [cfg["amount"] + 10_000 * i for i in range(n)]
     for total in totals:

@@ -361,7 +361,7 @@ def schnorr_verify(pub: Point, sig: bytes, digest: bytes) -> bool:
     s = int.from_bytes(sig[32:], "big")
     if e >= n or s >= n:
         return False
-    commit = SECP256K1.add(SECP256K1.g_mul(s), SECP256K1.mul(n - e, pub))
+    commit = SECP256K1.lincomb(s, n - e, pub)
     if commit is None:
         return False
     return _challenge(commit, pub, digest) == e

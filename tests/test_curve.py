@@ -1,11 +1,17 @@
 """Curve arithmetic against the affine oracle in ``reference.py``."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from refundsim.curve import SECP256K1, CurveGroup
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 N = SECP256K1.n
 LAM = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -19,16 +25,25 @@ NEGATIVE_K1 = 0x9D1313DCD092F24AC998177EFC789ECE1AC3BDAFD841F05A9659074F2A76FA68
 NEGATIVE_K2 = 0xF08C53B55021CFB5B80C0DCB5141E15B8A89BB6A4F6132E460B33B8CAFC318FC
 NEGATIVE_BOTH = 0x624DA06767A9074C91AD54FBD7031711C87BEAEB5536C2CBD6AA766B1826ACB7
 
-# the comb's signed 6-bit digits: every window 32 (the largest digit, no
-# carry), every window 33 (-31 and a carry out of every window), 64^i - 1
-# (-1, then a carry through i windows); N - 1 carries into the top window
+# whole-scalar digit patterns: every 6-bit window 32 or 33, and 64^i - 1
+# (a carry through i windows)
 ALL_DIGITS_32 = int("100000" * 42, 2)
 ALL_DIGITS_33 = int("100001" * 42, 2)
+
+# the generator comb's signed 8-bit digits of each GLV half: both halves
+# with every window 128 (the largest digit, no carry), and both with every
+# window 129 (-127 and a carry out of every window) and opposite signs
+HALVES_DIGITS_128 = (int("10000000" * 15, 2) * (1 + LAM)) % N
+HALVES_DIGITS_129 = (int("10000001" * 15, 2) * (1 - LAM)) % N
+# a negative k1, and a positive k2, whose recoding carries into the top row
+TOP_CARRY_K1 = 0x960D5A8F9A656AAFD14125844D25DEB354F46A6910ACFF0043892DFC254CB864
+TOP_CARRY_K2 = 0xE4C6BF48B68DAEED2EDB62ABCDC03856C503BD67D0FD7D4252A03697BC78AABE
 
 EDGE_SCALARS = [
     0, 1, 2, N - 1, N - 2, 2**128, LAM, N - LAM,
     NEGATIVE_K1, NEGATIVE_K2, NEGATIVE_BOTH,
     ALL_DIGITS_32, ALL_DIGITS_33, 64**1 - 1, 64**2 - 1, 64**21 - 1, 64**42 - 1,
+    HALVES_DIGITS_128, HALVES_DIGITS_129, TOP_CARRY_K1, TOP_CARRY_K2,
 ]
 
 scalars = st.integers(min_value=0, max_value=N - 1)
@@ -93,8 +108,9 @@ def test_edge_scalars(k):
 
 def _first_comb_entry(k):
     """The point the walk adds at the generator comb's first row for ``k``."""
-    digit = k % N & 63
-    return SECP256K1.g_mul(digit if digit <= 32 else digit - 64)
+    k1, _ = SECP256K1._split(k % N)
+    digit = abs(k1) & 255
+    return SECP256K1.g_mul((digit if digit <= 128 else digit - 256) * (-1 if k1 < 0 else 1))
 
 
 START_KINDS = ["none", "g", "neg-g", "first", "neg-first", "other"]
@@ -141,6 +157,26 @@ def test_g_mul_many_empty_and_unpaired():
         SECP256K1.g_mul_many([1, 2], [None])
 
 
+@settings(max_examples=25, deadline=None)
+@given(s=scalars, c=scalars, pt=points)
+def test_lincomb_matches_oracle(s, c, pt):
+    assert SECP256K1.lincomb(s, c, pt) == ref.ref_add(ref.ref_mul(s, ref.G), ref.ref_mul(c, pt))
+
+
+def test_lincomb_edge_scalars():
+    """Every pair of edge scalars, the identity as the point, and sums that
+    are the identity or a doubling."""
+    a = 0xC0FFEE
+    pt = SECP256K1.g_mul(a)
+    for s in EDGE_SCALARS:
+        for c in EDGE_SCALARS:
+            want = SECP256K1.add(SECP256K1.g_mul(s), SECP256K1.mul(c, pt))
+            assert SECP256K1.lincomb(s, c, pt) == want, (hex(s), hex(c))
+        assert SECP256K1.lincomb(s, s, None) == SECP256K1.g_mul(s)
+        assert SECP256K1.lincomb(N - s * a % N, s, pt) is None
+        assert SECP256K1.lincomb(s * a, s, pt) == SECP256K1.g_mul(2 * s * a)
+
+
 def test_scalars_reduced_mod_n():
     pt = ref.ref_mul(7, ref.G)
     assert SECP256K1.g_mul(N) is None
@@ -158,6 +194,17 @@ def test_pinned_scalars_have_negative_glv_halves():
     _, k2 = SECP256K1._split(NEGATIVE_K2)
     b1, b2 = SECP256K1._split(NEGATIVE_BOTH)
     assert k1 < 0 and k2 < 0 and b1 < 0 and b2 < 0
+    window = int("10000000" * 15, 2)
+    assert SECP256K1._split(HALVES_DIGITS_128) == (window, window)
+    window = int("10000001" * 15, 2)
+    assert SECP256K1._split(HALVES_DIGITS_129) == (window, -window)
+    # the top row's digit is the carry out of the half's 16 windows
+    rows = len(SECP256K1._comb)
+    top1, _ = SECP256K1._split(TOP_CARRY_K1)
+    _, top2 = SECP256K1._split(TOP_CARRY_K2)
+    assert top1 < 0 < top2
+    assert abs(top1) >> 8 * (rows - 1) == abs(top2) >> 8 * (rows - 1) == 0
+    assert abs(top1) >> 8 * (rows - 2) > 128 and abs(top2) >> 8 * (rows - 2) > 128
     for k in EDGE_SCALARS:
         h1, h2 = SECP256K1._split(k)
         assert (h1 + h2 * LAM - k) % N == 0
@@ -203,8 +250,8 @@ def test_wrong_endomorphism_parameters_rejected():
 def test_unsupported_curves_rejected():
     with pytest.raises(ValueError):
         CurveGroup("a3", **{**ref.TOY_PARAMS, "a": 3})
-    # a prime order up to 32 makes the comb entry n * G the identity
-    for n in (13, 31):
+    # a prime order up to 128 makes the 8-bit comb entry n * G the identity
+    for n in (13, 31, 127):
         with pytest.raises(ValueError, match="comb"):
             CurveGroup(f"n{n}", **{**ref.TOY_PARAMS, "n": n})
 
@@ -234,23 +281,49 @@ def test_toy_mul_every_scalar_and_point(toy_curve):
             assert toy_curve.mul(k, pt) == ref.ref_mul(k, pt, ref.TOY_P, ref.TOY_N), (k, pt)
 
 
+def _toy_glv_signs(curve, ks):
+    """The sign pairings of the GLV halves of `ks` with both halves non-zero."""
+    return {(k1 < 0, k2 < 0) for k1, k2 in (curve._split(k % curve.n) for k in ks) if k1 and k2}
+
+
 def test_toy_g_mul_every_scalar(toy_curve):
-    for k in range(toy_curve.n + 2):
+    """Every scalar up to 2n + 1, over GLV halves of every sign pairing."""
+    ks = range(2 * toy_curve.n + 2)
+    assert len(_toy_glv_signs(toy_curve, ks)) == 4
+    for k in ks:
         assert toy_curve.g_mul(k) == ref.ref_mul(k, ref.TOY_G, ref.TOY_P, ref.TOY_N), k
 
 
 def test_toy_g_mul_many_every_scalar_and_start(toy_curve):
-    """One call over every scalar up to n + 1 from every start: repeated
-    scalars, the identity, G and -G, and every start that collides with a
-    comb entry the walk adds."""
+    """One call over every scalar up to 2n + 1 from every start: repeated
+    scalars, the identity, G and -G, and every comb entry, so that the
+    walk's additions include doublings and sums that are the identity."""
     all_points = ref.toy_all_points()
-    ks = [k for k in range(toy_curve.n + 2) for _start in all_points]
-    starts = [start for _k in range(toy_curve.n + 2) for start in all_points]
+    scalar_range = range(2 * toy_curve.n + 2)
+    assert len(_toy_glv_signs(toy_curve, scalar_range)) == 4
+    ks = [k for k in scalar_range for _start in all_points]
+    starts = [start for _k in scalar_range for start in all_points]
     assert {None, toy_curve.g, toy_curve.negate(toy_curve.g)} <= set(starts)
+    assert {pt for row in toy_curve._comb for pt in row} <= set(starts)
     got = toy_curve.g_mul_many(ks, starts)
     for k, start, pt in zip(ks, starts, got):
         want = ref.ref_add(start, ref.ref_mul(k, ref.TOY_G, ref.TOY_P, ref.TOY_N), ref.TOY_P)
         assert pt == want, (k, start)
+
+
+def test_toy_lincomb_matches_g_mul_plus_mul(toy_curve):
+    """``s * G + c * P`` over a scalar grid for several points, and every
+    ``c`` with the ``s`` that makes the sum the identity."""
+    n = toy_curve.n
+    for a in (1, n - 1, 2, ref.TOY_LAM, 57, None):
+        pt = None if a is None else toy_curve.g_mul(a)
+        for c in range(0, n + 2, 11):
+            for s in range(n + 2):
+                want = toy_curve.add(toy_curve.g_mul(s), toy_curve.mul(c, pt))
+                assert toy_curve.lincomb(s, c, pt) == want, (a, s, c)
+        if a is not None:
+            for c in range(n + 2):
+                assert toy_curve.lincomb(-c * a, c, pt) is None, (a, c)
 
 
 def test_toy_add_every_pair(toy_curve):
@@ -263,24 +336,56 @@ def test_toy_add_every_pair(toy_curve):
 # -- fixed-base combs ---------------------------------------------------------------
 
 
-def test_generator_comb_is_43_rows_of_32_points():
+def test_generator_comb_is_17_rows_of_128_points():
+    """8-bit rows over the 128-bit GLV halves."""
     comb = SECP256K1._comb
-    assert [len(row) for row in comb] == [32] * 43
-    for i, d in ((0, 1), (0, 32), (1, 17), (42, 32)):
-        assert comb[i][d - 1] == ref.ref_mul(d * 64**i, ref.G)
+    assert [len(row) for row in comb] == [128] * 17
+    for i, d in ((0, 1), (0, 128), (1, 77), (15, 128), (16, 1), (16, 128)):
+        assert comb[i][d - 1] == ref.ref_mul(d * 256**i, ref.G)
 
 
-@pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+def test_generator_comb_is_built_once_at_first_use(monkeypatch):
+    """Constructing a curve builds no table; the first multiplication of G
+    builds the generator's comb, and every later one reuses it."""
+    builds = []
+    build = CurveGroup._build_comb
+
+    def counting_build(curve, base, bits):
+        builds.append((base, bits))
+        return build(curve, base, bits)
+
+    monkeypatch.setattr(CurveGroup, "_build_comb", counting_build)
+    curve = secp256k1()
+    assert builds == [] and "_comb" not in vars(curve)
+    assert curve.g_mul(NEGATIVE_BOTH) == SECP256K1.g_mul(NEGATIVE_BOTH)
+    assert builds == [(ref.G, 8)]
+    curve.g_mul(5)
+    curve.g_mul_many([1, N - 1], [None, ref.G])
+    curve.lincomb(3, 4, ref.G)
+    assert builds == [(ref.G, 8)]
+
+
+def test_import_builds_no_table():
+    """Importing the whole program multiplies nothing by G."""
+    code = (
+        "import refundsim.cli\n"
+        "from refundsim.curve import SECP256K1\n"
+        "assert '_comb' not in vars(SECP256K1)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 5, 6, 7, 8])
 def test_toy_comb_every_width_base_and_scalar(toy_curve, bits):
-    """The one builder and walker, at full-length rows, against the oracle:
-    the generator and several other bases, every scalar below n."""
+    """The one builder and GLV walker at every width against the oracle:
+    the generator and several other bases, every scalar up to n + 1."""
     n = toy_curve.n
-    rows = (n.bit_length() + bits) // bits
+    rows = (toy_curve._half_bits + bits) // bits
     bases = [toy_curve.g] + [toy_curve.g_mul(a) for a in (2, 57, ref.TOY_LAM, n - 1)]
     for base in bases:
-        comb = toy_curve._build_comb(base, bits, rows)
+        comb = toy_curve._build_comb(base, bits)
         assert [len(row) for row in comb] == [1 << (bits - 1)] * rows
-        for k in range(n):
+        for k in range(n + 2):
             got = toy_curve._to_affine(toy_curve._comb_walk((0, 1, 0, 0), comb, bits, k))
             assert got == ref.ref_mul(k, base, ref.TOY_P, ref.TOY_N), (base, k)
 

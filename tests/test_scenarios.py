@@ -7,6 +7,7 @@ import pytest
 from refundsim.cli import main
 from refundsim.scenarios import (
     UNEQUAL_MAX_CUSTOMERS,
+    UNEQUAL_MAX_K,
     ConfigError,
     Scenario,
     ScenarioName,
@@ -131,6 +132,17 @@ def test_mixer_unequal_runs_at_its_customer_limit(tmp_path):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("n_customers", [3, 4])
+def test_mixer_unequal_runs_at_its_chunk_limit(n_customers, tmp_path):
+    """The most chunks per refund an unequal-totals run takes stays within
+    the 5 s budget and passes."""
+    start = time.perf_counter()
+    config = {"unequal": 1, "n_customers": n_customers, "k": UNEQUAL_MAX_K[n_customers]}
+    verdict = run_scenario(Scenario(ScenarioName.MIXER, config=config), out_dir=str(tmp_path))
+    assert verdict.all_passed, [a for a in verdict.assertions if not a.passed]
+    assert time.perf_counter() - start < 5
+
+
 def test_storage_report_values():
     report = report_storage_comparison(10, 72, 0)
     assert "702" in report and "128" in report  # 210 + 42*10 + 72
@@ -234,6 +246,9 @@ RELATIONAL = [
     ("Mixer", "n_customers=3,k=3"),
     # one customer above the unequal-totals limit
     ("Mixer", f"unequal=1,n_customers={UNEQUAL_MAX_CUSTOMERS + 1}"),
+    # one chunk per refund above the unequal-totals limit
+    ("Mixer", f"unequal=1,n_customers=3,k={UNEQUAL_MAX_K[3] + 1}"),
+    ("Mixer", f"unequal=1,n_customers=4,k={UNEQUAL_MAX_K[4] + 1}"),
 ]
 
 
