@@ -366,9 +366,10 @@ class RecoveryTelemetry:
     """Operation counters for the blockchain-scan rebuild.
 
     ``key_ops`` counts masked-child reconstruction attempts, one per
-    (candidate wallet key, payment transaction, refund flavor); ``search_ops``
-    counts the ledger's answered queries: every ``find_by_pubkey`` and
-    every ``is_spent``.
+    (refund, payment) pair tried; a payment that confirmed after the refund
+    was issued is not tried.
+    ``search_ops`` counts the ledger's answered queries: every
+    ``find_by_pubkey`` and every ``is_spent``.
     """
 
     key_ops: int = 0
@@ -469,11 +470,22 @@ def recover_database(
             note_refund(tid, tx, signer)
 
     # a fallback locks a masked child's key hash; a joint refund is tied
-    # through its redeems' revealed scripts, so an unredeemed one matches none
+    # through its redeems' revealed scripts, so an unredeemed one matches none.
+    # A repeat customer's payments embed the same extended key, so a refund
+    # goes to the first payment that confirmed before the refund was issued
+    # (a joint refund is dated by its confirmation, a fallback by its
+    # companion's) and holds no refund of its shape yet: one joint refund,
+    # and one fallback per extended key.
+    refunds = dict(sorted(refunds.items(), key=lambda kv: kv[1][3]))
+    height = ledger.confirmation_height
     joint: dict[bytes, list[bytes]] = {}  # joint refund txid -> its spenders
     matched: dict[bytes, bytes] = {}  # refund txid -> main txid
+    held: set[tuple[bytes, Optional[ExtendedPublicKey]]] = set()  # (main, None): a joint
+    issued: Optional[int] = None  # the latest joint refund's date; None while pending
     for tid, (tx, shape, priv, _idx) in refunds.items():
-        if shape is RefundShape.JOINT:
+        is_joint = shape is RefundShape.JOINT
+        if is_joint:
+            issued = height(tid)
             joint[tid] = joint_spenders(ledger, tid)
             revealed = {
                 key
@@ -490,11 +502,17 @@ def recover_database(
             target = lambda mk, locked=locked: key_hash(mk) == locked
         masker = ChildMasker(priv)
         for main_id, xpubs in mains.items():
+            if issued is not None and height(main_id) >= issued:
+                continue
             telemetry.key_ops += 1
-            if any(
-                _match_masked_key(xpub, masker, target, max_child_index) for xpub in xpubs
-            ):
+            hit = next(
+                (x for x in xpubs if _match_masked_key(x, masker, target, max_child_index)),
+                None,
+            )
+            slot = (main_id, None if is_joint else hit)
+            if hit is not None and slot not in held:
                 matched[tid] = main_id
+                held.add(slot)
                 break
 
     # every refund issue allocates its joint funding key immediately before
@@ -505,7 +523,7 @@ def recover_database(
     tc1_of_main = {main_id: tid for tid, main_id in matched.items() if tid in joint}
     result = RecoveryResult(telemetry=telemetry)
     companion: Optional[bytes] = None
-    for tid, (_tx, shape, _priv, _idx) in sorted(refunds.items(), key=lambda kv: kv[1][3]):
+    for tid, (_tx, shape, _priv, _idx) in refunds.items():
         if shape is RefundShape.JOINT:
             companion = tid
             continue

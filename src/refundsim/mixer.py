@@ -18,12 +18,15 @@ The aggregate mode combines mixing with the joint-refund protection: every
 chunk is locked to customer and refundee together, with a per-transaction
 masking key, plus a time-locked fallback row for the customer — so proofs of
 linkage stay available to the merchant while outsiders still see nothing.
+Both modes check a session by `_refund_plans`, emit by `_emit_mixed` and
+obey `check_mixable`; each keeps only its own keys, scripts and rows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
@@ -32,6 +35,7 @@ from .ledger import SimLedger
 from .protocol import (
     CustomerWallet,
     Merchant,
+    MerchantSession,
     SessionState,
     WindowExpired,
 )
@@ -116,9 +120,8 @@ class MixBatch:
     created_height: int = 0
     entries: list[MixChunk] = field(default_factory=list)
 
-    def add(self, chunk: MixChunk) -> int:
+    def add(self, chunk: MixChunk) -> None:
         self.entries.append(chunk)
-        return len(self.entries) - 1
 
     def origins(self) -> list[bytes]:
         seen = []
@@ -182,46 +185,55 @@ def _partition(interleaved: Sequence, outputs_per_tx: int) -> list[list]:
 
 
 def check_mixable(origins: int, chunks_per_origin: int, outputs_per_tx: int) -> None:
-    """Raise ValueError unless `_mixed_groups` emits a mixed emission.
+    """Raise ValueError unless every emission transaction mixes origins.
 
-    A mixed emission spans at least two transactions, and no transaction
-    carries the chunks of a single origin.  With `origins` customers of
-    `chunks_per_origin` chunks each, `_interleave_by_origin` cycles through
-    the origins in a fixed order, so adjacent entries always differ, and
-    `_partition` cuts the cycle into groups of `outputs_per_tx`, the last
-    one shorter.  Every group therefore mixes exactly when every group
-    holds two chunks or more: `outputs_per_tx` >= 2 and no lone chunk
-    left over for the last group.  A single origin has nothing to mix with.
+    With `origins` customers of `chunks_per_origin` chunks each,
+    `_interleave_by_origin` cycles through the origins in a fixed order, so
+    adjacent entries always differ, and `_partition` cuts the cycle into
+    groups of `outputs_per_tx`, the last one shorter.  Every group mixes
+    exactly when it holds two chunks or more: `outputs_per_tx` >= 2 and no
+    lone chunk left over for the last group.  A single origin has nothing
+    to mix with.
     """
-    if origins < 2:
-        return
     chunks = origins * chunks_per_origin
-    if chunks <= outputs_per_tx:
-        raise ValueError(
-            f"all {chunks} chunks fit in one transaction of {outputs_per_tx} outputs"
-        )
-    if outputs_per_tx < 2 or chunks % outputs_per_tx == 1:
+    if origins > 1 and (outputs_per_tx < 2 or chunks % outputs_per_tx == 1):
         raise ValueError(
             f"{chunks} chunks at {outputs_per_tx} per transaction leave one "
             "transaction a lone chunk of a single origin"
         )
 
 
-def _mixed_groups(
-    entries: Sequence,
-    rng: random.Random,
-    outputs_per_tx: int,
-    jitter_window: int,
-    base_height: int,
-) -> Iterator[tuple[list, int]]:
-    """Yield (shuffled group, lock height) per emission transaction.
+def check_spans_txs(origins: int, chunks_per_origin: int, outputs_per_tx: int) -> None:
+    """Raise ValueError if the chunks of several origins fit in one transaction."""
+    chunks = origins * chunks_per_origin
+    if origins > 1 and chunks <= outputs_per_tx:
+        raise ValueError(f"all {chunks} chunks fit in one transaction of {outputs_per_tx}")
 
-    Draws from `rng` in a fixed order: the origin interleave first, then per
-    group the output shuffle and the lock jitter in [0, jitter_window).
+
+def _emit_mixed(
+    service,
+    entries: Sequence,
+    base_height: int,
+    role: str,
+    label: str,
+    outputs: Callable[[list, ChildMasker], list[TxOutput]],
+) -> Iterator[tuple[Transaction, bytes, list, int, tuple[int, Point]]]:
+    """Fund, sign and broadcast one mixed transaction per group of `entries`.
+
+    Draws from ``service.rng`` in a fixed order: the origin interleave
+    first, then per group the output shuffle and the lock jitter in
+    [0, ``service.jitter_window``).  Each group's funding key is reserved
+    under `role` and masks the group's `outputs`; the transaction is
+    broadcast under `label`.  Yields (tx, txid, group, lock height,
+    funding key pair) per transaction, in emission order.
     """
-    for group in _partition(_interleave_by_origin(entries, rng), outputs_per_tx):
+    merchant, rng = service.merchant, service.rng
+    for group in _partition(_interleave_by_origin(entries, rng), service.outputs_per_tx):
         rng.shuffle(group)
-        yield group, base_height + rng.randrange(jitter_window)
+        lock = base_height + rng.randrange(service.jitter_window)
+        priv, pub, funding = merchant.reserve_funded_key(sum(c.value for c in group), role)
+        tx = build_funded_tx(outputs(group, ChildMasker(priv)), funding, (priv, pub), lock)
+        yield tx, merchant.broadcast(tx, label), group, lock, (priv, pub)
 
 
 @dataclass(frozen=True)
@@ -243,6 +255,30 @@ class MixGroundTruth:
     payment_heights: dict[str, int] = field(default_factory=dict)
     chunk_facts: list[ChunkFact] = field(default_factory=list)
 
+    def record(self, session: MerchantSession, customer_name: str, total: int) -> None:
+        """Mark a session's refund issued and note what the adversary may know of it."""
+        session.state = SessionState.REFUND_ISSUED
+        self.customers.append(customer_name)
+        self.origin_names[session.merchant_data] = customer_name
+        self.refund_totals[customer_name] = total
+        self.payment_heights[customer_name] = session.paid_height
+
+
+def _refund_plans(
+    merchant: Merchant, merchant_data: bytes, k: int
+) -> tuple[MerchantSession, list[SplitPlan]]:
+    """A refundable session and the `k`-chunk split of each of its entries.
+
+    Every entry must name a refundee extended key.  Nothing is taken,
+    queued or recorded here, so a refused session leaves no partial state.
+    """
+    if not merchant.refundable(merchant_data):
+        raise WindowExpired("session is not refundable")
+    session = merchant.sessions[merchant_data]
+    if not all(isinstance(e.refundee, ExtendedPublicKey) for e in session.entries):
+        raise MixerError("mixing requires refundee extended keys")
+    return session, [split_value(entry.value, k) for entry in session.entries]
+
 
 class MixerService:
     """Drives splitting, batching and mixed emission for one merchant."""
@@ -256,7 +292,6 @@ class MixerService:
         outputs_per_tx: int = 4,
         jitter_window: int = 3,
         rng_seed: int = 0,
-        service_fee: int = 0,
     ):
         self.merchant = merchant
         self.ledger = merchant.ledger
@@ -264,7 +299,6 @@ class MixerService:
         self.outputs_per_tx = outputs_per_tx
         self.jitter_window = jitter_window
         self.rng = random.Random(rng_seed)
-        self.service_fee = service_fee  # withheld per refund entry; off by default
         self.batch = MixBatch(
             min_customers=min_customers,
             timeout_blocks=timeout_blocks,
@@ -274,75 +308,47 @@ class MixerService:
         self.masker_pubs: dict[bytes, Point] = {}  # session -> out-of-band mask key
         self.emitted_unmixed = False
 
-    def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> list[int]:
+    def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> None:
         """Split a refundable session's entries into chunks and batch them.
 
         Every refund entry must name a refundee extended key; all entries
         are checked before the masking key is taken or a chunk queued.
-        Returns the batch positions taken; emission waits for enough
-        distinct customers or the batch timeout.
+        Emission waits for enough distinct customers or the batch timeout.
         """
-        if not self.merchant.refundable(merchant_data):
-            raise WindowExpired("session is not refundable")
-        session = self.merchant.sessions[merchant_data]
-        plans = []
-        for entry in session.entries:
-            if not isinstance(entry.refundee, ExtendedPublicKey):
-                raise MixerError("mixing requires refundee extended keys")
-            plans.append(split_value(entry.value - self.service_fee, self.k))
+        session, plans = _refund_plans(self.merchant, merchant_data, self.k)
         masker_idx = self.merchant.wallet.allocate()
         masker_priv, masker_pub = self.merchant.wallet.key(masker_idx)
         self.merchant.key_log.register(masker_pub, "chunk-masking-key")
         self.masker_pubs[merchant_data] = masker_pub
-        positions = []
         for entry, plan in zip(session.entries, plans):
             masked = derive_chunk_keys(entry.refundee, self.k, masker_priv)
             for chunk_value, masked_key in zip(plan.chunks, masked):
                 self.merchant.key_log.register(masked_key, "masked-chunk-key")
-                positions.append(
-                    self.batch.add(MixChunk(masked_key, chunk_value, merchant_data))
-                )
-        session.state = SessionState.REFUND_ISSUED
-        self.truth.customers.append(customer_name)
-        self.truth.origin_names[merchant_data] = customer_name
-        self.truth.refund_totals[customer_name] = sum(plan.total for plan in plans)
-        self.truth.payment_heights[customer_name] = session.paid_height
-        return positions
+                self.batch.add(MixChunk(masked_key, chunk_value, merchant_data))
+        self.truth.record(session, customer_name, sum(plan.total for plan in plans))
 
     def try_emit(self) -> list[Transaction]:
-        if not self.batch.ready(self.ledger.height):
-            return []
-        return self.emit_mixed_transactions(self.batch)
-
-    def emit_mixed_transactions(self, batch: MixBatch) -> list[Transaction]:
-        """Emit the batch: interleaved origins, shuffled outputs, jittered heights.
+        """Emit a ready batch: interleaved origins, shuffled outputs, jittered heights.
 
         A batch that never reached two customers is emitted anyway at
         timeout (funds must move), flagged as unmixed.
         """
-        if not batch.entries:
-            raise MixerError("empty batch")
+        batch = self.batch
+        if not batch.ready(self.ledger.height):
+            return []
         if len(batch.origins()) < batch.min_customers:
             self.emitted_unmixed = True
         emitted = []
-        for chunks, lock in _mixed_groups(
-            batch.entries, self.rng, self.outputs_per_tx, self.jitter_window,
-            self.ledger.height + 1,
+        for tx, tid, chunks, lock, _key in _emit_mixed(
+            self, batch.entries, self.ledger.height + 1, "mix-funding", "emission",
+            lambda chunks, _masker: [
+                TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point))) for c in chunks
+            ],
         ):
-            priv, pub, funding = self.merchant.reserve_funded_key(
-                sum(c.value for c in chunks), "mix-funding"
-            )
-            outs = [
-                TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point)))
-                for c in chunks
-            ]
-            tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            tid = self.merchant.broadcast(tx, "emission")
             emitted.append(tx)
-            for vout, chunk in enumerate(chunks):
-                self.truth.chunk_facts.append(
-                    ChunkFact(tid, vout, chunk.value, chunk.origin, lock)
-                )
+            self.truth.chunk_facts.extend(
+                ChunkFact(tid, vout, c.value, c.origin, lock) for vout, c in enumerate(chunks)
+            )
         batch.entries.clear()
         return emitted
 
@@ -411,13 +417,24 @@ def _feasible_assignments(
     the same outputs (one class per tuple of ``payment_height <=
     emission_height``) are interchangeable, since swapping two of them maps
     completions one to one; the memo key sorts the remaining totals within
-    each class, so the states stay polynomial in the class sizes.
+    each class, so the states stay polynomial in the class sizes.  A state
+    counts 0 at once when some remaining total, or all of them together,
+    cannot be met with as many outputs as are left, each worth between the
+    next value and the smallest; once the outputs left are all alike in
+    value and in who may take them, the count is a multinomial.
     """
     order = sorted(range(len(outputs)), key=lambda i: -outputs[i].value)
+    # each output's value and who may take it, in search order
+    kinds = [
+        (out.value, tuple(payment_heights[c] <= out.emission_height for c in customers))
+        for out in (outputs[i] for i in order)
+    ]
     classes: dict[tuple[bool, ...], list[int]] = {}
-    for c, customer in enumerate(customers):
-        signature = tuple(payment_heights[customer] <= out.emission_height for out in outputs)
-        classes.setdefault(signature, []).append(c)
+    for c in range(len(customers)):
+        classes.setdefault(tuple(allowed[c] for _value, allowed in kinds), []).append(c)
+    tail = len(order)  # from here on, every output is like the last one
+    while tail and kinds[tail - 1] == kinds[-1]:
+        tail -= 1
     memo: dict[tuple, int] = {}
 
     def moves(pos: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -431,7 +448,22 @@ def _feasible_assignments(
             return int(not any(remaining))
         key = (pos, *(tuple(sorted(remaining[c] for c in cls)) for cls in classes.values()))
         if key not in memo:
-            memo[key] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
+            # values only fall along the search order: each output left is
+            # worth between this one's value and the last one's
+            high, (low, allowed) = outputs[order[pos]].value, kinds[-1]
+            spans = [(-(-r // high), r // low) for r in remaining]  # outputs each can take
+            fits = all(few <= most for few, most in spans) and (
+                sum(few for few, _ in spans) <= len(order) - pos <= sum(m for _, m in spans)
+            )
+            if not fits:
+                memo[key] = 0
+            elif pos >= tail:  # interchangeable outputs: a multinomial over the shares
+                memo[key] = (
+                    factorial(len(order) - pos) // prod(factorial(r // low) for r in remaining)
+                    if all(a or not r for a, r in zip(allowed, remaining)) else 0
+                )
+            else:
+                memo[key] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
         return memo[key]
 
     start = tuple(totals[c] for c in customers)
@@ -557,18 +589,10 @@ class AggregateService:
         self.truth = MixGroundTruth()
         self.details: dict[bytes, list[AggregateChunkDetail]] = {}
 
-    def aggregate_refund(self, merchant_data: bytes, customer_name: str) -> int:
+    def aggregate_refund(self, merchant_data: bytes, customer_name: str) -> None:
         """Queue a session's chunked joint+fallback refund for mixed emission."""
-        if not self.merchant.refundable(merchant_data):
-            raise WindowExpired("session is not refundable")
-        session = self.merchant.sessions[merchant_data]
+        session, plans = _refund_plans(self.merchant, merchant_data, self.k)
         xpub = session.customer_xpubs[0]
-        n = len(session.entries)
-        plans = []
-        for entry in session.entries:
-            if not isinstance(entry.refundee, ExtendedPublicKey):
-                raise MixerError("aggregate mode requires refundee extended keys")
-            plans.append(split_value(entry.value, self.k))
         total = sum(plan.total for plan in plans)
         fallback_plan = split_value(total, self.k)
         for i, (entry, plan) in enumerate(zip(session.entries, plans)):
@@ -588,75 +612,58 @@ class AggregateService:
                 AggregateFallbackChunk(
                     origin=merchant_data,
                     customer_xpub=xpub,
-                    flat_index=n * self.k + j,
+                    flat_index=len(plans) * self.k + j,
                     value=chunk_value,
                 )
             )
-        session.state = SessionState.REFUND_ISSUED
-        self.truth.customers.append(customer_name)
-        self.truth.origin_names[merchant_data] = customer_name
-        self.truth.refund_totals[customer_name] = total
-        self.truth.payment_heights[customer_name] = session.paid_height
+        self.truth.record(session, customer_name, total)
         self.details[merchant_data] = []
-        return len(self.pending_joint)
 
     def emit(self) -> tuple[list[Transaction], list[Transaction]]:
         """Emit all queued chunks as mixed joint and fallback transactions."""
         if not self.pending_joint:
             raise MixerError("nothing queued")
         height = self.ledger.height
-        joint_txs = []
-        placements: dict[tuple[bytes, int], tuple[bytes, int, int, NOfNScript]] = {}
-        for chunks, lock in _mixed_groups(
-            self.pending_joint, self.rng, self.outputs_per_tx, self.jitter_window, height + 1
-        ):
-            priv, pub, funding = self.merchant.reserve_funded_key(
-                sum(c.value for c in chunks), "aggregate-joint-funding"
-            )
-            masker = ChildMasker(priv)
-            scripts = [
-                NOfNScript((
+        scripts: dict[AggregateChunk, NOfNScript] = {}
+
+        def joint_outputs(chunks, masker):
+            for c in chunks:
+                scripts[c] = NOfNScript((
                     masker.mask(c.customer_xpub, c.flat_index),
                     masker.mask(c.refundee_xpub, c.chunk_index),
                 ))
-                for c in chunks
-            ]
-            outs = [
-                TxOutput(c.value, ScriptHash(script.script_hash()))
-                for c, script in zip(chunks, scripts)
-            ]
-            tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            tid = self.merchant.broadcast(tx, "aggregate joint emission")
+            return [TxOutput(c.value, ScriptHash(scripts[c].script_hash())) for c in chunks]
+
+        joint_txs = []
+        placements: dict[AggregateChunk, tuple[bytes, int, tuple[int, Point]]] = {}
+        for tx, tid, chunks, lock, key in _emit_mixed(
+            self, self.pending_joint, height + 1,
+            "aggregate-joint-funding", "aggregate joint emission", joint_outputs,
+        ):
             joint_txs.append(tx)
-            for vout, (c, script) in enumerate(zip(chunks, scripts)):
-                placements[(c.origin, c.flat_index)] = (tid, vout, priv, pub, script)
+            for vout, c in enumerate(chunks):
+                placements[c] = (tid, vout, key)
                 self.truth.chunk_facts.append(ChunkFact(tid, vout, c.value, c.origin, lock))
         fallback_txs = []
         fallback_place: dict[tuple[bytes, int], bytes] = {}
-        for chunks, lock in _mixed_groups(
-            self.pending_fallback, self.rng, self.outputs_per_tx, self.jitter_window,
-            height + self.merchant.lock_blocks,
-        ):
-            priv, pub, funding = self.merchant.reserve_funded_key(
-                sum(c.value for c in chunks), "aggregate-fallback-funding"
-            )
-            masker = ChildMasker(priv)
-            outs = [
+        for tx, tid, chunks, _lock, _key in _emit_mixed(
+            self, self.pending_fallback, height + self.merchant.lock_blocks,
+            "aggregate-fallback-funding", "aggregate fallback emission",
+            lambda chunks, masker: [
                 TxOutput(
                     c.value,
                     PayToPubkeyHash(key_hash(masker.mask(c.customer_xpub, c.flat_index))),
                 )
                 for c in chunks
-            ]
-            tx = build_funded_tx(outs, funding, (priv, pub), lock)
-            tid = self.merchant.broadcast(tx, "aggregate fallback emission")
+            ],
+        ):
             fallback_txs.append(tx)
             for c in chunks:
-                fallback_place[(c.origin, c.flat_index % self.k)] = tid
+                fallback_place[c.origin, c.flat_index % self.k] = tid
         # assemble per-chunk records: a chunk's fallback is its session's
         # fallback chunk with the same chunk position
         for chunk in self.pending_joint:
-            joint_txid, vout, priv, pub, script = placements[(chunk.origin, chunk.flat_index)]
+            joint_txid, vout, (priv, pub) = placements[chunk]
             session = self.merchant.sessions[chunk.origin]
             fb_txid = fallback_place[(chunk.origin, chunk.chunk_index)]
             record = dispute.RefundRecord(session.main_txid, joint_txid, fb_txid)
@@ -668,7 +675,7 @@ class AggregateService:
                     masking_pub=pub,
                     joint_txid=joint_txid,
                     joint_vout=vout,
-                    script=script,
+                    script=scripts[chunk],
                 )
             )
         self.pending_joint.clear()

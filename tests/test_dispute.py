@@ -505,3 +505,53 @@ def test_monitor_before_the_refund_pair_confirms(paid_session):
     harness.merchant.monitor()
     assert harness.merchant.records == [issue.record]
     assert issue.record.redeem_txid == bytes(32)
+
+
+# -- a repeat customer's refunds ---------------------------------------------------
+
+
+def recover_repeat_customer(harness, claim=None, reverse=False):
+    """One customer pays twice with the same wallet and claims each refund as
+    `claim` says; returns a cold-wallet rebuild after `monitor`.  With
+    `reverse`, the two requests are paid in the reverse of their creation
+    order, each refund issued right after its payment."""
+    from test_protocol import pay_and_issue, settle_fallbacks
+
+    alice = harness.customer("alice")
+    r_priv, r_pub = keygen(b"repeat-refundee")
+    harness.fund([(alice, 100_000)], merchant_keys=8)
+    if reverse:
+        requests = [harness.merchant.create_request(50_000) for _ in range(2)]
+        for request in reversed(requests):
+            harness.merchant.process_payment(alice.pay(request, [RefundEntry(r_pub, 30_000)]))
+            harness.ledger.advance_height(1)
+            harness.merchant.issue_refund(request.merchant_data)
+            harness.ledger.advance_height(1)
+    else:
+        for _ in range(2):
+            pay_and_issue(harness, alice, r_pub)
+    settle_fallbacks(harness)
+    for _ in range(2 if claim else 0):
+        if claim == "joint":
+            alice.redeem_with_refundee(r_priv, r_pub)
+        else:
+            alice.redeem_fallback()
+        harness.ledger.advance_height(1)
+    harness.merchant.monitor()
+    wallet = harness.merchant.wallet
+    return recover_database(MerchantWallet(wallet.master_seed, wallet.size), harness.ledger)
+
+
+@pytest.mark.parametrize("claim, reverse", [
+    ("joint", False), ("fallback", False), (None, False), (None, True),
+], ids=["joint", "fallback", "unclaimed", "paid-in-reverse"])
+def test_recovery_gives_each_payment_of_a_repeat_customer_its_own_refund(
+    harness, claim, reverse
+):
+    """Both payments embed the same extended key, so both match each refund's
+    masked child; each refund goes to the payment it was issued for."""
+    result = recover_repeat_customer(harness, claim, reverse)
+    kept = sorted(harness.merchant.records, key=lambda r: r.main_txid)
+    assert len({r.main_txid for r in kept}) == 2
+    assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]
+    assert result.unmatched == []

@@ -20,7 +20,11 @@ from refundsim.mixer import (
     MixerError,
     MixerService,
     _feasible_assignments,
+    _interleave_by_origin,
+    _partition,
     analyze_linkage,
+    check_mixable,
+    check_spans_txs,
     derive_chunk_keys,
     split_value,
     sweep_chunks,
@@ -110,6 +114,33 @@ def test_batch_not_ready_until_quorum_or_timeout():
     assert batch.ready(15)  # timeout
     batch.add(MixChunk(SECP256K1.g, 10, b"b"))
     assert batch.ready(6)  # quorum
+
+
+def test_mixing_rules_hold_exactly():
+    """`check_mixable` raises exactly when the module's own interleave and
+    partition leave some transaction the chunks of a single origin, and
+    `check_spans_txs` exactly when several origins' chunks fit in one
+    transaction; one origin breaks neither rule."""
+    rng = random.Random(0)
+    for origins, per_origin, per_tx in itertools.product(
+        range(1, 7), range(1, 7), range(1, 11)
+    ):
+        entries = [
+            MixChunk(SECP256K1.g, 1, bytes([o])) for o in range(origins) for _ in range(per_origin)
+        ]
+        groups = _partition(_interleave_by_origin(entries, rng), per_tx)
+        assert sorted(e.origin for g in groups for e in g) == sorted(e.origin for e in entries)
+        for rule, broken in (
+            (check_mixable, any(len({e.origin for e in g}) < 2 for g in groups)),
+            (check_spans_txs, len(groups) < 2),
+        ):
+            try:
+                rule(origins, per_origin, per_tx)
+            except ValueError:
+                raised = True
+            else:
+                raised = False
+            assert raised == (origins > 1 and broken), (rule.__name__, origins, per_origin, per_tx)
 
 
 def mixer_env(harness_cls, n_customers=2, totals=None, k=4, seed=7, tag=b"",
@@ -269,29 +300,6 @@ def test_sweep_matches_full_scan():
         ledger.advance_height(1)
         ref_ledger.advance_height(1)
     assert sweep_chunks(refundees[0], masker, ledger, dest, 5) == ([], 0)
-
-
-def test_service_fee_withheld_before_split():
-    from conftest import Harness
-
-    harness = Harness(tag=b"fee", lock_blocks=30, window_blocks=400)
-    customer = harness.customer("payer", b"fee")
-    wallet = CustomerWallet(b"fee-refundee")
-    harness.fund([(customer, 100_000)], merchant_keys=8)
-    service = MixerService(
-        harness.merchant, k=4, min_customers=1, timeout_blocks=1,
-        rng_seed=3, service_fee=4_000,
-    )
-    request = harness.merchant.create_request(100_000)
-    msg = customer.pay(request, [RefundEntry(wallet.xpub, 100_000)], encrypt=True)
-    harness.merchant.process_payment(msg)
-    harness.ledger.advance_height(1)
-    service.enqueue_refund(request.merchant_data, customer.name)
-    service.try_emit()
-    harness.ledger.advance_height(4)
-    emitted_total = sum(f.value for f in service.truth.chunk_facts)
-    assert emitted_total == 96_000  # the fee stays with the merchant
-    assert {f.value for f in service.truth.chunk_facts} == {24_000}
 
 
 def test_no_metadata_leakage_in_emissions():

@@ -1,8 +1,10 @@
 """Scenario harness: verdicts, determinism, defense mutations."""
 
+import signal
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from refundsim.cli import main
 from refundsim.scenarios import (
@@ -244,6 +246,9 @@ RELATIONAL = [
     ("Mixer", "outputs_per_tx=1"),
     ("Mixer", "n_customers=3,outputs_per_tx=1"),
     ("Mixer", "n_customers=3,k=3"),
+    ("Aggregate", "n_customers=3,k=3"),
+    ("Aggregate", "k=1,n_customers=3,outputs_per_tx=2"),
+    ("Aggregate", "n_customers=2,k=2,outputs_per_tx=3"),
     # one customer above the unequal-totals limit
     ("Mixer", f"unequal=1,n_customers={UNEQUAL_MAX_CUSTOMERS + 1}"),
     # one chunk per refund above the unequal-totals limit
@@ -269,6 +274,52 @@ def test_relational_config_is_a_config_error(name, config, tmp_path, capsys, mon
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# each mixing key's edge values: 1, 2, 3, the default, and the value just
+# past each stated limit (the unequal-totals limits; a value below the
+# minimum of 1 is left to test_out_of_range_config_is_a_config_error)
+MIXING_EDGES = {
+    "n_customers": [1, 2, 3, UNEQUAL_MAX_CUSTOMERS + 1, 12],
+    "k": [1, 2, 3, 4, *sorted({k + 1 for k in UNEQUAL_MAX_K.values()})],
+    "amount": [1, 2, 3, 100_000],
+    "jitter_window": [1, 2, 3],
+    "outputs_per_tx": [1, 2, 3, 4, 100],
+}
+RUN_BUDGET_S = 15  # three times the README's 5 s budget for one run
+
+
+def _edge_configs(**own):
+    keys = {**MIXING_EDGES, **own}
+    return st.fixed_dictionaries({key: st.sampled_from(values) for key, values in keys.items()})
+
+
+def _out_of_time(_signum, _frame):
+    raise TimeoutError(f"a run took more than {RUN_BUDGET_S} s")
+
+
+@settings(
+    derandomize=True, max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(
+    st.tuples(st.just("Mixer"), _edge_configs(unequal=[0, 1])),
+    st.tuples(st.just("Aggregate"), _edge_configs(lock_blocks=[1, 2, 3, 40])),
+))
+def test_mixing_configs_pass_or_are_config_errors(case):
+    """Every edge config of the two mixing scenarios either passes or is a
+    ConfigError, within the run budget."""
+    name, config = case
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(RUN_BUDGET_S)
+    try:
+        verdict = run_scenario(Scenario(ScenarioName.parse(name), config=config), out_dir=None)
+    except ConfigError:
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict.all_passed, [a.label for a in verdict.assertions if not a.passed]
 
 
 LARGE_REFUNDS = [
