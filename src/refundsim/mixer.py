@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import factorial, prod
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
@@ -37,7 +37,6 @@ from .protocol import (
     Merchant,
     MerchantSession,
     SessionState,
-    WindowExpired,
 )
 from . import dispute
 from .transactions import (
@@ -117,7 +116,7 @@ class MixBatch:
 
     min_customers: int = 2
     timeout_blocks: int = 20
-    created_height: int = 0
+    created_height: int = 0  # where the first pending chunk was queued
     entries: list[MixChunk] = field(default_factory=list)
 
     def add(self, chunk: MixChunk) -> None:
@@ -272,9 +271,7 @@ def _refund_plans(
     Every entry must name a refundee extended key.  Nothing is taken,
     queued or recorded here, so a refused session leaves no partial state.
     """
-    if not merchant.refundable(merchant_data):
-        raise WindowExpired("session is not refundable")
-    session = merchant.sessions[merchant_data]
+    session = merchant.refundable_session(merchant_data)
     if not all(isinstance(e.refundee, ExtendedPublicKey) for e in session.entries):
         raise MixerError("mixing requires refundee extended keys")
     return session, [split_value(entry.value, k) for entry in session.entries]
@@ -299,11 +296,7 @@ class MixerService:
         self.outputs_per_tx = outputs_per_tx
         self.jitter_window = jitter_window
         self.rng = random.Random(rng_seed)
-        self.batch = MixBatch(
-            min_customers=min_customers,
-            timeout_blocks=timeout_blocks,
-            created_height=self.ledger.height,
-        )
+        self.batch = MixBatch(min_customers=min_customers, timeout_blocks=timeout_blocks)
         self.truth = MixGroundTruth()
         self.masker_pubs: dict[bytes, Point] = {}  # session -> out-of-band mask key
         self.emitted_unmixed = False
@@ -313,9 +306,12 @@ class MixerService:
 
         Every refund entry must name a refundee extended key; all entries
         are checked before the masking key is taken or a chunk queued.
-        Emission waits for enough distinct customers or the batch timeout.
+        Emission waits for enough distinct customers or the batch timeout,
+        which starts when a chunk is queued into an empty batch.
         """
         session, plans = _refund_plans(self.merchant, merchant_data, self.k)
+        if not self.batch.entries:
+            self.batch.created_height = self.ledger.height
         masker_idx = self.merchant.wallet.allocate()
         masker_priv, masker_pub = self.merchant.wallet.key(masker_idx)
         self.merchant.key_log.register(masker_pub, "chunk-masking-key")
@@ -420,8 +416,9 @@ def _feasible_assignments(
     each class, so the states stay polynomial in the class sizes.  A state
     counts 0 at once when some remaining total, or all of them together,
     cannot be met with as many outputs as are left, each worth between the
-    next value and the smallest; once the outputs left are all alike in
-    value and in who may take them, the count is a multinomial.
+    next value and the smallest.  Once the outputs left form at most two
+    runs, each alike in value and in who may take them, `two_runs` counts
+    them customer by customer instead.
     """
     order = sorted(range(len(outputs)), key=lambda i: -outputs[i].value)
     # each output's value and who may take it, in search order
@@ -435,6 +432,9 @@ def _feasible_assignments(
     tail = len(order)  # from here on, every output is like the last one
     while tail and kinds[tail - 1] == kinds[-1]:
         tail -= 1
+    runs2 = tail  # from here on, the outputs form at most two runs of like ones
+    while runs2 and kinds[runs2 - 1] == kinds[tail - 1]:
+        runs2 -= 1
     memo: dict[tuple, int] = {}
 
     def moves(pos: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -443,6 +443,28 @@ def _feasible_assignments(
             if remaining[c] >= out.value and payment_heights[customer] <= out.emission_height:
                 yield c, remaining[:c] + (remaining[c] - out.value,) + remaining[c + 1:]
 
+    def two_runs(pos: int, remaining: tuple[int, ...]) -> int:
+        """Completions from `pos` >= `runs2`: each customer takes some x of
+        the first run's m1 outputs (none from `tail` on) and meets the rest
+        of its total with y of the last run's m2.  Customers are taken in
+        turn, keyed on the outputs of each run taken so far; choosing which
+        x of the s1 + x taken is C(s1 + x, x), so the ways multiply to
+        m1!/prod(x!) times m2!/prod(y!)."""
+        (v1, allowed1), (v2, allowed2) = kinds[pos], kinds[-1]
+        m1, m2 = max(tail - pos, 0), len(order) - max(tail, pos)
+        ways = {(0, 0): 1}
+        for c, r in enumerate(remaining):
+            step: dict[tuple[int, int], int] = {}
+            for (s1, s2), w in ways.items():
+                for x in range(min(m1 - s1, r // v1) + 1 if allowed1[c] else 1):
+                    y, short = divmod(r - x * v1, v2)
+                    if short or (y and not allowed2[c]) or s2 + y > m2:
+                        continue
+                    taken = (s1 + x, s2 + y)
+                    step[taken] = step.get(taken, 0) + w * comb(s1 + x, x) * comb(s2 + y, y)
+            ways = step
+        return ways.get((m1, m2), 0)
+
     def count(pos: int, remaining: tuple[int, ...]) -> int:
         if pos == len(order):
             return int(not any(remaining))
@@ -450,18 +472,15 @@ def _feasible_assignments(
         if key not in memo:
             # values only fall along the search order: each output left is
             # worth between this one's value and the last one's
-            high, (low, allowed) = outputs[order[pos]].value, kinds[-1]
+            high, low = outputs[order[pos]].value, kinds[-1][0]
             spans = [(-(-r // high), r // low) for r in remaining]  # outputs each can take
             fits = all(few <= most for few, most in spans) and (
                 sum(few for few, _ in spans) <= len(order) - pos <= sum(m for _, m in spans)
             )
             if not fits:
                 memo[key] = 0
-            elif pos >= tail:  # interchangeable outputs: a multinomial over the shares
-                memo[key] = (
-                    factorial(len(order) - pos) // prod(factorial(r // low) for r in remaining)
-                    if all(a or not r for a, r in zip(allowed, remaining)) else 0
-                )
+            elif pos >= runs2:
+                memo[key] = two_runs(pos, remaining)
             else:
                 memo[key] = sum(count(pos + 1, rest) for _c, rest in moves(pos, remaining))
         return memo[key]
@@ -555,9 +574,12 @@ class AggregateChunkDetail:
     chunk: AggregateChunk
     masking_priv: int
     masking_pub: Point
-    joint_txid: bytes
     joint_vout: int
     script: NOfNScript
+
+    @property
+    def joint_txid(self) -> bytes:
+        return self.record.refund_tc1_txid
 
 
 class AggregateService:
@@ -673,7 +695,6 @@ class AggregateService:
                     chunk=chunk,
                     masking_priv=priv,
                     masking_pub=pub,
-                    joint_txid=joint_txid,
                     joint_vout=vout,
                     script=scripts[chunk],
                 )

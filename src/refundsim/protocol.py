@@ -45,6 +45,7 @@ from .keys import (
 )
 from .ledger import SimLedger
 from .transactions import (
+    ByteReader,
     DataCarrier,
     FundingOutpoint,
     InsufficientFunds,
@@ -134,42 +135,6 @@ def _wstr(text: str) -> bytes:
     return _wb(text.encode("utf-8"))
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated message")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def lv(self) -> bytes:
-        (n,) = struct.unpack(">H", self.take(2))
-        return self.take(n)
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def point(self) -> Point:
-        return SECP256K1.decode_point(self.take(1 + SECP256K1.coord_bytes))
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise ValueError("trailing bytes")
-
-
 # -- messages -----------------------------------------------------------------
 
 
@@ -206,7 +171,7 @@ class RefundEntry:
 
     @classmethod
     def decode(cls, data: bytes) -> "RefundEntry":
-        cur = _Cursor(data)
+        cur = ByteReader(data, "big")
         flags = cur.u8()
         if flags > 3:
             raise ValueError(f"unknown refund entry flags {flags:#x}")
@@ -256,7 +221,7 @@ def unseal_refund_entries(
         )
     except InvalidTag as exc:
         raise UndecryptableRefundTo("sealed refund_to does not decrypt") from exc
-    cur = _Cursor(plaintext)
+    cur = ByteReader(plaintext, "big")
     entries = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
     cur.done()
     return entries
@@ -290,7 +255,7 @@ class PaymentRequest:
 
     @classmethod
     def decode(cls, data: bytes) -> "PaymentRequest":
-        cur = _Cursor(data)
+        cur = ByteReader(data, "big")
         merchant_pubkey = cur.point()
         payment_address = cur.point()
         amount, created_at, expires_at = (
@@ -338,7 +303,7 @@ class PaymentMsg:
 
     @classmethod
     def decode(cls, data: bytes) -> "PaymentMsg":
-        cur = _Cursor(data)
+        cur = ByteReader(data, "big")
         merchant_data = cur.lv()
         transactions = tuple(deserialize_tx(cur.lv()) for _ in range(cur.u16()))
         refund_to = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
@@ -367,7 +332,7 @@ class PaymentAck:
 
     @classmethod
     def decode(cls, data: bytes) -> "PaymentAck":
-        cur = _Cursor(data)
+        cur = ByteReader(data, "big")
         payment_copy = PaymentMsg.decode(cur.lv())
         memo = cur.lv().decode("utf-8")
         signature = cur.lv()
@@ -394,7 +359,7 @@ class RefundAddressUpdate:
 
     @classmethod
     def decode(cls, data: bytes) -> "RefundAddressUpdate":
-        cur = _Cursor(data)
+        cur = ByteReader(data, "big")
         merchant_data = cur.lv()
         channel = UpdateChannel(cur.u8())
         entries = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
@@ -603,10 +568,17 @@ class MerchantSession:
         return len(self.customer_xpubs) > 1
 
 
-def _check_cosigner_bindings(
-    entries: Sequence[RefundEntry], signer_keys: Sequence[Point]
+def _check_refund_entries(
+    entries: Sequence[RefundEntry], amount: int, signer_keys: Sequence[Point]
 ) -> None:
-    """Raise BadTransaction if an entry binds a key that signed no payment input."""
+    """Raise BadTransaction unless the entries refund at most `amount` and
+    each co-signer binding names a payment signer.
+
+    Every intake of refund instructions, the payment and each later address
+    update, obeys this one rule.
+    """
+    if sum(e.value for e in entries) > amount:
+        raise BadTransaction("refund total exceeds the amount paid")
     for entry in entries:
         if entry.cosigner_pubkey is not None and entry.cosigner_pubkey not in signer_keys:
             raise BadTransaction("co-signer binding is not a payment signer")
@@ -695,8 +667,15 @@ class Merchant:
         if paid != session.request.amount:
             raise AmountMismatch(f"paid {paid}, requested {session.request.amount}")
         xpubs = tuple(dispute.extract_all_xpubs(main))
-        if not xpubs:
-            raise BadTransaction("payment embeds no extended key")
+        # one key per signer, in input order: a signer may spend several coins
+        signer_keys = tuple(
+            dict.fromkeys(pub for txin in main.inputs for _sig, pub in txin.witness)
+        )
+        if not xpubs or len(xpubs) != len(signer_keys):
+            raise BadTransaction(
+                f"payment embeds {len(xpubs)} extended keys for {len(signer_keys)} "
+                "signers, not one per signer"
+            )
         entries = msg.refund_to
         if msg.sealed_refund_to is not None:
             request_priv, _ = self.wallet.key(session.request_key_index)
@@ -704,15 +683,9 @@ class Merchant:
             entries = unseal_refund_entries(
                 msg.sealed_refund_to.ciphertext, secret, msg.merchant_data
             )
-        if sum(e.value for e in entries) > session.request.amount:
-            raise BadTransaction("refund total exceeds the amount paid")
-        # one key per signer, in input order: a signer may spend several coins
-        signer_keys = tuple(
-            dict.fromkeys(pub for txin in main.inputs for _sig, pub in txin.witness)
-        )
+        _check_refund_entries(entries, session.request.amount, signer_keys)
         if len(xpubs) > 1 and any(e.cosigner_pubkey is None for e in entries):
             raise BadTransaction("multi-signer refund entry lacks a co-signer")
-        _check_cosigner_bindings(entries, signer_keys)
         result = self.ledger.broadcast(main)
         if not result:
             raise BadTransaction(f"payment rejected: {result.reason} {result.detail}")
@@ -722,13 +695,19 @@ class Merchant:
         session.main_txid = result.txid
         session.paid_height = self.ledger.height
         session.state = SessionState.PAID
-        ack = PaymentAck(payment_copy=msg, memo="ack", signature=b"")
-        digest = hashlib.sha256(ack.payment_copy.encode() + ack.memo.encode()).digest()
-        return replace(
-            ack, signature=schnorr_sign(self.identity_priv, self.identity_pub, digest)
-        )
+        digest = hashlib.sha256(msg.encode() + b"ack").digest()
+        return PaymentAck(msg, "ack", schnorr_sign(self.identity_priv, self.identity_pub, digest))
 
     # -- refund window ---------------------------------------------------------
+
+    def refundable_session(self, merchant_data: bytes) -> MerchantSession:
+        """The session, if it is refundable; else UnknownSession or WindowExpired."""
+        session = self.sessions.get(merchant_data)
+        if session is None:
+            raise UnknownSession(merchant_data.hex())
+        if not self.refundable(merchant_data):
+            raise WindowExpired("session is not refundable")
+        return session
 
     def refundable(self, merchant_data: bytes) -> bool:
         session = self.sessions.get(merchant_data)
@@ -751,12 +730,10 @@ class Merchant:
 
     def update_refund_addresses(self, update: RefundAddressUpdate) -> bool:
         """Replace refund instructions; the newest entries win, email included."""
-        session = self.sessions.get(update.merchant_data)
-        if session is None:
-            raise UnknownSession(update.merchant_data.hex())
-        if not self.refundable(update.merchant_data):
-            raise WindowExpired("session is not refundable")
-        _check_cosigner_bindings(update.new_entries, session.cosigner_keys)
+        session = self.refundable_session(update.merchant_data)
+        _check_refund_entries(
+            update.new_entries, session.request.amount, session.cosigner_keys
+        )
         if update.channel is UpdateChannel.EMAIL:
             old_values = sorted(e.value for e in session.entries)
             new_values = sorted(e.value for e in update.new_entries)
@@ -807,11 +784,7 @@ class Merchant:
         transaction is issued per signer (covering that signer's entries),
         and an email-tampered value locks every entry to all signers.
         """
-        session = self.sessions.get(merchant_data)
-        if session is None:
-            raise UnknownSession(merchant_data.hex())
-        if not self.refundable(merchant_data):
-            raise WindowExpired("session is not refundable")
+        session = self.refundable_session(merchant_data)
         if not session.entries:
             raise RefundNotFound("no refund entries on file")
         total = sum(e.value for e in session.entries)
@@ -899,11 +872,7 @@ class Merchant:
         This is the baseline the hardened path replaces; it exists so attack
         scenarios can demonstrate the unprotected outcome.
         """
-        session = self.sessions.get(merchant_data)
-        if session is None:
-            raise UnknownSession(merchant_data.hex())
-        if not self.refundable(merchant_data):
-            raise WindowExpired("session is not refundable")
+        session = self.refundable_session(merchant_data)
         total = sum(e.value for e in session.entries)
         priv, pub, funding = self.reserve_funded_key(total, "refund-direct-funding")
         outs = [
@@ -1022,21 +991,13 @@ class Customer:
         change = sum(f.value for f in funding) - request.amount
         if change > 0:
             self.wallet.credit(FundingOutpoint(txid(main), len(main.outputs) - 1, change))
-        sealed = None
-        wire_entries: tuple[RefundEntry, ...] = entries
-        if encrypt:
-            secret = dh_shared(self.wallet.priv, request.merchant_pubkey)
-            sealed = SealedRefundTo(
-                seal_refund_entries(entries, secret, request.merchant_data),
-                self.wallet.pub,
-            )
-            wire_entries = ()
+        if not encrypt:
+            return PaymentMsg(request.merchant_data, (main,), entries, memo=memo)
+        secret = dh_shared(self.wallet.priv, request.merchant_pubkey)
+        sealed = seal_refund_entries(entries, secret, request.merchant_data)
         return PaymentMsg(
-            merchant_data=request.merchant_data,
-            transactions=(main,),
-            refund_to=wire_entries,
-            sealed_refund_to=sealed,
-            memo=memo,
+            request.merchant_data, (main,),
+            sealed_refund_to=SealedRefundTo(sealed, self.wallet.pub), memo=memo,
         )
 
     # -- refund discovery ------------------------------------------------------

@@ -10,21 +10,24 @@ Runner contract: `run_scenario` builds one `Env` per run, which resolves the
 config once and holds the ledger, the merchant and the transcript.  A runner
 is `(env) -> list[Assertion]` and only tells its story; `run_scenario` then
 appends the ledger soundness checks, writes the transcript and returns the
-`Verdict`.  Every config value is an integer of at least 1 (the flags
-`encrypt` and `unequal` may be 0); a config that leaves a story no room, such
-as a lock height already passed when the story must wait for it, is a
-`ConfigError`.  So is a config whose values break a rule the story would
-meet later (a refund above the amount paid, shares that do not sum to it, a
-refund smaller than its chunk count): each runner checks those rules, by the
-functions that enforce them, before it logs anything.  `Env` checks the
-merchant wallet's capacity before the runner starts: each scenario states
-the keys its story takes (`KeyDemand`), and a wallet too small for them is a
-`ConfigError`; the faucet funds each seeded merchant key for the largest
-transaction it may fund.
+`Verdict`.  Every config key changes what a run does, and every value is an
+integer of at least 1 (the flag `unequal` may be 0); a config that leaves a
+story no room, such as a lock height already passed when the story must
+wait for it, is a `ConfigError`.  So is a config whose values break a rule
+the story would meet later (a refund above the amount paid, an amount the
+two co-payers cannot halve, a refund smaller than its chunk count): each
+runner checks those rules, by the functions that enforce them, before it
+logs anything.  `Env` checks the merchant wallet's capacity before the
+runner starts: each scenario states the keys its story takes (`KeyDemand`),
+and a wallet too small for them is a `ConfigError`; the faucet funds each
+seeded merchant key for the largest transaction it may fund.
 
 `--disable-defense` replays the vanilla refund behavior (pay the latest
-refund address directly) so the attack scenarios demonstrate the baseline
-theft before the defended run neutralizes it.
+refund address directly) so the refund scenarios demonstrate the baseline
+theft before the defended run neutralizes it.  Recovery and the mixing
+scenarios have no undefended baseline, so for them it is a `ConfigError`.
+
+Every scenario payment seals its refund instructions to the merchant.
 
 Accounting: balances are measured from an address book mapping output
 scripts to actor labels, with the baseline taken after seeding; an output
@@ -101,20 +104,20 @@ class ScenarioName(enum.Enum):
 
 _DEFAULTS: dict[ScenarioName, dict[str, int]] = {
     ScenarioName.HONEST_REFUND: {
-        "amount": 50_000, "refund_value": 30_000, "lock_blocks": 1008, "encrypt": 0,
+        "amount": 50_000, "refund_value": 30_000, "lock_blocks": 1008,
     },
     ScenarioName.SILKROAD: {
-        "amount": 50_000, "refund_value": 50_000, "lock_blocks": 1008, "encrypt": 0,
+        "amount": 50_000, "refund_value": 50_000, "lock_blocks": 1008,
     },
     ScenarioName.MARKETPLACE: {
-        "amount": 40_000, "refund_value": 40_000, "lock_blocks": 1008, "encrypt": 0,
+        "amount": 40_000, "refund_value": 40_000, "lock_blocks": 1008,
     },
     ScenarioName.MULTI_SIGNER: {
-        "amount": 60_000, "share": 30_000, "refund_value": 25_000, "lock_blocks": 1008,
+        "amount": 60_000, "refund_value": 25_000, "lock_blocks": 1008,
     },
     ScenarioName.RECOVERY: {
         "amount": 50_000, "refund_value": 30_000, "sessions": 3,
-        "wallet_k": 8, "lock_blocks": 60, "max_child_index": 8,
+        "wallet_k": 8, "lock_blocks": 60,
     },
     ScenarioName.MIXER: {
         "n_customers": 2, "k": 4, "amount": 100_000, "jitter_window": 3,
@@ -125,24 +128,28 @@ _DEFAULTS: dict[ScenarioName, dict[str, int]] = {
         "lock_blocks": 40, "jitter_window": 3, "outputs_per_tx": 4,
     },
 }
-_FLAGS = {"encrypt", "unequal"}  # the only keys that may be 0
+_FLAGS = {"unequal"}  # the only keys that may be 0
 # Counting linkage assignments over unequal refund totals
 # (`mixer.analyze_linkage`) grows exponentially with the customers and with
 # their chunks.  Within a 5 s budget, a Mixer run with unequal=1 takes at
 # most UNEQUAL_MAX_K[n_customers] chunks per refund; one or two customers
-# take every k the wallet holds, and six or more none.  Measured at seeds
-# 1-4 with the other values at their defaults (Python 3.11 on a shared
-# 2-core machine): 3 customers take 1.0 s at k=12 and 4.5-6.7 s at k=13;
-# 4 take 0.4 s at k=5 and 3.6-5.1 s at k=6 (32 s, with 739 MB peak RSS, at
-# k=7); 5 take 0.7-1.2 s at k=4 and give no result in 60 s at k=6; 6 take
-# 11 s, with 227 MB peak RSS, at the default k=4.  The cost is not
-# monotonic in k (4 customers take 2.6 s at k=8), so the limit is the first
-# k that leaves the budget, not the exact set of configs within it.  These
-# times predate the count's pruning of states no remaining totals can
-# meet, which made such counts far faster; the limits stand until measured
-# again.
-UNEQUAL_MAX_K = {3: 12, 4: 5, 5: 4}
+# take every k the wallet holds, and seven or more none.  Measured at seeds
+# 1-4 with the other values at their defaults, each run in its own process
+# (Python 3.11 on a shared 2-core machine): 3 customers take 1.5-2.5 s at
+# k=17 and 4.7-6.0 s at k=18; 4 take 0.4 s at k=8 and more than 9 s at k=9;
+# 5 take 0.2-0.3 s at k=4 (k=5 cannot mix) and more than 9 s at k=6; 6 take
+# 2.6-3.5 s at k=5 and more than 9 s at k=6.  Seven customers take 3.4-4.6 s
+# at the default k=4, and took 5.4 s in an earlier measurement: that is the
+# budget's edge, so the table stops at six.  The cost is not monotonic in k
+# (3 customers take 1.2 s at k=14 and 0.3 s at k=16), so the limit is the
+# first k that leaves the budget, not the exact set of configs within it.
+UNEQUAL_MAX_K = {3: 17, 4: 8, 5: 5, 6: 5}
 UNEQUAL_MAX_CUSTOMERS = max(UNEQUAL_MAX_K)
+# the stories whose vanilla direct refund `--disable-defense` replays
+_UNDEFENDED_BASELINES = {
+    ScenarioName.HONEST_REFUND, ScenarioName.SILKROAD,
+    ScenarioName.MARKETPLACE, ScenarioName.MULTI_SIGNER,
+}
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,8 @@ class Scenario:
     disable_defense: bool = False
 
     def resolved_config(self) -> dict[str, int]:
+        if self.disable_defense and self.name not in _UNDEFENDED_BASELINES:
+            raise ConfigError(f"{self.name.value} has no undefended baseline to replay")
         merged = dict(_DEFAULTS[self.name])
         for key, value in self.config.items():
             if key not in merged:
@@ -376,14 +385,18 @@ class Env:
         self.book.register_key(customer.fallback_pub, label)
         return customer
 
-    def pay(
-        self, payer: Customer, amount: int, plan: list[RefundEntry], encrypt: bool,
-        memo: str = "",
-    ) -> MerchantSession:
-        """Request `amount`, have `payer` pay it with `plan`, and process the payment."""
-        request = self.merchant.create_request(amount, memo=memo)
-        self.merchant.process_payment(payer.pay(request, plan, encrypt=encrypt))
+    def pay(self, payer: Customer, amount: int, plan: list[RefundEntry]) -> MerchantSession:
+        """Request `amount`, have `payer` pay it with `plan` sealed, and process it."""
+        request = self.merchant.create_request(amount)
+        self.merchant.process_payment(payer.pay(request, plan, encrypt=True))
         return self.merchant.sessions[request.merchant_data]
+
+    def pay_refundable(self, payer: Customer, refundee: Point) -> MerchantSession:
+        """Seed `payer` with `amount` and pay it, `refund_value` refundable to `refundee`."""
+        amount, refund_value = self.config["amount"], self.config["refund_value"]
+        _require(check_payment_plan, amount, [refund_value])
+        self.seed_funds([(payer, amount)])
+        return self.pay(payer, amount, [RefundEntry(refundee, refund_value)])
 
     def issue_refund(self, merchant_data: bytes, fallback_label: str) -> RefundIssue:
         """Issue the refund pair, label its escrows and fallbacks, and confirm it."""
@@ -443,26 +456,20 @@ class Env:
 
     def soundness_assertions(self) -> list[Assertion]:
         ledger = self.ledger
-        seen: set = set()
+        spent: set = set()
         dup = False
-        for _h, _tid, tx in ledger.all_confirmed():
+        lock_ok = True
+        created: dict = {}
+        for height, tid, tx in ledger.all_confirmed():
+            lock_ok = lock_ok and tx.lock_height <= height
             for txin in tx.inputs:
                 key = (txin.prev_txid, txin.prev_index)
-                if key in seen:
-                    dup = True
-                seen.add(key)
-        lock_ok = all(
-            tx.lock_height <= height for height, _tid, tx in ledger.all_confirmed()
-        )
-        replayed: dict = {}
-        spent: set = set()
-        for _h, tid, tx in ledger.all_confirmed():
-            for txin in tx.inputs:
-                spent.add((txin.prev_txid, txin.prev_index))
+                dup = dup or key in spent
+                spent.add(key)
             for i, out in enumerate(tx.outputs):
                 if not isinstance(out.script, DataCarrier):
-                    replayed[(tid, i)] = out
-        replayed = {k: v for k, v in replayed.items() if k not in spent}
+                    created[(tid, i)] = out
+        replayed = {k: v for k, v in created.items() if k not in spent}
         deltas = self.deltas()
         closure = sum(deltas.values())
         return [
@@ -516,11 +523,7 @@ def _run_honest_refund(env: Env) -> list[Assertion]:
     cfg = env.config
     alice = env.new_customer("alice")
     bob_priv, bob_pub = env.new_keypair("bob")
-    plan = [RefundEntry(bob_pub, cfg["refund_value"])]
-    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
-    env.seed_funds([(alice, cfg["amount"])])
-
-    session = env.pay(alice, cfg["amount"], plan, bool(cfg["encrypt"]), memo="order")
+    session = env.pay_refundable(alice, bob_pub)
     env.log("merchant", "payment-request", f"amount={cfg['amount']}")
     env.log("alice", "paid", f"main={session.main_txid.hex()[:12]}")
     env.ledger.advance_height(1)
@@ -598,11 +601,7 @@ def _run_silkroad(env: Env) -> list[Assertion]:
     cfg = env.config
     mallory = env.new_customer("mallory")
     trader_priv, trader_pub = env.new_keypair("silkroad-trader")
-    plan = [RefundEntry(trader_pub, cfg["refund_value"])]
-    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
-    env.seed_funds([(mallory, cfg["amount"])])
-
-    session = env.pay(mallory, cfg["amount"], plan, bool(cfg["encrypt"]))
+    session = env.pay_refundable(mallory, trader_pub)
     env.log("mallory", "paid-with-trader-refund-address", "")
     env.ledger.advance_height(1)
 
@@ -657,11 +656,7 @@ def _run_marketplace(env: Env) -> list[Assertion]:
     carol = env.new_customer("carol")
     _friend_priv, friend_pub = env.new_keypair("friend")
     rogue_priv, rogue_pub = env.new_keypair("rogue-trader")
-    plan = [RefundEntry(friend_pub, cfg["refund_value"])]
-    _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
-    env.seed_funds([(carol, cfg["amount"])])
-
-    session = env.pay(carol, cfg["amount"], plan, bool(cfg["encrypt"]))
+    session = env.pay_refundable(carol, friend_pub)
     env.ledger.advance_height(1)
     env.log("carol", "paid", "")
 
@@ -740,7 +735,8 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
     eve = env.new_customer("eve")  # malicious co-signer
     trader_priv, trader_pub = env.new_keypair("silkroad-trader")
     _eve_friend_priv, eve_friend_pub = env.new_keypair("eve-friend")
-    payers = [(dave, cfg["share"]), (eve, cfg["share"])]
+    share = cfg["amount"] // 2
+    payers = [(dave, share), (eve, share)]
     # eve builds the shared refund_to and names the trader as dave's refundee
     plan = [
         RefundEntry(trader_pub, cfg["refund_value"], cosigner_pubkey=dave.wallet.pub),
@@ -799,7 +795,7 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
         ),
         Assertion(
             "victim-recovers-via-fallback",
-            deltas.get("dave", 0) == dave_fallback_value - cfg["share"],
+            deltas.get("dave", 0) == dave_fallback_value - share,
             f"dave delta {deltas.get('dave', 0)}",
         ),
         Assertion(
@@ -821,14 +817,12 @@ def _run_recovery(env: Env) -> list[Assertion]:
     for i in range(cfg["sessions"]):
         customers.append(env.new_customer(f"customer{i}"))
         refundee_keys.append(env.new_keypair(f"refundee{i}"))
-    plans = [[RefundEntry(r_pub, cfg["refund_value"])] for _r_priv, r_pub in refundee_keys]
-    for plan in plans:
-        _require(check_payment_plan, cfg["amount"], [e.value for e in plan])
+    _require(check_payment_plan, cfg["amount"], [cfg["refund_value"]])
     env.seed_funds([(customer, cfg["amount"]) for customer in customers])
 
     issues = []
-    for i, (customer, plan) in enumerate(zip(customers, plans)):
-        session = env.pay(customer, cfg["amount"], plan, False)
+    for i, (customer, (_r_priv, r_pub)) in enumerate(zip(customers, refundee_keys)):
+        session = env.pay(customer, cfg["amount"], [RefundEntry(r_pub, cfg["refund_value"])])
         env.ledger.advance_height(1)
         issues.append(env.issue_refund(session.merchant_data, f"customer{i}"))
         env.log("merchant", "refund-issued", f"session={i}")
@@ -847,13 +841,9 @@ def _run_recovery(env: Env) -> list[Assertion]:
     env.merchant.store.wipe()
     env.log("disaster", "database-deleted", db_path)
 
-    result = dispute.recover_database(
-        env.merchant.wallet, env.ledger, max_child_index=cfg["max_child_index"]
-    )
+    result = dispute.recover_database(env.merchant.wallet, env.ledger)
     after = sorted(r.serialize() for r in result.records)
-    result2 = dispute.recover_database(
-        env.merchant.wallet, env.ledger, max_child_index=cfg["max_child_index"]
-    )
+    result2 = dispute.recover_database(env.merchant.wallet, env.ledger)
     env.merchant.store.rewrite(result.records)
     env.log(
         "merchant",
@@ -927,7 +917,7 @@ def _run_mixer(env: Env) -> list[Assertion]:
         rng_seed=env.scenario.seed,
     )
     for customer, wallet, total in zip(customers, refundees, totals):
-        session = env.pay(customer, total, [RefundEntry(wallet.xpub, total)], True)
+        session = env.pay(customer, total, [RefundEntry(wallet.xpub, total)])
         env.ledger.advance_height(1)
         service.enqueue_refund(session.merchant_data, customer.name)
         env.log(customer.name, "paid-and-cancelled", f"refund={total}")
@@ -1002,9 +992,7 @@ def _run_aggregate(env: Env) -> list[Assertion]:
     )
     mds = []
     for customer, wallet in zip(customers, refundees):
-        session = env.pay(
-            customer, cfg["amount"], [RefundEntry(wallet.xpub, cfg["amount"])], True
-        )
+        session = env.pay(customer, cfg["amount"], [RefundEntry(wallet.xpub, cfg["amount"])])
         env.ledger.advance_height(1)
         service.aggregate_refund(session.merchant_data, customer.name)
         mds.append(session.merchant_data)

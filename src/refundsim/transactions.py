@@ -254,37 +254,61 @@ def serialize_tx(tx: Transaction, strip_witness: bool = False) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
+class ByteReader:
+    """Cursor over one wire encoding, in one byte order.
+
+    Each read takes the next bytes or raises ValueError if too few are left;
+    `done` raises if any are left over.  Integers are unsigned; `lv` is a
+    u16-length-prefixed field and `point` a compressed point.
+    """
+
+    def __init__(self, data: bytes, byteorder: str):
         self.data = data
+        self.byteorder = byteorder
         self.pos = 0
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.data):
-            raise ValueError("truncated transaction")
+            raise ValueError(f"truncated: {count} bytes wanted at offset {self.pos}")
         chunk = self.data[self.pos : self.pos + count]
         self.pos += count
         return chunk
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def _uint(self, size: int) -> int:
+        return int.from_bytes(self.take(size), self.byteorder)
 
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def u16(self) -> int:
+        return self._uint(2)
+
+    def u32(self) -> int:
+        return self._uint(4)
+
+    def u64(self) -> int:
+        return self._uint(8)
+
+    def lv(self) -> bytes:
+        return self.take(self.u16())
+
+    def point(self) -> Point:
+        return SECP256K1.decode_point(self.take(POINT_SIZE))
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} trailing bytes")
+
 
 def deserialize_tx(data: bytes) -> Transaction:
-    r = _Reader(data)
+    r = ByteReader(data, "little")
     version = r.u32()
     inputs = []
     for _ in range(r.u32()):
         prev_txid = r.take(32)
         prev_index = r.u32()
         witness = tuple(
-            (r.take(SIGNATURE_SIZE), SECP256K1.decode_point(r.take(POINT_SIZE)))
+            (r.take(SIGNATURE_SIZE), r.point())
             for _ in range(r.u32())
         )
         reveal = None
@@ -314,8 +338,7 @@ def deserialize_tx(data: bytes) -> Transaction:
             raise ValueError(f"unknown script tag {tag}")
         outputs.append(TxOutput(value, script))
     lock_height = r.u32()
-    if r.pos != len(data):
-        raise ValueError("trailing bytes after transaction")
+    r.done()
     return Transaction(tuple(inputs), tuple(outputs), lock_height, version)
 
 

@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,28 @@ def test_single_customer_timeout_emits_unmixed():
     harness.ledger.advance_height(6)
     emitted = service.try_emit()
     assert emitted
+    assert service.emitted_unmixed
+
+
+def test_batch_timeout_starts_with_its_first_chunk():
+    """After a quorum emission, a lone customer's refund waits out the whole
+    timeout from its own queueing, not from the service's creation."""
+    harness, service, _c, _r = mixer_env(None, tag=b"late")
+    assert service.try_emit()  # quorum of two
+    late = harness.customer("late", b"late")
+    harness.fund([(late, 100_000)], merchant_keys=0)
+    harness.ledger.advance_height(10)
+    refundee = CustomerWallet(b"late-refundee")
+    request = harness.merchant.create_request(100_000)
+    msg = late.pay(request, [RefundEntry(refundee.xpub, 100_000)], encrypt=True)
+    harness.merchant.process_payment(msg)
+    harness.ledger.advance_height(1)
+    service.enqueue_refund(request.merchant_data, late.name)
+    harness.ledger.advance_height(4)
+    assert service.try_emit() == []
+    assert not service.emitted_unmixed
+    harness.ledger.advance_height(1)
+    assert service.try_emit()
     assert service.emitted_unmixed
 
 
@@ -447,6 +471,36 @@ def test_linkage_cases_cover_unequal_values_and_late_payers():
         pruned |= any(paid[c] > o.emission_height for o in outputs for c in customers)
         infeasible |= not enumerate_assignments(outputs, customers, totals, paid)
     assert unequal and pruned and infeasible
+
+
+def _out_of_time(_signum, _frame):
+    raise TimeoutError("the count took more than 10 s")
+
+
+def test_two_runs_of_chunks_counted_customer_by_customer():
+    """Twelve customers whose equal refunds of 100000 split into 18 chunks:
+    ten of 5556 and eight of 5555 each.  Every customer takes exactly ten
+    of the larger, so the count is a product of two multinomials; it closes
+    over the two runs at once rather than searching the C(22, 10) ways the
+    larger chunks could stand part way."""
+    customers = [f"c{i:02}" for i in range(12)]
+    values = [5556] * 120 + [5555] * 96
+    outputs = [ChunkFact(i.to_bytes(32, "big"), 0, v, b"", 20) for i, v in enumerate(values)]
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(10)
+    try:
+        count, nth = _feasible_assignments(
+            outputs, customers, dict.fromkeys(customers, 100_000), dict.fromkeys(customers, 1)
+        )
+        last = nth(count - 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert count == (
+        math.factorial(120) // math.factorial(10) ** 12
+        * (math.factorial(96) // math.factorial(8) ** 12)
+    )
+    assert all(last.count(c) == 18 for c in customers)
 
 
 def test_assignments_counted_beyond_enumeration_reach(tmp_path):

@@ -45,6 +45,7 @@ from refundsim.transactions import (
     NOfNScript,
     PayToPubkeyHash,
     ScriptHash,
+    build_main_tc,
     key_hash,
     txid,
 )
@@ -528,6 +529,49 @@ def test_address_update_binding_to_a_stranger_rejected(paid_session):
         harness.merchant.update_refund_addresses(update)
     issue = harness.merchant.issue_refund(request.merchant_data)
     assert issue.tc2.outputs[0].value == 30_000
+
+
+def test_address_update_above_the_amount_paid_rejected(paid_session):
+    """An address update may not refund more than was paid, email or not;
+    the entries on file stay, and their refund issues at their value."""
+    harness, _alice, _refundee, request, _msg = paid_session
+    update = RefundAddressUpdate(
+        request.merchant_data, (RefundEntry(R_PUB, 150_000),), UpdateChannel.EMAIL
+    )
+    with pytest.raises(BadTransaction, match="exceeds the amount paid"):
+        harness.merchant.update_refund_addresses(update)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert issue.tc2.outputs[0].value == 30_000
+
+
+def funded_merchant_keys(merchant):
+    return sum(1 for i in range(merchant.wallet.size) if merchant.wallet.utxos(i))
+
+
+def test_co_signer_without_an_extended_key_rejected(harness):
+    """Two wallets co-fund a payment that embeds only the first one's
+    extended key, with an entry bound to the second signer.  The payment is
+    refused, so no refund is issued for an entry nobody could derive a child
+    for (issuing one used to fail after taking a funded key)."""
+    dave = harness.customer("dave")
+    eve = harness.customer("eve")
+    harness.fund([(dave, 30_000), (eve, 30_000)])
+    request = harness.merchant.create_request(60_000)
+    main = build_main_tc(
+        dave.wallet.select(30_000) + eve.wallet.select(30_000),
+        request.payment_address,
+        60_000,
+        dave.wallet.xpub,
+        [(dave.wallet.priv, dave.wallet.pub), (eve.wallet.priv, eve.wallet.pub)],
+    )
+    plan = (RefundEntry(R_PUB, 25_000, cosigner_pubkey=eve.wallet.pub),)
+    funded = funded_merchant_keys(harness.merchant)
+    with pytest.raises(BadTransaction, match="not one per signer"):
+        harness.merchant.process_payment(PaymentMsg(request.merchant_data, (main,), plan))
+    assert not harness.ledger.mempool
+    with pytest.raises(WindowExpired):
+        harness.merchant.issue_refund(request.merchant_data)
+    assert funded_merchant_keys(harness.merchant) == funded
 
 
 def test_multi_signer_per_cosigner_fallbacks(harness):

@@ -208,7 +208,7 @@ OUT_OF_RANGE = [
     ("Silkroad", "amount=0"),
     ("HonestRefund", "lock_blocks=0"),
     ("HonestRefund", "lock_blocks=1"),
-    ("Recovery", "max_child_index=0"),
+    ("Recovery", "sessions=0"),
 ]
 
 
@@ -226,11 +226,33 @@ def test_out_of_range_config_is_a_config_error(name, config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# keys no run could observe, and the flag where no story has an undefended
+# baseline: each is refused before the run starts
+NOT_SETTABLE = [
+    ("HonestRefund", "--config", "encrypt=1"),
+    ("Silkroad", "--config", "encrypt=1"),
+    ("Marketplace", "--config", "encrypt=0"),
+    ("MultiSigner", "--config", "share=30000"),
+    ("Recovery", "--config", "max_child_index=8"),
+    ("Recovery", "--disable-defense"),
+    ("Mixer", "--disable-defense"),
+    ("Aggregate", "--disable-defense"),
+]
+
+
+@pytest.mark.parametrize("args", NOT_SETTABLE, ids=["-".join(a) for a in NOT_SETTABLE])
+def test_unobservable_knobs_are_config_errors(args, tmp_path, capsys):
+    argv = ["scenario", "run", *args, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 RELATIONAL = [
     ("HonestRefund", "refund_value=60000"),
     ("Silkroad", "refund_value=60000"),
     ("Marketplace", "refund_value=60000"),
-    ("MultiSigner", "share=20000"),
+    ("MultiSigner", "amount=60001"),
     ("MultiSigner", "refund_value=40000"),
     ("Recovery", "refund_value=60000"),
     ("Mixer", "amount=3"),
@@ -322,9 +344,78 @@ def test_mixing_configs_pass_or_are_config_errors(case):
     assert verdict.all_passed, [a.label for a in verdict.assertions if not a.passed]
 
 
+# each key's edge values: 1, 2, 3, the default, and the value just past each
+# stated limit: a refund above the amount (either side), an odd MultiSigner
+# amount or one below its two refunds, a lock too short for the story (the
+# smallest that runs is 2 to 5), more Recovery sessions than the wallet
+# holds keys for
+LOCK_EDGES = [1, 2, 3, 4, 5]
+REFUND_EDGES = {
+    "HonestRefund": {
+        "amount": [1, 2, 3, 50_000, 29_999],
+        "refund_value": [1, 2, 3, 30_000, 50_001],
+        "lock_blocks": [*LOCK_EDGES, 1008],
+    },
+    "Silkroad": {
+        "amount": [1, 2, 3, 50_000, 49_999],
+        "refund_value": [1, 2, 3, 50_000, 50_001],
+        "lock_blocks": [*LOCK_EDGES, 1008],
+    },
+    "Marketplace": {
+        "amount": [1, 2, 3, 40_000, 39_999],
+        "refund_value": [1, 2, 3, 40_000, 40_001],
+        "lock_blocks": [*LOCK_EDGES, 1008],
+    },
+    "MultiSigner": {
+        "amount": [1, 2, 3, 60_000, 60_001, 49_998],
+        "refund_value": [1, 2, 3, 25_000, 30_001],
+        "lock_blocks": [*LOCK_EDGES, 1008],
+    },
+    "Recovery": {
+        "amount": [1, 2, 3, 50_000, 29_999],
+        "refund_value": [1, 2, 3, 30_000, 50_001],
+        "sessions": [1, 2, 3, 4, 65],
+        "wallet_k": [1, 2, 3, 4, 8],
+        "lock_blocks": [*LOCK_EDGES, 60],
+    },
+}
+UNDEFENDED = {"HonestRefund", "Silkroad", "Marketplace", "MultiSigner"}
+
+
+def _refund_case(name):
+    config = st.fixed_dictionaries(
+        {key: st.sampled_from(values) for key, values in REFUND_EDGES[name].items()}
+    )
+    disable = st.booleans() if name in UNDEFENDED else st.just(False)
+    return st.tuples(st.just(name), config, disable)
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(*map(_refund_case, REFUND_EDGES)))
+def test_refund_configs_pass_or_are_config_errors(case):
+    """Every edge config of the refund scenarios and Recovery, defended or
+    (where the story has a baseline) not, either passes or is a
+    ConfigError, within the run budget."""
+    name, config, disable_defense = case
+    scenario = Scenario(ScenarioName.parse(name), config=config, disable_defense=disable_defense)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(RUN_BUDGET_S)
+    try:
+        verdict = run_scenario(scenario, out_dir=None)
+    except ConfigError:
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict.all_passed, [a.label for a in verdict.assertions if not a.passed]
+
+
 LARGE_REFUNDS = [
     ("HonestRefund", {"amount": 300_000, "refund_value": 300_000}),
-    ("MultiSigner", {"amount": 400_000, "share": 200_000, "refund_value": 150_000}),
+    ("MultiSigner", {"amount": 400_000, "refund_value": 150_000}),
     ("Mixer", {"amount": 1_000_000}),
     ("Aggregate", {"amount": 1_000_000}),
 ]
