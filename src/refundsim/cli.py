@@ -95,17 +95,6 @@ def _cmd_storage_compare(args) -> int:
     return 0
 
 
-def _cmd_mixer_run(args) -> int:
-    scenario = Scenario(
-        name=ScenarioName.MIXER,
-        seed=args.seed,
-        config={"n_customers": args.customers, "k": args.k},
-    )
-    verdict = run_scenario(scenario, out_dir=args.out_dir)
-    print("\n".join(verdict.lines()))
-    return 0 if verdict.all_passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refundsim",
@@ -156,15 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--ls", type=int, default=72, help="endorsement signature bytes")
     p_cmp.add_argument("--lpay", type=int, default=0, help="payment message bytes")
     p_cmp.set_defaults(func=_cmd_storage_compare)
-
-    p_mixer = sub.add_parser("mixer", help="mixing scenario shortcut")
-    mixer_sub = p_mixer.add_subparsers(dest="mixer_command", required=True)
-    p_mrun = mixer_sub.add_parser("run")
-    p_mrun.add_argument("--customers", type=int, default=2)
-    p_mrun.add_argument("--k", type=int, default=4)
-    p_mrun.add_argument("--seed", type=int, default=1)
-    p_mrun.add_argument("--out-dir", default=".")
-    p_mrun.set_defaults(func=_cmd_mixer_run)
 
     return parser
 

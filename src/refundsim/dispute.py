@@ -32,6 +32,7 @@ from .transactions import (
     ScriptHash,
     Transaction,
     key_hash,
+    signer_keys,
 )
 
 RECORD_SIZE = 128
@@ -111,7 +112,9 @@ class RecordStore:
         self.path = path
 
     def append(self, record: RefundRecord) -> None:
+        """Add one record after the last whole one, dropping any torn tail."""
         with open(self.path, "ab") as fh:
+            fh.truncate(fh.tell() - fh.tell() % RECORD_SIZE)
             fh.write(record.serialize())
 
     def load(self) -> list[RefundRecord]:
@@ -265,8 +268,7 @@ def verify_linkage_proof(proof: LinkageProof, ledger: SimLedger) -> ProofCheck:
         return ProofCheck(False, "mask-mismatch")
     # the disclosed key must be the joint refund's own funding key
     masking_pub = SECP256K1.g_mul(proof.masking_priv)
-    tc1_signers = {pub for txin in tc1.inputs for _sig, pub in txin.witness}
-    if masking_pub not in tc1_signers:
+    if masking_pub not in signer_keys(tc1):
         return ProofCheck(False, "masking-key-not-tc1-funder")
     if masked not in proof.script.keys:
         return ProofCheck(False, "masked-key-not-in-script")
@@ -454,18 +456,14 @@ def recover_database(
 
     for pub, i in wallet_keys.items():
         for tid, tx in ledger.find_by_pubkey(pub):
-            if any(wpub == pub for txin in tx.inputs for _sig, wpub in txin.witness):
+            if pub in signer_keys(tx):
                 note_refund(tid, tx, i)
             elif xpubs := extract_all_xpubs(tx):
                 mains.setdefault(tid, xpubs)
     # refunds still in the mempool are in flight: a fallback waits for its
     # lock, and a refund pair issued just before the loss waits to confirm
     for tid, tx in ledger.mempool.items():
-        signer = next(
-            (wallet_keys[pub] for txin in tx.inputs for _sig, pub in txin.witness
-             if pub in wallet_keys),
-            None,
-        )
+        signer = next((wallet_keys[pub] for pub in signer_keys(tx) if pub in wallet_keys), None)
         if signer is not None:
             note_refund(tid, tx, signer)
 

@@ -157,29 +157,24 @@ def _partition(interleaved: Sequence, outputs_per_tx: int) -> list[list]:
     """Cut the interleaved sequence into per-transaction groups.
 
     Contiguous blocks of an origin-interleaved sequence keep every group
-    multi-origin; a fix-up swap covers lopsided tails.
+    multi-origin; a fix-up swap covers lopsided tails.  It takes a chunk of
+    another origin only from a group holding two such chunks, so the donor
+    still mixes; a tail no group can spare a chunk for stays single-origin.
     """
     groups = [
         list(interleaved[i : i + outputs_per_tx])
         for i in range(0, len(interleaved), outputs_per_tx)
     ]
-    all_origins = {e.origin for e in interleaved}
-    if len(all_origins) < 2:
-        return groups
-    for gi, group in enumerate(groups):
-        if len({e.origin for e in group}) > 1:
+    for group in groups:
+        lone = group[0]
+        if any(e.origin != lone.origin for e in group):
             continue
-        lone = group[0].origin
-        for hj, other in enumerate(groups):
-            if hj == gi:
-                continue
-            for k, entry in enumerate(other):
-                if entry.origin != lone and len({e.origin for e in other}) > 1:
-                    group[0], other[k] = other[k], group[0]
-                    break
-            else:
-                continue
-            break
+        for other in groups:
+            # a donor of two foreign chunks keeps one, so it still mixes
+            foreign = [k for k, entry in enumerate(other) if entry.origin != lone.origin]
+            if len(foreign) > 1:
+                group[0], other[foreign[0]] = other[foreign[0]], lone
+                break
     return groups
 
 
@@ -327,7 +322,8 @@ class MixerService:
         """Emit a ready batch: interleaved origins, shuffled outputs, jittered heights.
 
         A batch that never reached two customers is emitted anyway at
-        timeout (funds must move), flagged as unmixed.
+        timeout (funds must move), flagged as unmixed; so is a batch that
+        emits any transaction holding a single customer's chunks.
         """
         batch = self.batch
         if not batch.ready(self.ledger.height):
@@ -341,6 +337,8 @@ class MixerService:
                 TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point))) for c in chunks
             ],
         ):
+            if len({c.origin for c in chunks}) < 2:
+                self.emitted_unmixed = True
             emitted.append(tx)
             self.truth.chunk_facts.extend(
                 ChunkFact(tid, vout, c.value, c.origin, lock) for vout, c in enumerate(chunks)

@@ -65,6 +65,7 @@ from .transactions import (
     schnorr_verify,
     serialize_tx,
     deserialize_tx,
+    signer_keys,
     txid,
 )
 
@@ -569,7 +570,7 @@ class MerchantSession:
 
 
 def _check_refund_entries(
-    entries: Sequence[RefundEntry], amount: int, signer_keys: Sequence[Point]
+    entries: Sequence[RefundEntry], amount: int, signers: Sequence[Point]
 ) -> None:
     """Raise BadTransaction unless the entries refund at most `amount` and
     each co-signer binding names a payment signer.
@@ -580,7 +581,7 @@ def _check_refund_entries(
     if sum(e.value for e in entries) > amount:
         raise BadTransaction("refund total exceeds the amount paid")
     for entry in entries:
-        if entry.cosigner_pubkey is not None and entry.cosigner_pubkey not in signer_keys:
+        if entry.cosigner_pubkey is not None and entry.cosigner_pubkey not in signers:
             raise BadTransaction("co-signer binding is not a payment signer")
 
 
@@ -668,12 +669,10 @@ class Merchant:
             raise AmountMismatch(f"paid {paid}, requested {session.request.amount}")
         xpubs = tuple(dispute.extract_all_xpubs(main))
         # one key per signer, in input order: a signer may spend several coins
-        signer_keys = tuple(
-            dict.fromkeys(pub for txin in main.inputs for _sig, pub in txin.witness)
-        )
-        if not xpubs or len(xpubs) != len(signer_keys):
+        signers = signer_keys(main)
+        if not xpubs or len(xpubs) != len(signers):
             raise BadTransaction(
-                f"payment embeds {len(xpubs)} extended keys for {len(signer_keys)} "
+                f"payment embeds {len(xpubs)} extended keys for {len(signers)} "
                 "signers, not one per signer"
             )
         entries = msg.refund_to
@@ -683,7 +682,7 @@ class Merchant:
             entries = unseal_refund_entries(
                 msg.sealed_refund_to.ciphertext, secret, msg.merchant_data
             )
-        _check_refund_entries(entries, session.request.amount, signer_keys)
+        _check_refund_entries(entries, session.request.amount, signers)
         if len(xpubs) > 1 and any(e.cosigner_pubkey is None for e in entries):
             raise BadTransaction("multi-signer refund entry lacks a co-signer")
         result = self.ledger.broadcast(main)
@@ -691,7 +690,7 @@ class Merchant:
             raise BadTransaction(f"payment rejected: {result.reason} {result.detail}")
         session.entries = tuple(entries)
         session.customer_xpubs = xpubs
-        session.cosigner_keys = signer_keys
+        session.cosigner_keys = signers
         session.main_txid = result.txid
         session.paid_height = self.ledger.height
         session.state = SessionState.PAID
@@ -975,30 +974,8 @@ class Customer:
         encrypt: bool = False,
         memo: str = "",
     ) -> PaymentMsg:
-        """Build the payment message; the merchant broadcasts the transaction."""
-        self.verify_request(request)
-        entries = tuple(refund_plan)
-        check_payment_plan(request.amount, [e.value for e in entries])
-        funding = self.wallet.select(request.amount)
-        main = build_main_tc(
-            funding,
-            request.payment_address,
-            request.amount,
-            self.wallet.xpub,
-            [(self.wallet.priv, self.wallet.pub)] * len(funding),
-            change_to=self.wallet.pub,
-        )
-        change = sum(f.value for f in funding) - request.amount
-        if change > 0:
-            self.wallet.credit(FundingOutpoint(txid(main), len(main.outputs) - 1, change))
-        if not encrypt:
-            return PaymentMsg(request.merchant_data, (main,), entries, memo=memo)
-        secret = dh_shared(self.wallet.priv, request.merchant_pubkey)
-        sealed = seal_refund_entries(entries, secret, request.merchant_data)
-        return PaymentMsg(
-            request.merchant_data, (main,),
-            sealed_refund_to=SealedRefundTo(sealed, self.wallet.pub), memo=memo,
-        )
+        """Pay the whole amount alone; see `pay_joint`."""
+        return pay_joint(request, [(self, request.amount)], refund_plan, encrypt, memo)
 
     # -- refund discovery ------------------------------------------------------
 
@@ -1045,8 +1022,7 @@ class Customer:
             locks = dispute.refund_locks(tx, shape)
             if not locks:
                 continue
-            funders = {pub for txin in tx.inputs for _sig, pub in txin.witness}
-            for funder in funders:
+            for funder in signer_keys(tx):
                 unmasker = unmaskers.setdefault(funder, ChildUnmasker(funder))
                 for index in range(MAX_CHILD_SCAN + 1):
                     masked_priv = self.wallet.masked_private(unmasker, index)
@@ -1135,42 +1111,52 @@ def pay_joint(
     request: PaymentRequest,
     participants: Sequence[tuple[Customer, int]],
     refund_plan: Sequence[RefundEntry],
+    encrypt: bool = False,
     memo: str = "",
 ) -> PaymentMsg:
-    """Multi-party payment: several wallets co-fund one payment transaction.
+    """Build the payment message; the merchant broadcasts the transaction.
 
-    Each participant contributes a share of the amount; the transaction
-    embeds every participant's extended key, and refund entries carry
-    co-signer bindings naming the participant each refund belongs to.
+    Every payment, by one customer or several co-payers, is built here.
+    Each participant (customer, share) funds its share from its own coins
+    and gets the surplus of the coins it selected back as change, credited
+    to its wallet.  The transaction embeds every participant's extended
+    key, in order; with several, each refund entry carries a co-signer
+    binding naming the participant it belongs to.  The first participant
+    verifies the request and, with `encrypt`, seals the refund entries to
+    the merchant.
     """
     lead = participants[0][0]
     lead.verify_request(request)
+    entries = tuple(refund_plan)
     check_payment_plan(
-        request.amount, [e.value for e in refund_plan], [share for _c, share in participants]
+        request.amount, [e.value for e in entries], [share for _c, share in participants]
     )
     funding: list[FundingOutpoint] = []
     signers: list[tuple[int, Point]] = []
-    xpubs = []
+    change: list[tuple[CustomerWallet, int]] = []
     for customer, share in participants:
-        picked = customer.wallet.select(share)
-        if sum(p.value for p in picked) != share:
-            raise InsufficientFunds("joint payments need exact funding per share")
+        wallet = customer.wallet
+        picked = wallet.select(share)
         funding.extend(picked)
-        signers.extend(
-            [(customer.wallet.priv, customer.wallet.pub)] * len(picked)
-        )
-        xpubs.append(customer.wallet.xpub)
+        signers.extend([(wallet.priv, wallet.pub)] * len(picked))
+        surplus = sum(p.value for p in picked) - share
+        if surplus:
+            change.append((wallet, surplus))
     main = build_main_tc(
         funding,
         request.payment_address,
         request.amount,
-        xpubs[0],
+        [customer.wallet.xpub for customer, _share in participants],
         signers,
-        extra_xpubs=xpubs[1:],
+        [(wallet.pub, value) for wallet, value in change],
     )
+    for position, (wallet, value) in enumerate(change, len(main.outputs) - len(change)):
+        wallet.credit(FundingOutpoint(txid(main), position, value))
+    if not encrypt:
+        return PaymentMsg(request.merchant_data, (main,), entries, memo=memo)
+    secret = dh_shared(lead.wallet.priv, request.merchant_pubkey)
+    sealed = seal_refund_entries(entries, secret, request.merchant_data)
     return PaymentMsg(
-        merchant_data=request.merchant_data,
-        transactions=(main,),
-        refund_to=tuple(refund_plan),
-        memo=memo,
+        request.merchant_data, (main,),
+        sealed_refund_to=SealedRefundTo(sealed, lead.wallet.pub), memo=memo,
     )

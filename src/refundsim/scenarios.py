@@ -27,7 +27,8 @@ refund address directly) so the refund scenarios demonstrate the baseline
 theft before the defended run neutralizes it.  Recovery and the mixing
 scenarios have no undefended baseline, so for them it is a `ConfigError`.
 
-Every scenario payment seals its refund instructions to the merchant.
+Every scenario payment, by one customer or by co-payers, goes through
+`Env.pay`, which seals its refund instructions to the merchant.
 
 Accounting: balances are measured from an address book mapping output
 scripts to actor labels, with the baseline taken after seeding; an output
@@ -129,6 +130,12 @@ _DEFAULTS: dict[ScenarioName, dict[str, int]] = {
     },
 }
 _FLAGS = {"unequal"}  # the only keys that may be 0
+# Recovery derives and searches all 2^wallet_k merchant keys, so its time
+# doubles with each step of wallet_k.  Within a 5 s budget, measured as for
+# UNEQUAL_MAX_K below (seeds 1-4, other values at their defaults, each run
+# in its own process): 1.0-1.2 s at 12, 1.8-2.4 s at 13, 3.0-3.9 s at 14 and
+# 6.5-7.6 s at 15.
+RECOVERY_MAX_WALLET_K = 14
 # Counting linkage assignments over unequal refund totals
 # (`mixer.analyze_linkage`) grows exponentially with the customers and with
 # their chunks.  Within a 5 s budget, a Mixer run with unequal=1 takes at
@@ -237,6 +244,10 @@ class Scenario:
             minimum = 0 if key in _FLAGS else 1
             if merged[key] < minimum:
                 raise ConfigError(f"config {key}={value} is below its minimum {minimum}")
+            if key == "wallet_k" and merged[key] > RECOVERY_MAX_WALLET_K:
+                raise ConfigError(
+                    f"config wallet_k={value} is above its maximum {RECOVERY_MAX_WALLET_K}"
+                )
         return merged
 
     def seed_bytes(self, tag: str) -> bytes:
@@ -385,10 +396,13 @@ class Env:
         self.book.register_key(customer.fallback_pub, label)
         return customer
 
-    def pay(self, payer: Customer, amount: int, plan: list[RefundEntry]) -> MerchantSession:
-        """Request `amount`, have `payer` pay it with `plan` sealed, and process it."""
-        request = self.merchant.create_request(amount)
-        self.merchant.process_payment(payer.pay(request, plan, encrypt=True))
+    def pay(
+        self, payers: list[tuple[Customer, int]], plan: list[RefundEntry]
+    ) -> MerchantSession:
+        """Request the sum of the (customer, share) `payers`, have them pay it
+        with `plan` sealed, and process it."""
+        request = self.merchant.create_request(sum(share for _c, share in payers))
+        self.merchant.process_payment(pay_joint(request, payers, plan, encrypt=True))
         return self.merchant.sessions[request.merchant_data]
 
     def pay_refundable(self, payer: Customer, refundee: Point) -> MerchantSession:
@@ -396,7 +410,7 @@ class Env:
         amount, refund_value = self.config["amount"], self.config["refund_value"]
         _require(check_payment_plan, amount, [refund_value])
         self.seed_funds([(payer, amount)])
-        return self.pay(payer, amount, [RefundEntry(refundee, refund_value)])
+        return self.pay([(payer, amount)], [RefundEntry(refundee, refund_value)])
 
     def issue_refund(self, merchant_data: bytes, fallback_label: str) -> RefundIssue:
         """Issue the refund pair, label its escrows and fallbacks, and confirm it."""
@@ -747,14 +761,12 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
     )
     env.seed_funds(payers)
 
-    request = env.merchant.create_request(cfg["amount"])
-    msg = pay_joint(request, payers, plan)
-    env.merchant.process_payment(msg)
+    session = env.pay(payers, plan)
     env.ledger.advance_height(1)
     env.log("dave+eve", "joint-payment", f"entries={len(plan)}")
 
     if env.scenario.disable_defense:
-        env.merchant.issue_refund_unprotected(request.merchant_data)
+        env.merchant.issue_refund_unprotected(session.merchant_data)
         env.ledger.advance_height(1)
         deltas = env.deltas()
         return [
@@ -764,7 +776,7 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
             )
         ]
 
-    issue = env.issue_refund(request.merchant_data, "cosigner-fallback")
+    issue = env.issue_refund(session.merchant_data, "cosigner-fallback")
     env.log("merchant", "refund-issued", f"fallbacks={len(issue.tc2s)}")
 
     # the trader (with eve's help) still lacks dave's masked-child signature
@@ -822,7 +834,9 @@ def _run_recovery(env: Env) -> list[Assertion]:
 
     issues = []
     for i, (customer, (_r_priv, r_pub)) in enumerate(zip(customers, refundee_keys)):
-        session = env.pay(customer, cfg["amount"], [RefundEntry(r_pub, cfg["refund_value"])])
+        session = env.pay(
+            [(customer, cfg["amount"])], [RefundEntry(r_pub, cfg["refund_value"])]
+        )
         env.ledger.advance_height(1)
         issues.append(env.issue_refund(session.merchant_data, f"customer{i}"))
         env.log("merchant", "refund-issued", f"session={i}")
@@ -917,7 +931,7 @@ def _run_mixer(env: Env) -> list[Assertion]:
         rng_seed=env.scenario.seed,
     )
     for customer, wallet, total in zip(customers, refundees, totals):
-        session = env.pay(customer, total, [RefundEntry(wallet.xpub, total)])
+        session = env.pay([(customer, total)], [RefundEntry(wallet.xpub, total)])
         env.ledger.advance_height(1)
         service.enqueue_refund(session.merchant_data, customer.name)
         env.log(customer.name, "paid-and-cancelled", f"refund={total}")
@@ -992,7 +1006,9 @@ def _run_aggregate(env: Env) -> list[Assertion]:
     )
     mds = []
     for customer, wallet in zip(customers, refundees):
-        session = env.pay(customer, cfg["amount"], [RefundEntry(wallet.xpub, cfg["amount"])])
+        session = env.pay(
+            [(customer, cfg["amount"])], [RefundEntry(wallet.xpub, cfg["amount"])]
+        )
         env.ledger.advance_height(1)
         service.aggregate_refund(session.merchant_data, customer.name)
         mds.append(session.merchant_data)

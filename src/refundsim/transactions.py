@@ -350,6 +350,11 @@ def signing_digest(tx: Transaction) -> bytes:
     return sha256d(serialize_tx(tx, strip_witness=True))
 
 
+def signer_keys(tx: Transaction) -> tuple[Point, ...]:
+    """The witness keys of `tx`'s inputs, each once, in input order."""
+    return tuple(dict.fromkeys(pub for txin in tx.inputs for _sig, pub in txin.witness))
+
+
 # -- signatures ----------------------------------------------------------------
 
 
@@ -426,38 +431,26 @@ def build_main_tc(
     funding: Sequence[FundingOutpoint],
     pay_to: Point,
     amount: int,
-    customer_xpub,
+    xpubs: Sequence,
     funding_signers: Sequence[tuple[int, Point]],
-    change_to: Optional[Point] = None,
-    extra_xpubs: Sequence = (),
+    change: Sequence[tuple[Point, int]],
 ) -> Transaction:
-    """Payment transaction: P2PKH to the merchant plus an embedded xpub.
+    """Payment transaction: P2PKH to the merchant plus the embedded xpubs.
 
-    outputs[0] pays `amount` to `pay_to`; outputs[1] is a data carrier with
-    the customer's extended public key; each entry of `extra_xpubs` (used by
-    multi-party payments) adds one more data carrier; change, if the funding
-    overshoots, returns to `change_to`.  One signer per funding outpoint, in
-    order.
+    outputs[0] pays `amount` to `pay_to`; then one data carrier per entry of
+    `xpubs`, in order; then one P2PKH per `change` entry (pub, value).  The
+    funding must equal the amount plus the change.  One signer per funding
+    outpoint, in order.
     """
     if amount <= 0:
         raise ValueError("amount must be positive")
     total_in = sum(f.value for f in funding)
-    if total_in < amount:
-        raise InsufficientFunds(f"need {amount}, have {total_in}")
-    payload = customer_xpub.encode()
-    if len(payload) > DATA_CARRIER_LIMIT:
-        raise PayloadTooLarge("extended key does not fit in a data carrier")
-    outputs = [
-        TxOutput(amount, PayToPubkeyHash(key_hash(pay_to))),
-        TxOutput(0, DataCarrier(payload)),
-    ]
-    for xpub in extra_xpubs:
-        outputs.append(TxOutput(0, DataCarrier(xpub.encode())))
-    change = total_in - amount
-    if change > 0:
-        if change_to is None:
-            raise InsufficientFunds("change produced but no change key given")
-        outputs.append(TxOutput(change, PayToPubkeyHash(key_hash(change_to))))
+    total_out = amount + sum(value for _pub, value in change)
+    if total_in != total_out:
+        raise InsufficientFunds(f"funding {total_in} must equal amount plus change {total_out}")
+    outputs = [TxOutput(amount, PayToPubkeyHash(key_hash(pay_to)))]
+    outputs.extend(TxOutput(0, DataCarrier(xpub.encode())) for xpub in xpubs)
+    outputs.extend(TxOutput(value, PayToPubkeyHash(key_hash(pub))) for pub, value in change)
     tx = Transaction(_funding_inputs(funding), tuple(outputs))
     return _sign_all(tx, [([signer], None) for signer in funding_signers])
 

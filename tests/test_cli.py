@@ -26,8 +26,7 @@ def test_scenario_run_pass_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["scenario", "run", "HonestRefund", "--seed", "1"],
     ["db", "recover", "--seed", "2"],
-    ["mixer", "run", "--seed", "3"],
-], ids=["scenario-run", "db-recover", "mixer-run"])
+], ids=["scenario-run", "db-recover"])
 def test_missing_out_dir_is_created(tmp_path, capsys, argv):
     out_dir = tmp_path / "not" / "yet"
     assert main(argv + ["--out-dir", str(out_dir)]) == 0
@@ -111,13 +110,3 @@ def test_db_dump_and_recover(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "3 records, 384 bytes" in out
-
-
-def test_mixer_run(tmp_path, capsys):
-    code = main(
-        ["mixer", "run", "--customers", "2", "--k", "4", "--seed", "3",
-         "--out-dir", str(tmp_path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "verdict: PASS" in out

@@ -35,8 +35,8 @@ R_PRIV, R_PUB = keygen(b"decoder-refundee")
 XPUB = ExtendedPublicKey(C_PUB, b"\x33" * 32)
 
 MAIN = build_main_tc(
-    [FundingOutpoint(b"\x01" * 32, 0, 80_000)], M_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)],
-    change_to=C_PUB,
+    [FundingOutpoint(b"\x01" * 32, 0, 80_000)], M_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)],
+    [(C_PUB, 30_000)],
 )
 TC1 = build_refund_tc1(
     [(C_PUB, R_PUB, 30_000)], [FundingOutpoint(b"\x02" * 32, 1, 40_000)], M_PUB, M_PRIV

@@ -134,6 +134,19 @@ def test_store_drops_torn_tail(tmp_path):
     assert store.load() == [make_record(3)]
 
 
+def test_append_after_a_torn_tail_keeps_both_records(tmp_path):
+    """A record appended after a torn tail starts on a row boundary: the torn
+    bytes are dropped (they used to shift the new record, so load returned a
+    row of stray bytes and lost the record)."""
+    path = tmp_path / "torn.db"
+    store = RecordStore(str(path))
+    store.append(make_record(3))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff" * 57)  # partial row
+    store.append(make_record(4))
+    assert store.load() == [make_record(3), make_record(4)]
+
+
 # -- linkage proofs ---------------------------------------------------------------
 
 

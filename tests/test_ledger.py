@@ -41,7 +41,7 @@ def seeded_ledger():
 def test_broadcast_confirms_after_advance():
     ledger, sid = seeded_ledger()
     tx = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     assert ledger.broadcast(tx)
     assert ledger.unspent_output(txid(tx), 0) is None  # mempool only
@@ -52,10 +52,10 @@ def test_broadcast_confirms_after_advance():
 def test_mempool_first_seen_wins():
     ledger, sid = seeded_ledger()
     first = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     second = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], R_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], R_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     assert ledger.broadcast(first)
     result = ledger.broadcast(second)
@@ -122,7 +122,7 @@ def test_find_by_pubkey_roles_full_flow():
     assert ledger.find_by_pubkey(fresh_pub) == []
 
     main = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     assert ledger.broadcast(main)
     ledger.advance_height(1)
@@ -190,7 +190,7 @@ def test_find_by_pubkey_matches_full_scan():
     ledger.advance_height(1)
     sid = txid(seed)
     main = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
@@ -242,7 +242,7 @@ def test_find_by_pubkey_matches_full_scan():
 def test_utxo_replay_matches():
     ledger, sid = seeded_ledger()
     main = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     ledger.broadcast(main)
     ledger.advance_height(1)
@@ -261,10 +261,10 @@ def test_utxo_replay_matches():
 def test_no_confirmed_double_spends_scan():
     ledger, sid = seeded_ledger()
     first = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     second = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], R_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], R_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     ledger.broadcast(first)
     ledger.broadcast(second)
@@ -342,7 +342,7 @@ def test_each_signature_verified_once(monkeypatch):
     admit(tc1)
     ledger.advance_height(1)
     admit(build_main_tc(  # P2PKH spend
-        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], PAY_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     ))
     admit(build_redeem(  # 2-of-2 redeem
         tc1, 0,

@@ -188,6 +188,34 @@ def test_three_customers_interleaved():
         assert len(origins) >= 2
 
 
+def test_uneven_chunk_counts_never_hide_an_unmixed_emission():
+    """A customer with two refund entries brings twice the chunks of one
+    with a single entry.  Every emitted transaction mixes customers, or the
+    service flags the emission as unmixed (the fix-up swap used to take the
+    only foreign chunk of a mixed group, which then went out single-origin
+    and unflagged)."""
+    from conftest import Harness
+
+    harness = Harness(tag=b"swap")
+    a, b = harness.customer("a", b"swap"), harness.customer("b", b"swap")
+    harness.fund([(a, 100_000), (b, 100_000)], merchant_keys=8)
+    service = MixerService(harness.merchant, k=2, outputs_per_tx=2, rng_seed=3)
+    refundees = {a: [b"swap-a1", b"swap-a2"], b: [b"swap-b"]}
+    for customer, seeds in refundees.items():
+        request = harness.merchant.create_request(100_000)
+        plan = [RefundEntry(CustomerWallet(s).xpub, 100_000 // len(seeds)) for s in seeds]
+        harness.merchant.process_payment(customer.pay(request, plan, encrypt=True))
+        harness.ledger.advance_height(1)
+        service.enqueue_refund(request.merchant_data, customer.name)
+    emitted = service.try_emit()
+    assert len(emitted) == 3
+    every_tx_mixed = all(
+        len({f.origin for f in service.truth.chunk_facts if f.txid == txid(tx)}) > 1
+        for tx in emitted
+    )
+    assert every_tx_mixed or service.emitted_unmixed
+
+
 def test_single_customer_timeout_emits_unmixed():
     harness, service, _c, _r = mixer_env(None, n_customers=1, tag=b"1c")
     assert service.try_emit() == []  # below quorum, before timeout

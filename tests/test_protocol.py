@@ -40,11 +40,13 @@ from refundsim.protocol import (
     unseal_refund_entries,
 )
 from refundsim.transactions import (
+    FundingOutpoint,
     InsufficientFunds,
     MissingSigner,
     NOfNScript,
     PayToPubkeyHash,
     ScriptHash,
+    TxOutput,
     build_main_tc,
     key_hash,
     txid,
@@ -488,6 +490,35 @@ def test_pay_joint_embeds_all_xpubs(harness):
     assert set(session.cosigner_keys) == {dave.wallet.pub, eve.wallet.pub}
 
 
+def test_co_payer_surplus_returns_as_spendable_change(harness):
+    """A co-payer whose coins exceed its share gets the surplus back as a
+    change output, credited to its wallet and spendable (joint payments used
+    to refuse anything but exact funding per share)."""
+    dave = harness.customer("dave")
+    eve = harness.customer("eve")
+    harness.fund([(dave, 40_000), (eve, 30_000)], merchant_keys=8)
+    request = harness.merchant.create_request(60_000)
+    plan = [
+        RefundEntry(R_PUB, 25_000, cosigner_pubkey=dave.wallet.pub),
+        RefundEntry(keygen(b"eve-friend")[1], 25_000, cosigner_pubkey=eve.wallet.pub),
+    ]
+    msg = pay_joint(request, [(dave, 30_000), (eve, 30_000)], plan)
+    main = msg.transactions[0]
+    change_index = len(main.outputs) - 1
+    assert main.outputs[change_index] == TxOutput(
+        10_000, PayToPubkeyHash(key_hash(dave.wallet.pub))
+    )
+    assert dave.wallet.utxos == [FundingOutpoint(txid(main), change_index, 10_000)]
+    assert eve.wallet.utxos == []
+    harness.merchant.process_payment(msg)
+    harness.ledger.advance_height(1)
+    later = harness.merchant.create_request(10_000)
+    harness.merchant.process_payment(dave.pay(later, []))
+    harness.ledger.advance_height(1)
+    assert harness.ledger.is_spent(txid(main), change_index)[0]
+    assert dave.wallet.utxos == []
+
+
 def test_multi_signer_requires_bindings(harness):
     dave = harness.customer("dave")
     eve = harness.customer("eve")
@@ -561,8 +592,9 @@ def test_co_signer_without_an_extended_key_rejected(harness):
         dave.wallet.select(30_000) + eve.wallet.select(30_000),
         request.payment_address,
         60_000,
-        dave.wallet.xpub,
+        [dave.wallet.xpub],
         [(dave.wallet.priv, dave.wallet.pub), (eve.wallet.priv, eve.wallet.pub)],
+        [],
     )
     plan = (RefundEntry(R_PUB, 25_000, cosigner_pubkey=eve.wallet.pub),)
     funded = funded_merchant_keys(harness.merchant)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from refundsim.cli import main
+from refundsim.protocol import Merchant
 from refundsim.scenarios import (
+    RECOVERY_MAX_WALLET_K,
     UNEQUAL_MAX_CUSTOMERS,
     UNEQUAL_MAX_K,
     ConfigError,
@@ -226,6 +228,39 @@ def test_out_of_range_config_is_a_config_error(name, config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_multi_signer_payment_is_sealed(monkeypatch):
+    """MultiSigner pays through the scenarios' one payment step, so its
+    refund instructions reach the merchant sealed, like every other
+    scenario payment's."""
+    messages = []
+    process_payment = Merchant.process_payment
+
+    def recording(self, msg):
+        messages.append(msg)
+        return process_payment(self, msg)
+
+    monkeypatch.setattr(Merchant, "process_payment", recording)
+    verdict = run_scenario(Scenario(ScenarioName.MULTI_SIGNER), out_dir=None)
+    assert verdict.all_passed, [a.label for a in verdict.assertions if not a.passed]
+    (msg,) = messages
+    assert msg.sealed_refund_to is not None
+    assert msg.refund_to == ()
+
+
+def test_recovery_wallet_above_its_limit_is_refused(monkeypatch):
+    """A wallet_k one past the stated limit is a ConfigError before the run
+    derives a key or logs a line (it used to run, its time doubling with
+    each step of wallet_k)."""
+    logged = []
+    monkeypatch.setattr(Transcript, "log", lambda self, *args: logged.append(args))
+    start = time.perf_counter()
+    scenario = Scenario(ScenarioName.RECOVERY, config={"wallet_k": RECOVERY_MAX_WALLET_K + 1})
+    with pytest.raises(ConfigError, match="wallet_k"):
+        run_scenario(scenario, out_dir=None)
+    assert logged == []
+    assert time.perf_counter() - start < 1
+
+
 # keys no run could observe, and the flag where no story has an undefended
 # baseline: each is refused before the run starts
 NOT_SETTABLE = [
@@ -348,7 +383,7 @@ def test_mixing_configs_pass_or_are_config_errors(case):
 # stated limit: a refund above the amount (either side), an odd MultiSigner
 # amount or one below its two refunds, a lock too short for the story (the
 # smallest that runs is 2 to 5), more Recovery sessions than the wallet
-# holds keys for
+# holds keys for, a Recovery wallet above its stated size limit
 LOCK_EDGES = [1, 2, 3, 4, 5]
 REFUND_EDGES = {
     "HonestRefund": {
@@ -375,7 +410,7 @@ REFUND_EDGES = {
         "amount": [1, 2, 3, 50_000, 29_999],
         "refund_value": [1, 2, 3, 30_000, 50_001],
         "sessions": [1, 2, 3, 4, 65],
-        "wallet_k": [1, 2, 3, 4, 8],
+        "wallet_k": [1, 2, 3, 4, 8, RECOVERY_MAX_WALLET_K, RECOVERY_MAX_WALLET_K + 1],
         "lock_blocks": [*LOCK_EDGES, 60],
     },
 }

@@ -169,7 +169,7 @@ def test_property_sig_malleation_fails(tweak, bit):
 def test_main_tc_structure():
     ledger, seed, sid = fresh_chain([(C_PUB, 50_000)])
     tx = build_main_tc(
-        [FundingOutpoint(sid, 0, 50_000)], M_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 50_000)], M_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     assert tx.outputs[1].value == 0
     assert isinstance(tx.outputs[1].script, DataCarrier)
@@ -183,7 +183,7 @@ def test_main_tc_insufficient_funds():
     _, _, sid = fresh_chain([(C_PUB, 10_000)])
     with pytest.raises(InsufficientFunds):
         build_main_tc(
-            [FundingOutpoint(sid, 0, 10_000)], M_PUB, 50_000, XPUB, [(C_PRIV, C_PUB)]
+            [FundingOutpoint(sid, 0, 10_000)], M_PUB, 50_000, [XPUB], [(C_PRIV, C_PUB)], []
         )
 
 
@@ -193,9 +193,9 @@ def test_main_tc_change():
         [FundingOutpoint(sid, 0, 80_000)],
         M_PUB,
         50_000,
-        XPUB,
+        [XPUB],
         [(C_PRIV, C_PUB)],
-        change_to=C_PUB,
+        [(C_PUB, 30_000)],
     )
     assert tx.outputs[-1].value == 30_000
     assert ledger.broadcast(tx)
@@ -329,12 +329,12 @@ def test_redeem_p2pkh_with_unmasked_child():
 def test_validate_double_spend_reason():
     ledger, _, sid = fresh_chain([(C_PUB, 10_000)])
     spend = build_main_tc(
-        [FundingOutpoint(sid, 0, 10_000)], M_PUB, 10_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 10_000)], M_PUB, 10_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     assert ledger.broadcast(spend)
     ledger.advance_height(1)
     again = build_main_tc(
-        [FundingOutpoint(sid, 0, 10_000)], R_PUB, 10_000, XPUB, [(C_PRIV, C_PUB)]
+        [FundingOutpoint(sid, 0, 10_000)], R_PUB, 10_000, [XPUB], [(C_PRIV, C_PUB)], []
     )
     result = validate(again, ledger)
     assert not result and result.reason is RejectReason.DOUBLE_SPEND
