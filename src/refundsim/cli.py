@@ -78,18 +78,6 @@ def _cmd_db_dump(args) -> int:
     return 0
 
 
-def _cmd_db_recover(args) -> int:
-    scenario = Scenario(
-        name=ScenarioName.RECOVERY,
-        seed=args.seed,
-        config=_parse_config(args.config),
-    )
-    verdict = run_scenario(scenario, out_dir=args.out_dir)
-    print("\n".join(verdict.lines()))
-    print(f"  recovered database: {verdict.env.merchant.store.path}")
-    return 0 if verdict.all_passed else 1
-
-
 def _cmd_storage_compare(args) -> int:
     print(report_storage_comparison(args.n, args.ls, args.lpay))
     return 0
@@ -130,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_dump = db_sub.add_parser("dump", help="render a record file")
     p_db_dump.add_argument("--file", required=True)
     p_db_dump.set_defaults(func=_cmd_db_dump)
-    p_db_rec = db_sub.add_parser(
-        "recover", help="replay the database-loss scenario and rebuild the file"
-    )
-    p_db_rec.add_argument("--seed", type=int, default=1)
-    p_db_rec.add_argument("--config", default="")
-    p_db_rec.add_argument("--out-dir", default=".")
-    p_db_rec.set_defaults(func=_cmd_db_recover)
 
     p_storage = sub.add_parser("storage", help="storage cost comparison")
     storage_sub = p_storage.add_subparsers(dest="storage_command", required=True)

@@ -37,6 +37,8 @@ from .transactions import (
 
 RECORD_SIZE = 128
 _ZERO_ID = bytes(32)
+# a signer's n <= 16 refund entries take children 0..n-1 and its fallback child n
+MAX_CHILD_INDEX = 16
 
 
 class NotRedeemed(Exception):
@@ -386,10 +388,9 @@ class RecoveryResult:
     telemetry: RecoveryTelemetry = field(default_factory=RecoveryTelemetry)
 
 
-def _match_masked_key(
-    xpub: ExtendedPublicKey, masker: ChildMasker, target_check, max_child_index: int
-) -> bool:
-    """Whether a child index 0..max has a masked point that passes the predicate.
+def _match_masked_key(xpub: ExtendedPublicKey, masker: ChildMasker, target_check) -> bool:
+    """Whether a child index 0..MAX_CHILD_INDEX has a masked point that passes
+    the predicate.
 
     Indexes 0 and 1 are masked one at a time, since the hits land there: a
     joint refund's at child 0 and a one-entry fallback's at child 1.  The
@@ -402,12 +403,12 @@ def _match_masked_key(
     """
 
     def masked_children():
-        for index in range(min(2, max_child_index + 1)):
+        for index in range(2):
             try:
                 yield index, masker.mask(xpub, index)
             except DegenerateChild as exc:
                 yield index, exc
-        sweep = range(2, max_child_index + 1)
+        sweep = range(2, MAX_CHILD_INDEX + 1)
         yield from zip(sweep, masker.mask_many(xpub, sweep))
 
     for index, masked in masked_children():
@@ -423,9 +424,7 @@ def _match_masked_key(
     return False
 
 
-def recover_database(
-    merchant_wallet, ledger: SimLedger, max_child_index: int = 16
-) -> RecoveryResult:
+def recover_database(merchant_wallet, ledger: SimLedger) -> RecoveryResult:
     """Rebuild the refund records from the chain and the deterministic wallet.
 
     The wallet re-derives every public key it could ever have issued, in
@@ -504,7 +503,7 @@ def recover_database(
                 continue
             telemetry.key_ops += 1
             hit = next(
-                (x for x in xpubs if _match_masked_key(x, masker, target, max_child_index)),
+                (x for x in xpubs if _match_masked_key(x, masker, target)),
                 None,
             )
             slot = (main_id, None if is_joint else hit)

@@ -50,6 +50,8 @@ from .transactions import (
     key_hash,
 )
 
+MIX_TIMEOUT_BLOCKS = 20  # a batch below quorum emits this long after its first chunk
+
 
 class MixerError(Exception):
     pass
@@ -115,7 +117,6 @@ class MixBatch:
     """Pending chunks from one or more customers awaiting mixed emission."""
 
     min_customers: int = 2
-    timeout_blocks: int = 20
     created_height: int = 0  # where the first pending chunk was queued
     entries: list[MixChunk] = field(default_factory=list)
 
@@ -134,7 +135,7 @@ class MixBatch:
             return False
         if len(self.origins()) >= self.min_customers:
             return True
-        return height >= self.created_height + self.timeout_blocks
+        return height >= self.created_height + MIX_TIMEOUT_BLOCKS
 
 
 def _interleave_by_origin(entries: Sequence, rng: random.Random) -> list:
@@ -280,7 +281,6 @@ class MixerService:
         merchant: Merchant,
         k: int = 4,
         min_customers: int = 2,
-        timeout_blocks: int = 20,
         outputs_per_tx: int = 4,
         jitter_window: int = 3,
         rng_seed: int = 0,
@@ -291,7 +291,7 @@ class MixerService:
         self.outputs_per_tx = outputs_per_tx
         self.jitter_window = jitter_window
         self.rng = random.Random(rng_seed)
-        self.batch = MixBatch(min_customers=min_customers, timeout_blocks=timeout_blocks)
+        self.batch = MixBatch(min_customers=min_customers)
         self.truth = MixGroundTruth()
         self.masker_pubs: dict[bytes, Point] = {}  # session -> out-of-band mask key
         self.emitted_unmixed = False
@@ -352,17 +352,16 @@ def sweep_chunks(
     masker_pub: Point,
     ledger: SimLedger,
     dest: Point,
-    max_index: int = 32,
+    chunk_count: int,
 ) -> tuple[list[Transaction], int]:
-    """Refundee-side claim of every chunk addressed to its masked children.
-
-    Chunks are claimed by child index, then in chain order; the ledger's key
-    index names the transactions paying each masked child.
+    """Refundee-side claim of every chunk addressed to its masked children
+    0..chunk_count-1 (`derive_chunk_keys`), by child index, then in chain
+    order; the ledger's key index names the transactions paying each child.
     """
     claimed = []
     total = 0
     unmasker = ChildUnmasker(masker_pub)
-    for index in range(max_index + 1):
+    for index in range(chunk_count):
         masked_priv = refundee_wallet.masked_private(unmasker, index)
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)

@@ -8,9 +8,12 @@ refundee together, plus a time-locked fallback spendable by the customer
 alone.  Both lock to DH-masked child keys of the embedded extended key, so
 chain observers cannot link refunds to payments.
 
-Refund addresses may be replaced during the refund window, deliberately even
-over an unauthenticated email channel: the joint lock makes a hijacked
-address update worthless to the hijacker.
+Refund addresses may be replaced during the refund window over any channel,
+email included: updates are unauthenticated, the joint lock makes a hijacked
+update worthless, and moving value between the signers of a multi-signer
+session locks every entry to all of them.  Refund instructions hold at most
+`dispute.MAX_CHILD_INDEX` entries, so discovery and recovery try every child
+a refund uses.
 
 Sessions move through Created -> Paid -> RefundIssued -> Redeemed, with
 Expired reachable once the refund window lapses; "refundable" means Paid,
@@ -72,7 +75,6 @@ from .transactions import (
 ONE_WEEK_BLOCKS = 1008
 TWO_MONTHS_BLOCKS = 8640
 DEFAULT_REQUEST_TTL = 100
-MAX_CHILD_SCAN = 16
 
 
 class ProtocolError(Exception):
@@ -341,20 +343,13 @@ class PaymentAck:
         return cls(payment_copy, memo, signature)
 
 
-class UpdateChannel(enum.Enum):
-    AUTHENTICATED = 1
-    EMAIL = 2  # deliberately unauthenticated
-
-
 @dataclass(frozen=True)
 class RefundAddressUpdate:
     merchant_data: bytes
     new_entries: tuple[RefundEntry, ...]
-    channel: UpdateChannel
 
     def encode(self) -> bytes:
-        parts = [_wb(self.merchant_data), bytes([self.channel.value])]
-        parts.append(struct.pack(">H", len(self.new_entries)))
+        parts = [_wb(self.merchant_data), struct.pack(">H", len(self.new_entries))]
         parts.extend(_wb(e.encode()) for e in self.new_entries)
         return b"".join(parts)
 
@@ -362,10 +357,9 @@ class RefundAddressUpdate:
     def decode(cls, data: bytes) -> "RefundAddressUpdate":
         cur = ByteReader(data, "big")
         merchant_data = cur.lv()
-        channel = UpdateChannel(cur.u8())
         entries = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
         cur.done()
-        return cls(merchant_data, entries, channel)
+        return cls(merchant_data, entries)
 
 
 # -- key hygiene ----------------------------------------------------------------
@@ -560,7 +554,7 @@ class MerchantSession:
     cosigner_keys: tuple[Point, ...] = ()
     main_txid: bytes = b""
     paid_height: int = 0
-    email_value_changed: bool = False
+    values_changed: bool = False
     refund: Optional[RefundIssue] = None
     masking_privs: dict = field(default_factory=dict)  # record pos -> (m1, m2)
 
@@ -572,17 +566,26 @@ class MerchantSession:
 def _check_refund_entries(
     entries: Sequence[RefundEntry], amount: int, signers: Sequence[Point]
 ) -> None:
-    """Raise BadTransaction unless the entries refund at most `amount` and
-    each co-signer binding names a payment signer.
+    """Raise BadTransaction unless the entries number at most
+    `dispute.MAX_CHILD_INDEX`, refund at most `amount`, and each co-signer
+    binding names a payment signer.
 
     Every intake of refund instructions, the payment and each later address
     update, obeys this one rule.
     """
+    if len(entries) > dispute.MAX_CHILD_INDEX:
+        raise BadTransaction(f"more than {dispute.MAX_CHILD_INDEX} refund entries")
     if sum(e.value for e in entries) > amount:
         raise BadTransaction("refund total exceeds the amount paid")
     for entry in entries:
         if entry.cosigner_pubkey is not None and entry.cosigner_pubkey not in signers:
             raise BadTransaction("co-signer binding is not a payment signer")
+
+
+def _bound_values(entries: Sequence[RefundEntry]) -> dict[Optional[Point], int]:
+    """Refund value bound to each co-signer (None for unbound entries)."""
+    bindings = {e.cosigner_pubkey for e in entries}
+    return {b: sum(e.value for e in entries if e.cosigner_pubkey == b) for b in bindings}
 
 
 class Merchant:
@@ -728,16 +731,14 @@ class Merchant:
         return session.state
 
     def update_refund_addresses(self, update: RefundAddressUpdate) -> bool:
-        """Replace refund instructions; the newest entries win, email included."""
+        """Replace refund instructions from any sender; one that moves value
+        between signers, by values or by bindings, marks the session."""
         session = self.refundable_session(update.merchant_data)
         _check_refund_entries(
             update.new_entries, session.request.amount, session.cosigner_keys
         )
-        if update.channel is UpdateChannel.EMAIL:
-            old_values = sorted(e.value for e in session.entries)
-            new_values = sorted(e.value for e in update.new_entries)
-            if old_values != new_values:
-                session.email_value_changed = True
+        if _bound_values(update.new_entries) != _bound_values(session.entries):
+            session.values_changed = True
         session.entries = update.new_entries
         return True
 
@@ -769,7 +770,7 @@ class Merchant:
     def _lock_all_cosigners(self, session: MerchantSession) -> bool:
         if not session.multi_signer:
             return False
-        if session.email_value_changed:
+        if session.values_changed:
             return True
         return any(e.cosigner_pubkey is None for e in session.entries)
 
@@ -781,7 +782,8 @@ class Merchant:
         under the joint refund's funding key, fallback children under the
         fallback's funding key.  With several payment signers, one fallback
         transaction is issued per signer (covering that signer's entries),
-        and an email-tampered value locks every entry to all signers.
+        and an update that moved value between signers locks every entry to
+        all of them.
         """
         session = self.refundable_session(merchant_data)
         if not session.entries:
@@ -1011,10 +1013,11 @@ class Customer:
 
         Candidates are the ``shape`` refunds, by `dispute.refund_locks`;
         ``lookup`` is the lock a masked child point would carry.
-        Under each funder of a candidate, children 0..MAX_CHILD_SCAN are tried,
-        through one unmasker per funder.  A repeat customer's earlier refunds
-        are spent and skipped; if every output found is spent, the first is
-        returned, for the claim to report as already spent.
+        Under each funder of a candidate, children 0..`dispute.MAX_CHILD_INDEX`
+        are tried, through one unmasker per funder.  A repeat customer's
+        earlier refunds are spent and skipped; if every output found is
+        spent, the first is returned, for the claim to report as already
+        spent.
         """
         unmaskers: dict[Point, ChildUnmasker] = {}
         first_spent = None
@@ -1024,7 +1027,7 @@ class Customer:
                 continue
             for funder in signer_keys(tx):
                 unmasker = unmaskers.setdefault(funder, ChildUnmasker(funder))
-                for index in range(MAX_CHILD_SCAN + 1):
+                for index in range(dispute.MAX_CHILD_INDEX + 1):
                     masked_priv = self.wallet.masked_private(unmasker, index)
                     masked_point = SECP256K1.g_mul(masked_priv)
                     out_idx = locks.get(lookup(masked_point))
@@ -1119,11 +1122,12 @@ def pay_joint(
     Every payment, by one customer or several co-payers, is built here.
     Each participant (customer, share) funds its share from its own coins
     and gets the surplus of the coins it selected back as change, credited
-    to its wallet.  The transaction embeds every participant's extended
-    key, in order; with several, each refund entry carries a co-signer
-    binding naming the participant it belongs to.  The first participant
-    verifies the request and, with `encrypt`, seals the refund entries to
-    the merchant.
+    to its wallet; if any participant lacks its share, InsufficientFunds
+    is raised and every wallet keeps the coins it held.  The transaction
+    embeds every participant's extended key, in order; with several, each
+    refund entry carries a co-signer binding naming the participant it
+    belongs to.  The first participant verifies the request and, with
+    `encrypt`, seals the refund entries to the merchant.
     """
     lead = participants[0][0]
     lead.verify_request(request)
@@ -1134,14 +1138,20 @@ def pay_joint(
     funding: list[FundingOutpoint] = []
     signers: list[tuple[int, Point]] = []
     change: list[tuple[CustomerWallet, int]] = []
-    for customer, share in participants:
-        wallet = customer.wallet
-        picked = wallet.select(share)
-        funding.extend(picked)
-        signers.extend([(wallet.priv, wallet.pub)] * len(picked))
-        surplus = sum(p.value for p in picked) - share
-        if surplus:
-            change.append((wallet, surplus))
+    held = [(c.wallet, list(c.wallet.utxos)) for c, _share in participants]
+    try:
+        for customer, share in participants:
+            wallet = customer.wallet
+            picked = wallet.select(share)
+            funding.extend(picked)
+            signers.extend([(wallet.priv, wallet.pub)] * len(picked))
+            surplus = sum(p.value for p in picked) - share
+            if surplus:
+                change.append((wallet, surplus))
+    except InsufficientFunds:
+        for wallet, utxos in held:
+            wallet.utxos[:] = utxos
+        raise
     main = build_main_tc(
         funding,
         request.payment_address,

@@ -64,7 +64,6 @@ from .protocol import (
     RefundEntry,
     RefundIssue,
     RefundAddressUpdate,
-    UpdateChannel,
     check_payment_plan,
     pay_joint,
 )
@@ -247,6 +246,17 @@ class Scenario:
             if key == "wallet_k" and merged[key] > RECOVERY_MAX_WALLET_K:
                 raise ConfigError(
                     f"config wallet_k={value} is above its maximum {RECOVERY_MAX_WALLET_K}"
+                )
+        if self.name is ScenarioName.RECOVERY:
+            # checked before the run derives its wallet: the story has two joint
+            # redeems and a fallback, and session 2's fallback, issued at height
+            # 6, is still locked at 3 + 2·sessions, when the story waits for it
+            sessions = merged["sessions"]
+            if sessions < 3:
+                raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
+            if 6 + merged["lock_blocks"] <= 3 + 2 * sessions:
+                raise ConfigError(
+                    f"{sessions} Recovery sessions need lock_blocks >= {2 * sessions - 2}"
                 )
         return merged
 
@@ -676,9 +686,7 @@ def _run_marketplace(env: Env) -> list[Assertion]:
 
     # the rogue man-in-the-middle knows merchant_data and updates by email
     update = RefundAddressUpdate(
-        session.merchant_data,
-        (RefundEntry(rogue_pub, cfg["refund_value"]),),
-        UpdateChannel.EMAIL,
+        session.merchant_data, (RefundEntry(rogue_pub, cfg["refund_value"]),)
     )
     accepted = env.merchant.update_refund_addresses(update)
     env.log("rogue-trader", "email-address-update", f"accepted={accepted}")
@@ -819,8 +827,6 @@ def _run_multi_signer(env: Env) -> list[Assertion]:
 
 def _run_recovery(env: Env) -> list[Assertion]:
     cfg = env.config
-    if cfg["sessions"] < 3:
-        raise ConfigError("Recovery needs sessions >= 3: two joint redeems and a fallback")
     db_path = os.path.join(env.record_dir, f"recovery_seed{env.scenario.seed}.db")
     env.merchant.store = dispute.RecordStore(db_path)
 
@@ -944,8 +950,7 @@ def _run_mixer(env: Env) -> list[Assertion]:
     for i, wallet in enumerate(refundees):
         _dest_priv, dest_pub = env.new_keypair(f"recipient{i}-dest")
         _txs, total = mixer.sweep_chunks(
-            wallet, list(service.masker_pubs.values())[i], env.ledger, dest_pub,
-            max_index=cfg["k"],
+            wallet, list(service.masker_pubs.values())[i], env.ledger, dest_pub, cfg["k"]
         )
         expected = service.truth.refund_totals[customers[i].name]
         swept_ok = swept_ok and total == expected

@@ -25,8 +25,7 @@ def test_scenario_run_pass_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["scenario", "run", "HonestRefund", "--seed", "1"],
-    ["db", "recover", "--seed", "2"],
-], ids=["scenario-run", "db-recover"])
+], ids=["scenario-run"])
 def test_missing_out_dir_is_created(tmp_path, capsys, argv):
     out_dir = tmp_path / "not" / "yet"
     assert main(argv + ["--out-dir", str(out_dir)]) == 0
@@ -101,7 +100,7 @@ def test_ledger_dump_of_recovery_writes_no_file(tmp_path, monkeypatch, capsys):
 
 
 def test_db_dump_and_recover(tmp_path, capsys):
-    code = main(["db", "recover", "--seed", "2", "--out-dir", str(tmp_path)])
+    code = main(["scenario", "run", "Recovery", "--seed", "2", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     db_path = tmp_path / "recovery_seed2.db"

@@ -15,7 +15,6 @@ from refundsim.protocol import (
     RefundAddressUpdate,
     RefundEntry,
     SealedRefundTo,
-    UpdateChannel,
 )
 from refundsim.transactions import (
     FundingOutpoint,
@@ -65,7 +64,7 @@ DECODERS = {
     "RefundAddressUpdate": (
         RefundAddressUpdate.decode,
         RefundAddressUpdate.encode,
-        RefundAddressUpdate(b"\x07" * 16, ENTRIES, UpdateChannel.EMAIL).encode(),
+        RefundAddressUpdate(b"\x07" * 16, ENTRIES).encode(),
     ),
     "ExtendedPublicKey": (ExtendedPublicKey.decode, ExtendedPublicKey.encode, XPUB.encode()),
     "RefundRecord": (RefundRecord.deserialize, RefundRecord.serialize, RECORD.serialize()),

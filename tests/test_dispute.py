@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from refundsim.curve import SECP256K1
 from refundsim.dispute import (
+    MAX_CHILD_INDEX,
     MaskCheckFailed,
     NotRedeemed,
     RecordStore,
@@ -251,7 +252,7 @@ def test_recovery_reproduces_wiped_database(harness):
     run_sessions(harness, 3, ["joint", "joint", "fallback"])
     before = sorted(r.serialize() for r in harness.merchant.records)
     assert len(before) == 3
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     after = sorted(r.serialize() for r in result.records)
     assert after == before
     assert result.unmatched == []
@@ -259,7 +260,7 @@ def test_recovery_reproduces_wiped_database(harness):
 
 def test_recovery_pending_session_partial_record(harness):
     run_sessions(harness, 2, ["joint", None])
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(result.records) == 2
     zero = bytes(32)
     pending = [r for r in result.records if r.redeem_txid == zero]
@@ -272,7 +273,7 @@ def test_recovery_keeps_refunds_whose_fallback_is_in_flight(harness):
     the jointly redeemed one keeps its redeem, the other is pending."""
     issues = run_sessions(harness, 2, ["joint", None], settle=False)
     assert all(txid(issue.tc2) in harness.ledger.mempool for _r, issue, _c, _p in issues)
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert sorted(r.serialize() for r in result.records) == sorted(
         r.serialize() for r in harness.merchant.records
     )
@@ -291,7 +292,7 @@ def test_recovery_keeps_a_refund_pair_still_in_the_mempool(harness):
     harness.ledger.advance_height(1)
     issue = harness.merchant.issue_refund(request.merchant_data)
     assert txid(issue.tc1) in harness.ledger.mempool
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert [r.serialize() for r in result.records] == [
         r.serialize() for r in harness.merchant.records
     ]
@@ -301,8 +302,8 @@ def test_recovery_keeps_a_refund_pair_still_in_the_mempool(harness):
 
 def test_recovery_idempotent(harness):
     run_sessions(harness, 2, ["joint", "fallback"])
-    first = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
-    second = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    first = recover_database(harness.merchant.wallet, harness.ledger)
+    second = recover_database(harness.merchant.wallet, harness.ledger)
     assert [r.serialize() for r in first.records] == [
         r.serialize() for r in second.records
     ]
@@ -310,7 +311,7 @@ def test_recovery_idempotent(harness):
 
 def test_recovery_telemetry_within_bounds(harness):
     run_sessions(harness, 3, ["joint", "fallback", "joint"])
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     two_k = harness.merchant.wallet.size
     t = 3
     ell = 9  # joint + fallback + redeem per session
@@ -325,7 +326,7 @@ def test_recovery_masks_with_one_mul_per_key_pair(harness, monkeypatch):
     muls = []
     real_mul = SECP256K1.mul
     monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(result.records) == 3
     # the matching order is unchanged, so are the counters
     assert (result.telemetry.key_ops, result.telemetry.search_ops) == (10, 68)
@@ -333,7 +334,7 @@ def test_recovery_masks_with_one_mul_per_key_pair(harness, monkeypatch):
     hits = len(result.records) + 2
     first = len(muls)
     assert 0 < first <= result.telemetry.key_ops + hits
-    again = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    again = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(muls) == 2 * first
     assert again.records == result.records
 
@@ -348,7 +349,7 @@ def test_recovery_raises_when_the_batch_mask_is_wrong(harness, monkeypatch):
         ChildMasker, "mask", lambda self, parent, index: real_mask(self, parent, index + 1)
     )
     with pytest.raises(MaskCheckFailed):
-        recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+        recover_database(harness.merchant.wallet, harness.ledger)
 
 
 def _funding_keys(ledger, records):
@@ -395,7 +396,7 @@ def test_recovery_checks_refund_keys_against_the_batch(harness):
     pubs[signer], pubs[unused] = pubs[unused], pubs[signer]
     wallet._public = tuple(pubs)
     with pytest.raises(KeyMismatch):
-        recover_database(wallet, harness.ledger, max_child_index=4)
+        recover_database(wallet, harness.ledger)
 
 
 def test_recovery_matches_monitor_choice_on_multi_redeem(harness):
@@ -418,7 +419,7 @@ def test_recovery_matches_monitor_choice_on_multi_redeem(harness):
         max(0, issue.tc2.lock_height - harness.ledger.height)
     )
     harness.merchant.monitor()
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert [r.serialize() for r in result.records] == sorted(
         r.serialize() for r in harness.merchant.records
     )
@@ -506,8 +507,34 @@ def test_recovery_keeps_a_fallback_claimed_before_the_joint_redeem(harness):
     harness.ledger.advance_height(1)
     harness.merchant.monitor()
     assert harness.merchant.records[0].redeem_txid == txid(fallback)
-    result = recover_database(harness.merchant.wallet, harness.ledger, max_child_index=4)
+    result = recover_database(harness.merchant.wallet, harness.ledger)
     assert result.records == harness.merchant.records
+
+
+def test_widest_refund_is_claimed_and_recovered(harness):
+    """A payment with the most entries a refund may hold: its fallback takes
+    the highest child index, which discovery finds and the customer claims,
+    and a cold rebuild returns the monitored record byte for byte."""
+    alice = harness.customer("alice")
+    harness.fund([(alice, 50_000)])
+    request = harness.merchant.create_request(50_000)
+    plan = [RefundEntry(keygen(b"wide-%d" % i)[1], 1_000) for i in range(MAX_CHILD_INDEX)]
+    harness.merchant.process_payment(alice.pay(request, plan))
+    harness.ledger.advance_height(1)
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert issue.entry_children[MAX_CHILD_INDEX - 1] == (alice.wallet.xpub, MAX_CHILD_INDEX - 1)
+    harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
+    fallback = alice.redeem_fallback()
+    harness.ledger.advance_height(1)
+    assert fallback.outputs[0].value == MAX_CHILD_INDEX * 1_000
+    harness.merchant.monitor()
+    assert harness.merchant.records[0].redeem_txid == txid(fallback)
+    wallet = harness.merchant.wallet
+    result = recover_database(MerchantWallet(wallet.master_seed, wallet.size), harness.ledger)
+    assert [r.serialize() for r in result.records] == [
+        r.serialize() for r in harness.merchant.records
+    ]
+    assert result.unmatched == []
 
 
 def test_monitor_before_the_refund_pair_confirms(paid_session):

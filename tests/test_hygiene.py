@@ -4,17 +4,19 @@ An `ast` scan in place of a linter.  A name imported by a module of
 `src/refundsim` must be used in that module (or listed in its `__all__`),
 and every function, method and class defined there must be named somewhere
 in `src/`, `tests/` or `perfbench/` other than its own definition: as a
-name, an attribute, an imported name or a word in a non-docstring string
-(perfbench's tracer names its targets in strings).  Dunder methods are
-called implicitly and are exempt.
+loaded name, an attribute, an imported name or a word in a non-docstring
+string (perfbench's tracer names its targets in strings).  Dunder methods
+are called implicitly and are exempt.
 
-Three more checks keep state and options nobody reads out of the package:
-every parameter is read in its function's body; every defaulted parameter
-of a public function is passed, by keyword or by position, by some call in
-the three trees whose callee has the function's name; and every class field
-or `self.` attribute is loaded as an attribute somewhere in them.  Matching
-is by name, so a dead field that shares its name with a live one elsewhere
-goes unseen.
+Four more checks keep state and options nobody reads or sets out of the
+package: every parameter is read in its function's body; every defaulted
+parameter of a public function is passed, by keyword or by position, by
+some call in `src/` or `perfbench/` whose callee has the function's name
+(an option only tests set is no option of the program); every enum member
+is named in `src/` or `perfbench/` outside its own definition; and every
+class field or `self.` attribute is loaded as an attribute somewhere in the
+three trees.  Matching is by name, so a dead field that shares its name
+with a live one elsewhere goes unseen.
 
 A last check keeps each object's private state its own: an attribute whose
 name starts with `_` is read or written only on `self` or `cls`.
@@ -27,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "refundsim"
 TREES = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+PROGRAM_TREES = [ROOT / "src", ROOT / "perfbench"]
 
 
 def _parse(path: Path) -> ast.Module:
@@ -49,7 +52,7 @@ def _references(tree: ast.Module) -> set[str]:
     names = set()
     docstrings = _docstrings(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -124,6 +127,8 @@ KEPT_PARAMETERS = {
     # perfbench's mix_trials workload passes the ledger; the benchmark harness
     # drives the program through this signature
     ("mixer.py", "analyze_linkage", "ledger"),
+    # the console entry point reads sys.argv; tests drive the CLI through argv
+    ("cli.py", "main", "argv"),
 }
 # `curve` in keys.py is how tests inject the toy group into every key function
 INJECTED_PARAMETERS = {("keys.py", "curve")}
@@ -170,9 +175,10 @@ def _public_callables(tree: ast.Module):
 
 
 def _call_sites() -> dict[str, list[tuple[float, set, bool]]]:
-    """Callee name -> (positional count, keywords, has `**`) for every call."""
+    """Callee name -> (positional count, keywords, has `**`) for every call
+    in `src/` and `perfbench/`."""
     sites: dict[str, list] = {}
-    for tree_root in TREES:
+    for tree_root in PROGRAM_TREES:
         for path in tree_root.rglob("*.py"):
             for node in ast.walk(_parse(path)):
                 if not isinstance(node, ast.Call):
@@ -236,6 +242,33 @@ def test_every_default_is_passed():
                 ):
                     never_passed.append(f"{path.name}:{fn.lineno} {name}({arg.arg})")
     assert never_passed == [], f"defaulted parameters no call passes: {never_passed}"
+
+
+def _is_enum(cls: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(base, ast.Name) and base.id == "Enum")
+        or (isinstance(base, ast.Attribute) and base.attr == "Enum")
+        for base in cls.bases
+    )
+
+
+def test_every_enum_member_is_named():
+    named = set()
+    for tree_root in PROGRAM_TREES:
+        for path in tree_root.rglob("*.py"):
+            named |= _references(_parse(path))
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef) or not _is_enum(cls):
+                continue
+            for item in cls.body:
+                if not isinstance(item, ast.Assign):
+                    continue
+                for target in item.targets:
+                    if isinstance(target, ast.Name) and target.id not in named:
+                        unnamed.append(f"{path.name}:{item.lineno} {cls.name}.{target.id}")
+    assert unnamed == [], f"enum members the program never names: {unnamed}"
 
 
 def test_every_field_is_read():

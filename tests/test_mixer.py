@@ -17,6 +17,7 @@ from refundsim.mixer import (
     AggregateService,
     ChunkFact,
     ChunkTooSmall,
+    MIX_TIMEOUT_BLOCKS,
     MixBatch,
     MixChunk,
     MixerError,
@@ -109,11 +110,12 @@ def test_chunk_keys_distinct():
 
 
 def test_batch_not_ready_until_quorum_or_timeout():
-    batch = MixBatch(min_customers=2, timeout_blocks=10, created_height=5)
+    batch = MixBatch(min_customers=2, created_height=5)
     assert not batch.ready(6)
     batch.add(MixChunk(SECP256K1.g, 10, b"a"))
     assert not batch.ready(6)
-    assert batch.ready(15)  # timeout
+    assert not batch.ready(5 + MIX_TIMEOUT_BLOCKS - 1)
+    assert batch.ready(5 + MIX_TIMEOUT_BLOCKS)  # timeout
     batch.add(MixChunk(SECP256K1.g, 10, b"b"))
     assert batch.ready(6)  # quorum
 
@@ -157,8 +159,7 @@ def mixer_env(harness_cls, n_customers=2, totals=None, k=4, seed=7, tag=b"",
         refundees.append(CustomerWallet(b"mix-refundee-%d" % i + tag))
     harness.fund(list(zip(customers, totals)), merchant_keys=4 * n_customers + 4)
     service = MixerService(
-        harness.merchant, k=k, min_customers=min_customers,
-        timeout_blocks=5, jitter_window=3, rng_seed=seed,
+        harness.merchant, k=k, min_customers=min_customers, jitter_window=3, rng_seed=seed,
     )
     for customer, wallet, total in zip(customers, refundees, totals):
         request = harness.merchant.create_request(total)
@@ -219,7 +220,7 @@ def test_uneven_chunk_counts_never_hide_an_unmixed_emission():
 def test_single_customer_timeout_emits_unmixed():
     harness, service, _c, _r = mixer_env(None, n_customers=1, tag=b"1c")
     assert service.try_emit() == []  # below quorum, before timeout
-    harness.ledger.advance_height(6)
+    harness.ledger.advance_height(MIX_TIMEOUT_BLOCKS)
     emitted = service.try_emit()
     assert emitted
     assert service.emitted_unmixed
@@ -232,14 +233,14 @@ def test_batch_timeout_starts_with_its_first_chunk():
     assert service.try_emit()  # quorum of two
     late = harness.customer("late", b"late")
     harness.fund([(late, 100_000)], merchant_keys=0)
-    harness.ledger.advance_height(10)
+    harness.ledger.advance_height(2 * MIX_TIMEOUT_BLOCKS)
     refundee = CustomerWallet(b"late-refundee")
     request = harness.merchant.create_request(100_000)
     msg = late.pay(request, [RefundEntry(refundee.xpub, 100_000)], encrypt=True)
     harness.merchant.process_payment(msg)
     harness.ledger.advance_height(1)
     service.enqueue_refund(request.merchant_data, late.name)
-    harness.ledger.advance_height(4)
+    harness.ledger.advance_height(MIX_TIMEOUT_BLOCKS - 1)
     assert service.try_emit() == []
     assert not service.emitted_unmixed
     harness.ledger.advance_height(1)
@@ -272,15 +273,15 @@ def test_mix_value_conservation_and_sweep():
     maskers = list(service.masker_pubs.values())
     for wallet, masker in zip(refundees, maskers):
         _priv, dest = keygen(b"sweep-dest" + wallet.xpub.chain_code)
-        claimed, total = sweep_chunks(wallet, masker, harness.ledger, dest, max_index=5)
+        claimed, total = sweep_chunks(wallet, masker, harness.ledger, dest, 4)
         assert total == 100_000
         assert len(claimed) == 4
 
 
-def full_scan_sweep(wallet, masker_pub, ledger, dest, max_index):
+def full_scan_sweep(wallet, masker_pub, ledger, dest, chunk_count):
     """The sweep as a walk of every confirmed transaction per child index."""
     claimed, total = [], 0
-    for index in range(max_index + 1):
+    for index in range(chunk_count):
         masked_priv = unmask_child_private(wallet.child_private(index), masker_pub)
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)
@@ -332,7 +333,7 @@ def test_sweep_never_walks_the_chain(monkeypatch):
     monkeypatch.setattr(SimLedger, "all_confirmed", walk)
     _priv, dest = keygen(b"twice-dest")
     masker = list(service.masker_pubs.values())[0]
-    claimed, total = sweep_chunks(refundees[0], masker, harness.ledger, dest, max_index=5)
+    claimed, total = sweep_chunks(refundees[0], masker, harness.ledger, dest, 4)
     assert (len(claimed), total) == (8, 100_000)
 
 
@@ -343,15 +344,15 @@ def test_sweep_matches_full_scan():
     ledger, ref_ledger = harness.ledger, copy.deepcopy(harness.ledger)
     masker = list(service.masker_pubs.values())[0]
     _priv, dest = keygen(b"twice-dest")
-    for max_index in (1, 5):
-        got, total = sweep_chunks(refundees[0], masker, ledger, dest, max_index)
-        want, ref_total = full_scan_sweep(refundees[0], masker, ref_ledger, dest, max_index)
+    for chunk_count in (2, 4):
+        got, total = sweep_chunks(refundees[0], masker, ledger, dest, chunk_count)
+        want, ref_total = full_scan_sweep(refundees[0], masker, ref_ledger, dest, chunk_count)
         assert got
         assert [txid(t) for t in got] == [txid(t) for t in want]
         assert total == ref_total
         ledger.advance_height(1)
         ref_ledger.advance_height(1)
-    assert sweep_chunks(refundees[0], masker, ledger, dest, 5) == ([], 0)
+    assert sweep_chunks(refundees[0], masker, ledger, dest, 4) == ([], 0)
 
 
 def test_no_metadata_leakage_in_emissions():
@@ -376,7 +377,7 @@ def finished_mix(n_customers=2, totals=None, seed=7, tag=b"an"):
     )
     emitted = service.try_emit()
     if not emitted:
-        harness.ledger.advance_height(6)
+        harness.ledger.advance_height(MIX_TIMEOUT_BLOCKS)
         service.try_emit()
     harness.ledger.advance_height(4)
     return harness, service

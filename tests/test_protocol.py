@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from refundsim import dispute, keys, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
+    ChildUnmasker,
     KeyMismatch,
     derive_child_private,
     dh_shared,
@@ -15,7 +16,6 @@ from refundsim.keys import (
     unmask_child_private,
 )
 from refundsim.protocol import (
-    MAX_CHILD_SCAN,
     AlreadySpent,
     AmountMismatch,
     BadTransaction,
@@ -33,7 +33,6 @@ from refundsim.protocol import (
     SessionState,
     UndecryptableRefundTo,
     UnknownSession,
-    UpdateChannel,
     WindowExpired,
     pay_joint,
     seal_refund_entries,
@@ -48,7 +47,9 @@ from refundsim.transactions import (
     ScriptHash,
     TxOutput,
     build_main_tc,
+    build_redeem,
     key_hash,
+    signer_keys,
     txid,
 )
 
@@ -70,9 +71,7 @@ def test_message_roundtrips(paid_session):
     harness, alice, _, request, msg = paid_session
     assert PaymentRequest.decode(request.encode()) == request
     assert PaymentMsg.decode(msg.encode()) == msg
-    update = RefundAddressUpdate(
-        request.merchant_data, (RefundEntry(R_PUB, 30_000),), UpdateChannel.EMAIL
-    )
+    update = RefundAddressUpdate(request.merchant_data, (RefundEntry(R_PUB, 30_000),))
     assert RefundAddressUpdate.decode(update.encode()) == update
 
 
@@ -165,6 +164,23 @@ def test_pay_insufficient_funds(harness):
         alice.pay(request, [])
 
 
+def test_co_payer_short_of_its_share_leaves_every_wallet_whole(harness):
+    """When a later co-payer lacks its share, no wallet loses a coin (the
+    earlier co-payers' selected coins used to vanish from their wallets),
+    and the first can still pay alone."""
+    dave = harness.customer("dave")
+    eve = harness.customer("eve")
+    harness.fund([(dave, 30_000), (eve, 10_000)])
+    held = (list(dave.wallet.utxos), list(eve.wallet.utxos))
+    request = harness.merchant.create_request(60_000)
+    with pytest.raises(InsufficientFunds):
+        pay_joint(request, [(dave, 30_000), (eve, 30_000)], [])
+    assert (dave.wallet.utxos, eve.wallet.utxos) == held
+    alone = harness.merchant.create_request(30_000)
+    harness.merchant.process_payment(dave.pay(alone, []))
+    assert dave.wallet.utxos == []
+
+
 def test_encrypted_refund_to_roundtrip(harness):
     alice = harness.customer("alice")
     harness.fund([(alice, 50_000)])
@@ -231,26 +247,22 @@ def test_session_expires_after_window(paid_session):
 def test_email_update_replaces_entries(paid_session):
     harness, _alice, _, request, _msg = paid_session
     new_priv, new_pub = keygen(b"new-refundee")
-    update = RefundAddressUpdate(
-        request.merchant_data, (RefundEntry(new_pub, 30_000),), UpdateChannel.EMAIL
-    )
+    update = RefundAddressUpdate(request.merchant_data, (RefundEntry(new_pub, 30_000),))
     assert harness.merchant.update_refund_addresses(update)
     assert harness.merchant.sessions[request.merchant_data].entries[0].refundee == new_pub
-    assert not harness.merchant.sessions[request.merchant_data].email_value_changed
+    assert not harness.merchant.sessions[request.merchant_data].values_changed
 
 
 def test_update_after_window_expired(paid_session):
     harness, _alice, _, request, _msg = paid_session
     harness.ledger.advance_height(harness.merchant.window_blocks + 1)
-    update = RefundAddressUpdate(
-        request.merchant_data, (RefundEntry(R_PUB, 30_000),), UpdateChannel.EMAIL
-    )
+    update = RefundAddressUpdate(request.merchant_data, (RefundEntry(R_PUB, 30_000),))
     with pytest.raises(WindowExpired):
         harness.merchant.update_refund_addresses(update)
 
 
 def test_update_unknown_session(harness):
-    update = RefundAddressUpdate(b"ghost", (RefundEntry(R_PUB, 1),), UpdateChannel.EMAIL)
+    update = RefundAddressUpdate(b"ghost", (RefundEntry(R_PUB, 1),))
     with pytest.raises(UnknownSession):
         harness.merchant.update_refund_addresses(update)
 
@@ -554,7 +566,6 @@ def test_address_update_binding_to_a_stranger_rejected(paid_session):
     update = RefundAddressUpdate(
         request.merchant_data,
         (RefundEntry(R_PUB, 30_000, cosigner_pubkey=stranger_pub),),
-        UpdateChannel.EMAIL,
     )
     with pytest.raises(BadTransaction, match="co-signer binding"):
         harness.merchant.update_refund_addresses(update)
@@ -562,13 +573,44 @@ def test_address_update_binding_to_a_stranger_rejected(paid_session):
     assert issue.tc2.outputs[0].value == 30_000
 
 
+WIDE = dispute.MAX_CHILD_INDEX + 1  # one entry more than a refund may hold
+
+
+def test_payment_with_too_many_entries_rejected(harness):
+    """A payment whose entries would push its fallback past the highest child
+    index a refund may use is refused before a funded key is taken (it used
+    to be accepted, and its fallback was then found by no one)."""
+    alice = harness.customer("alice")
+    harness.fund([(alice, 50_000)])
+    request = harness.merchant.create_request(50_000)
+    msg = alice.pay(request, [RefundEntry(R_PUB, 1_000)] * WIDE)
+    funded = funded_merchant_keys(harness.merchant)
+    with pytest.raises(BadTransaction, match="refund entries"):
+        harness.merchant.process_payment(msg)
+    assert not harness.ledger.mempool
+    assert funded_merchant_keys(harness.merchant) == funded
+    with pytest.raises(WindowExpired):
+        harness.merchant.issue_refund(request.merchant_data)
+
+
+def test_address_update_with_too_many_entries_rejected(paid_session):
+    """The entry limit holds for an address update too; the entries on file
+    stay, no funded key is taken, and their refund issues."""
+    harness, _alice, _refundee, request, _msg = paid_session
+    update = RefundAddressUpdate(request.merchant_data, (RefundEntry(R_PUB, 1_000),) * WIDE)
+    funded = funded_merchant_keys(harness.merchant)
+    with pytest.raises(BadTransaction, match="refund entries"):
+        harness.merchant.update_refund_addresses(update)
+    assert funded_merchant_keys(harness.merchant) == funded
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    assert issue.tc2.outputs[0].value == 30_000
+
+
 def test_address_update_above_the_amount_paid_rejected(paid_session):
-    """An address update may not refund more than was paid, email or not;
+    """An address update may not refund more than was paid;
     the entries on file stay, and their refund issues at their value."""
     harness, _alice, _refundee, request, _msg = paid_session
-    update = RefundAddressUpdate(
-        request.merchant_data, (RefundEntry(R_PUB, 150_000),), UpdateChannel.EMAIL
-    )
+    update = RefundAddressUpdate(request.merchant_data, (RefundEntry(R_PUB, 150_000),))
     with pytest.raises(BadTransaction, match="exceeds the amount paid"):
         harness.merchant.update_refund_addresses(update)
     issue = harness.merchant.issue_refund(request.merchant_data)
@@ -623,11 +665,9 @@ def test_multi_signer_email_value_change_locks_everyone(harness):
         RefundEntry(R_PUB, 40_000, cosigner_pubkey=dave.wallet.pub),
         RefundEntry(plan[1].refundee, 10_000, cosigner_pubkey=eve.wallet.pub),
     )
-    update = RefundAddressUpdate(
-        request.merchant_data, tampered, UpdateChannel.EMAIL
-    )
+    update = RefundAddressUpdate(request.merchant_data, tampered)
     harness.merchant.update_refund_addresses(update)
-    assert harness.merchant.sessions[request.merchant_data].email_value_changed
+    assert harness.merchant.sessions[request.merchant_data].values_changed
     issue = harness.merchant.issue_refund(request.merchant_data)
     # every committed script now requires both co-signers plus the refundee
     for position, entry, group in issue.entry_outputs:
@@ -639,6 +679,46 @@ def test_multi_signer_email_value_change_locks_everyone(harness):
         assert (
             issue.tc1.outputs[position].script.script_hash == script.script_hash()
         )
+
+
+@pytest.mark.parametrize("move", ["values", "bindings"])
+def test_value_shifting_update_leaves_the_shifter_a_missing_signer(harness, move):
+    """An update that moves value from dave's entry to eve's, whoever sends
+    it, locks both entries to both signers: eve and her friend cannot
+    spend eve's enlarged entry, and dave's one fallback covers both.  Moving
+    it by rebinding dave's entry to eve, which keeps the values, counts too
+    (it used to leave each entry locked to its bound signer alone)."""
+    dave, eve, request, plan = multi_signer_session(harness)
+    friend_priv, friend_pub = keygen(b"eve-friend")
+    if move == "values":
+        shifted = (
+            RefundEntry(plan[0].refundee, 5_000, cosigner_pubkey=dave.wallet.pub),
+            RefundEntry(friend_pub, 45_000, cosigner_pubkey=eve.wallet.pub),
+        )
+    else:
+        shifted = (RefundEntry(friend_pub, 25_000, cosigner_pubkey=eve.wallet.pub),) * 2
+    harness.merchant.update_refund_addresses(RefundAddressUpdate(request.merchant_data, shifted))
+    issue = harness.merchant.issue_refund(request.merchant_data)
+    harness.ledger.advance_height(1)
+    with pytest.raises(MissingSigner):
+        eve.redeem_with_refundee(friend_priv, friend_pub)
+    position, entry, group = issue.entry_outputs[1]
+    assert entry == shifted[1] and len(group) == 2
+    # each signer counts its own children: entry 1 takes child 1 of both
+    unmasker = ChildUnmasker(signer_keys(issue.tc1)[0])
+    eve_masked = eve.wallet.masked_private(unmasker, 1)
+    assert SECP256K1.g_mul(eve_masked) in group
+    with pytest.raises(MissingSigner):
+        build_redeem(
+            issue.tc1, position,
+            [(eve_masked, SECP256K1.g_mul(eve_masked)), (friend_priv, friend_pub)],
+            friend_pub, NOfNScript(group + (friend_pub,)),
+        )
+    (tc2,) = issue.tc2s
+    assert tc2.outputs[0].value == 50_000
+    harness.ledger.advance_height(tc2.lock_height - harness.ledger.height)
+    fallback = dave.redeem_fallback()
+    assert fallback.inputs[0].prev_txid == txid(tc2)
 
 
 def test_key_log_stays_conflict_free(paid_session):
@@ -698,7 +778,7 @@ def reference_discovery(customer, refundee_pub=None):
                 if isinstance(out.script, ScriptHash)
             }
         for funder in funders:
-            for index in range(MAX_CHILD_SCAN + 1):
+            for index in range(dispute.MAX_CHILD_INDEX + 1):
                 child_priv = derive_child_private(wallet.priv, wallet.xpub, index)
                 masked_priv = unmask_child_private(child_priv, funder)
                 point = SECP256K1.g_mul(masked_priv)

@@ -296,7 +296,11 @@ RELATIONAL = [
     ("Mixer", "k=40"),
     ("Aggregate", "outputs_per_tx=1"),
     ("Recovery", "wallet_k=2"),
+    ("Recovery", "sessions=200,lock_blocks=1000"),
+    # session 2's fallback lock already passed when the story waits for it
     ("Recovery", "sessions=200"),
+    ("Recovery", "sessions=32"),
+    ("Recovery", f"sessions=65,wallet_k={RECOVERY_MAX_WALLET_K}"),
     # emissions that cannot mix: one transaction, or one holding a lone chunk
     ("Mixer", "k=1"),
     ("Mixer", "outputs_per_tx=100"),
@@ -382,8 +386,9 @@ def test_mixing_configs_pass_or_are_config_errors(case):
 # each key's edge values: 1, 2, 3, the default, and the value just past each
 # stated limit: a refund above the amount (either side), an odd MultiSigner
 # amount or one below its two refunds, a lock too short for the story (the
-# smallest that runs is 2 to 5), more Recovery sessions than the wallet
-# holds keys for, a Recovery wallet above its stated size limit
+# smallest that runs is 2 to 5), the most Recovery sessions the default lock
+# of 60 leaves room for and one more (31, 32), more Recovery sessions than
+# the wallet holds keys for, a Recovery wallet above its stated size limit
 LOCK_EDGES = [1, 2, 3, 4, 5]
 REFUND_EDGES = {
     "HonestRefund": {
@@ -409,7 +414,7 @@ REFUND_EDGES = {
     "Recovery": {
         "amount": [1, 2, 3, 50_000, 29_999],
         "refund_value": [1, 2, 3, 30_000, 50_001],
-        "sessions": [1, 2, 3, 4, 65],
+        "sessions": [1, 2, 3, 4, 31, 32, 65],
         "wallet_k": [1, 2, 3, 4, 8, RECOVERY_MAX_WALLET_K, RECOVERY_MAX_WALLET_K + 1],
         "lock_blocks": [*LOCK_EDGES, 60],
     },
