@@ -383,8 +383,6 @@ class RecoveryTelemetry:
 @dataclass
 class RecoveryResult:
     records: list[RefundRecord] = field(default_factory=list)
-    pending: list[bytes] = field(default_factory=list)  # main txids awaiting redemption
-    unmatched: list[bytes] = field(default_factory=list)  # main txids with no refund found
     telemetry: RecoveryTelemetry = field(default_factory=RecoveryTelemetry)
 
 
@@ -529,11 +527,8 @@ def recover_database(merchant_wallet, ledger: SimLedger) -> RecoveryResult:
         if main_id is None or tc1_id is None:
             continue
         record = fill_redeem(RefundRecord(main_id, tc1_id, tid), joint[tc1_id], ledger)
-        if record.redeem_txid == _ZERO_ID:
-            result.pending.append(main_id)
         result.records.append(record)
 
     telemetry.search_ops = ledger.queries - queries_before
-    result.unmatched = sorted(set(mains) - {r.main_txid for r in result.records})
     result.records.sort(key=lambda r: r.main_txid)
     return result

@@ -9,10 +9,11 @@ the value, address and time relations between payments in and refunds out.
 
 `analyze_linkage` is the resident adversary: given everything a global
 passive observer could hold (chunk outputs with values and heights, plus
-per-customer refund totals and payment heights), it counts the
-value-and-causality-consistent assignments of chunks to customers exactly
+each refund's total and payment height), it counts the
+value-and-causality-consistent assignments of chunks to refunds exactly
 and picks one uniformly; its accuracy against ground truth is the
-unlinkability measure.
+unlinkability measure.  Ground truth is kept per refund, so a repeat
+customer's refunds stay apart.
 
 The aggregate mode combines mixing with the joint-refund protection: every
 chunk is locked to customer and refundee together, with a per-transaction
@@ -244,19 +245,28 @@ class ChunkFact:
 
 @dataclass
 class MixGroundTruth:
-    customers: list[str] = field(default_factory=list)
+    """What the merchant knows of its mixed refunds, keyed by session id:
+    the chunk's `origin`."""
+
     origin_names: dict[bytes, str] = field(default_factory=dict)
-    refund_totals: dict[str, int] = field(default_factory=dict)
-    payment_heights: dict[str, int] = field(default_factory=dict)
+    refund_totals: dict[bytes, int] = field(default_factory=dict)
+    payment_heights: dict[bytes, int] = field(default_factory=dict)
     chunk_facts: list[ChunkFact] = field(default_factory=list)
 
     def record(self, session: MerchantSession, customer_name: str, total: int) -> None:
         """Mark a session's refund issued and note what the adversary may know of it."""
         session.state = SessionState.REFUND_ISSUED
-        self.customers.append(customer_name)
-        self.origin_names[session.merchant_data] = customer_name
-        self.refund_totals[customer_name] = total
-        self.payment_heights[customer_name] = session.paid_height
+        origin = session.merchant_data
+        self.origin_names[origin] = customer_name
+        self.refund_totals[origin] = total
+        self.payment_heights[origin] = session.paid_height
+
+    def unmixed_txids(self) -> set[bytes]:
+        """The emitted transactions whose chunks all share one origin."""
+        origins: dict[bytes, set[bytes]] = {}
+        for fact in self.chunk_facts:
+            origins.setdefault(fact.txid, set()).add(fact.origin)
+        return {tid for tid, found in origins.items() if len(found) < 2}
 
 
 def _refund_plans(
@@ -294,7 +304,6 @@ class MixerService:
         self.batch = MixBatch(min_customers=min_customers)
         self.truth = MixGroundTruth()
         self.masker_pubs: dict[bytes, Point] = {}  # session -> out-of-band mask key
-        self.emitted_unmixed = False
 
     def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> None:
         """Split a refundable session's entries into chunks and batch them.
@@ -322,14 +331,12 @@ class MixerService:
         """Emit a ready batch: interleaved origins, shuffled outputs, jittered heights.
 
         A batch that never reached two customers is emitted anyway at
-        timeout (funds must move), flagged as unmixed; so is a batch that
-        emits any transaction holding a single customer's chunks.
+        timeout (funds must move); `MixGroundTruth.unmixed_txids` names
+        every transaction holding a single customer's chunks.
         """
         batch = self.batch
         if not batch.ready(self.ledger.height):
             return []
-        if len(batch.origins()) < batch.min_customers:
-            self.emitted_unmixed = True
         emitted = []
         for tx, tid, chunks, lock, _key in _emit_mixed(
             self, batch.entries, self.ledger.height + 1, "mix-funding", "emission",
@@ -337,8 +344,6 @@ class MixerService:
                 TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point))) for c in chunks
             ],
         ):
-            if len({c.origin for c in chunks}) < 2:
-                self.emitted_unmixed = True
             emitted.append(tx)
             self.truth.chunk_facts.extend(
                 ChunkFact(tid, vout, c.value, c.origin, lock) for vout, c in enumerate(chunks)
@@ -387,22 +392,22 @@ def sweep_chunks(
 @dataclass
 class LinkageReport:
     accuracy: float
-    baseline: float
-    n_outputs: int
     feasible_assignments: int
     target_correct: bool
 
 
 def _feasible_assignments(
     outputs: list[ChunkFact],
-    customers: list[str],
-    totals: dict[str, int],
-    payment_heights: dict[str, int],
-) -> tuple[int, Callable[[int], tuple[str, ...]]]:
+    customers: list[bytes],
+    totals: dict[bytes, int],
+    payment_heights: dict[bytes, int],
+) -> tuple[int, Callable[[int], tuple[bytes, ...]]]:
     """Count the assignments of outputs to customers consistent with the view.
 
-    Consistency: each customer's assigned values sum to its refund total,
-    and no chunk is emitted before its customer paid.  Returns the exact
+    A customer is any key of `totals` and `payment_heights`;
+    `analyze_linkage` passes one per refund, its session id.  Consistency:
+    each customer's assigned values sum to its refund total, and no chunk
+    is emitted before its customer paid.  Returns the exact
     count and a function building the assignment of each rank in
     [0, count), in search order: outputs by descending value, each given
     to the customers in turn.  Nothing is enumerated: counts are memoized on
@@ -484,8 +489,8 @@ def _feasible_assignments(
 
     start = tuple(totals[c] for c in customers)
 
-    def nth(rank: int) -> tuple[str, ...]:
-        assignment = [""] * len(outputs)
+    def nth(rank: int) -> tuple[bytes, ...]:
+        assignment = [b""] * len(outputs)
         remaining = start
         for pos in range(len(order)):
             for c, rest in moves(pos, remaining):
@@ -507,38 +512,28 @@ def analyze_linkage(
     """Best-effort origin assignment by a global passive observer.
 
     The adversary holds the emitted chunk outputs (values, heights), each
-    customer's refund total and payment height; it never sees session ids or
-    wallet internals.  It counts every value/causality-consistent
+    refund's total and payment height; it never sees session ids or wallet
+    internals, so the refunds are taken in the order of their customers'
+    names (a repeat customer's by session id, an order that carries no
+    information).  It counts every value/causality-consistent
     assignment and picks one uniformly at random — with equal chunks and mixed
     emission that is the best it can do.  `ledger` is not read: the chunk
     facts already carry everything the chain shows.
     """
     rng = random.Random(rng_seed)
     outputs = sorted(truth.chunk_facts, key=lambda f: (f.txid, f.vout))
-    customers = sorted(truth.customers)
+    refunds = sorted(truth.origin_names, key=lambda sid: (truth.origin_names[sid], sid))
     feasible, nth = _feasible_assignments(
-        outputs, customers, truth.refund_totals, truth.payment_heights
+        outputs, refunds, truth.refund_totals, truth.payment_heights
     )
-    n = len(outputs)
-    baseline = 1.0 / max(1, len(customers))
     if not feasible:
-        return LinkageReport(0.0, baseline, n, 0, False)
+        return LinkageReport(0.0, 0, False)
     chosen = nth(rng.randrange(feasible))
-    correct = sum(
-        1
-        for fact, guess in zip(outputs, chosen)
-        if truth.origin_names[fact.origin] == guess
-    )
-    target_fact = outputs[0]
-    target_correct = (
-        chosen[0] == truth.origin_names[target_fact.origin]
-    )
+    correct = sum(1 for fact, guess in zip(outputs, chosen) if fact.origin == guess)
     return LinkageReport(
-        accuracy=correct / n if n else 0.0,
-        baseline=baseline,
-        n_outputs=n,
+        accuracy=correct / len(outputs) if outputs else 0.0,
         feasible_assignments=feasible,
-        target_correct=target_correct,
+        target_correct=chosen[0] == outputs[0].origin,
     )
 
 

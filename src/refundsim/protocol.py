@@ -15,9 +15,9 @@ session locks every entry to all of them.  Refund instructions hold at most
 `dispute.MAX_CHILD_INDEX` entries, so discovery and recovery try every child
 a refund uses.
 
-Sessions move through Created -> Paid -> RefundIssued -> Redeemed, with
-Expired reachable once the refund window lapses; "refundable" means Paid,
-payment confirmed, window still open.
+Sessions move through Created -> Paid -> RefundIssued -> Redeemed.  Expiry
+is judged, not stored: a session is refundable while it is Paid, its payment
+confirmed and its refund window open (`Merchant.refundable_session`).
 """
 
 from __future__ import annotations
@@ -520,7 +520,6 @@ class SessionState(enum.Enum):
     PAID = "paid"
     REFUND_ISSUED = "refund-issued"
     REDEEMED = "redeemed"
-    EXPIRED = "expired"
 
 
 @dataclass
@@ -528,7 +527,8 @@ class RefundIssue:
     tc1: Transaction
     tc2s: list[Transaction]
     records: list[dispute.RefundRecord]
-    entry_outputs: list[tuple[int, RefundEntry, tuple[Point, ...]]]
+    # joint-refund output position -> the masked customer keys its script locks
+    entry_keys: list[tuple[Point, ...]]
     # joint-refund output position -> (extended key, child index) of the
     # first key in its script: what a linkage proof for that output derives
     entry_children: dict[int, tuple[ExtendedPublicKey, int]]
@@ -614,7 +614,7 @@ class Merchant:
         self.wallet = MerchantWallet(seed + b"/wallet", wallet_size)
         self._rng = random.Random(int.from_bytes(hashlib.sha256(seed).digest(), "big"))
         self.sessions: dict[bytes, MerchantSession] = {}
-        self.records: list[dispute.RefundRecord] = []
+        self._issues: list[RefundIssue] = []  # in issue order
         self.store = dispute.RecordStore(db_path) if db_path else None
 
     # -- payment flow -------------------------------------------------------
@@ -703,34 +703,20 @@ class Merchant:
     # -- refund window ---------------------------------------------------------
 
     def refundable_session(self, merchant_data: bytes) -> MerchantSession:
-        """The session, if it is refundable; else UnknownSession or WindowExpired."""
-        session = self.sessions.get(merchant_data)
-        if session is None:
-            raise UnknownSession(merchant_data.hex())
-        if not self.refundable(merchant_data):
-            raise WindowExpired("session is not refundable")
-        return session
-
-    def refundable(self, merchant_data: bytes) -> bool:
-        session = self.sessions.get(merchant_data)
-        if session is None or session.state is not SessionState.PAID:
-            return False
-        if self.ledger.confirmation_height(session.main_txid) is None:
-            return False
-        return self.ledger.height <= session.paid_height + self.window_blocks
-
-    def session_state(self, merchant_data: bytes) -> SessionState:
+        """The session, if it is Paid, its payment confirmed and its refund
+        window open; else UnknownSession or WindowExpired."""
         session = self.sessions.get(merchant_data)
         if session is None:
             raise UnknownSession(merchant_data.hex())
         if (
-            session.state is SessionState.PAID
-            and self.ledger.height > session.paid_height + self.window_blocks
+            session.state is not SessionState.PAID
+            or self.ledger.confirmation_height(session.main_txid) is None
+            or self.ledger.height > session.paid_height + self.window_blocks
         ):
-            return SessionState.EXPIRED
-        return session.state
+            raise WindowExpired("session is not refundable")
+        return session
 
-    def update_refund_addresses(self, update: RefundAddressUpdate) -> bool:
+    def update_refund_addresses(self, update: RefundAddressUpdate) -> None:
         """Replace refund instructions from any sender; one that moves value
         between signers, by values or by bindings, marks the session."""
         session = self.refundable_session(update.merchant_data)
@@ -740,7 +726,6 @@ class Merchant:
         if _bound_values(update.new_entries) != _bound_values(session.entries):
             session.values_changed = True
         session.entries = update.new_entries
-        return True
 
     # -- refund issuance ---------------------------------------------------------
 
@@ -803,7 +788,6 @@ class Merchant:
             return idx, child
 
         refund_rows = []
-        entry_outputs = []
         entry_children: dict[int, tuple[ExtendedPublicKey, int]] = {}
         entry_owner: list[Point] = []
         for position, entry in enumerate(session.entries):
@@ -819,7 +803,6 @@ class Merchant:
                 self.key_log.register(masked, "masked-refund-child")
                 masked_group.append(masked)
             refund_rows.append((tuple(masked_group), entry.refundee_point, entry.value))
-            entry_outputs.append((position, entry, tuple(masked_group)))
             entry_owner.append(owners[0])
 
         tc1 = build_refund_tc1(refund_rows, m1_funding, m1_pub, m1_priv)
@@ -861,9 +844,10 @@ class Merchant:
         if tc1_refund_total != tc2_total or tc1_refund_total != total:
             raise BadTransaction("refund pair values diverge")
 
-        session.refund = RefundIssue(tc1, tc2s, records, entry_outputs, entry_children)
+        entry_keys = [keys for keys, _refundee, _value in refund_rows]
+        session.refund = RefundIssue(tc1, tc2s, records, entry_keys, entry_children)
         session.state = SessionState.REFUND_ISSUED
-        self.records.extend(records)
+        self._issues.append(session.refund)
         self._persist_records()
         return session.refund
 
@@ -887,6 +871,11 @@ class Merchant:
 
     # -- monitoring -----------------------------------------------------------
 
+    @property
+    def records(self) -> list[dispute.RefundRecord]:
+        """Every issued refund's records, in issue order."""
+        return [record for issue in self._issues for record in issue.records]
+
     def monitor(self) -> None:
         """Fill empty redeem slots of issued refunds by `dispute.fill_redeem`.
 
@@ -897,15 +886,15 @@ class Merchant:
         changed = False
         for session in self.sessions.values():
             issue = session.refund
-            empty = [r for r in issue.records if r.redeem_txid == bytes(32)] if issue else []
+            records = issue.records if issue else []
+            empty = [i for i, r in enumerate(records) if r.redeem_txid == bytes(32)]
             if not empty:
                 continue
-            joint = dispute.joint_spenders(self.ledger, empty[0].refund_tc1_txid)
-            for record in empty:
-                updated = dispute.fill_redeem(record, joint, self.ledger)
-                if updated != record:
-                    issue.records[issue.records.index(record)] = updated
-                    self.records[self.records.index(record)] = updated
+            joint = dispute.joint_spenders(self.ledger, issue.record.refund_tc1_txid)
+            for i in empty:
+                updated = dispute.fill_redeem(records[i], joint, self.ledger)
+                if updated != records[i]:
+                    records[i] = updated
                     session.state = SessionState.REDEEMED
                     changed = True
         if changed:

@@ -369,6 +369,7 @@ class Env:
         self.key_log = KeyRoleLog()
         self.transcript = Transcript()
         self.book = AddressBook()
+        self.registry = IdentityRegistry()  # the certificate authority customers trust
         wallet_size = 2 ** self.config.get("wallet_k", 6)
         self.demand = _KEY_DEMAND[scenario.name](self.config, scenario.disable_defense)
         _check_capacity(self.demand, wallet_size)
@@ -376,7 +377,7 @@ class Env:
             "merchant",
             scenario.seed_bytes("merchant"),
             self.ledger,
-            IdentityRegistry(),
+            self.registry,
             self.key_log,
             wallet_size=wallet_size,
             lock_blocks=self.config.get("lock_blocks", ONE_WEEK_BLOCKS),
@@ -400,7 +401,7 @@ class Env:
     def new_customer(self, label: str) -> Customer:
         customer = Customer(
             label, self.scenario.seed_bytes(label), self.ledger,
-            self.merchant.identity_pub,
+            self.registry.lookup(self.merchant.name),
         )
         self.book.register_key(customer.wallet.pub, label)
         self.book.register_key(customer.fallback_pub, label)
@@ -536,7 +537,7 @@ def _joint_spend_blocked(
             0,
             signers,
             thief_pub,
-            reveal_script=two_of_two(issue.entry_outputs[0][2][0], thief_pub),
+            reveal_script=two_of_two(issue.entry_keys[0][0], thief_pub),
         )
     except MissingSigner:
         return True
@@ -688,7 +689,8 @@ def _run_marketplace(env: Env) -> list[Assertion]:
     update = RefundAddressUpdate(
         session.merchant_data, (RefundEntry(rogue_pub, cfg["refund_value"]),)
     )
-    accepted = env.merchant.update_refund_addresses(update)
+    env.merchant.update_refund_addresses(update)
+    accepted = session.entries == update.new_entries
     env.log("rogue-trader", "email-address-update", f"accepted={accepted}")
 
     assertions = [Assertion("email-update-accepted", accepted)]
@@ -902,14 +904,6 @@ def _run_recovery(env: Env) -> list[Assertion]:
     ]
 
 
-def _every_tx_mixed(truth: mixer.MixGroundTruth, txs: list) -> bool:
-    """Whether each of `txs` carries chunks of several customers; vacuous for one."""
-    return len(truth.customers) < 2 or all(
-        len({f.origin for f in truth.chunk_facts if f.txid == tid}) > 1
-        for tid in map(txid, txs)
-    )
-
-
 def _run_mixer(env: Env) -> list[Assertion]:
     cfg = env.config
     n = cfg["n_customers"]
@@ -936,10 +930,12 @@ def _run_mixer(env: Env) -> list[Assertion]:
         jitter_window=cfg["jitter_window"],
         rng_seed=env.scenario.seed,
     )
+    mds = []
     for customer, wallet, total in zip(customers, refundees, totals):
         session = env.pay([(customer, total)], [RefundEntry(wallet.xpub, total)])
         env.ledger.advance_height(1)
         service.enqueue_refund(session.merchant_data, customer.name)
+        mds.append(session.merchant_data)
         env.log(customer.name, "paid-and-cancelled", f"refund={total}")
     # every payer is queued, so the batch already holds min(2, n) origins
     emitted = service.try_emit()
@@ -947,13 +943,12 @@ def _run_mixer(env: Env) -> list[Assertion]:
     env.log("merchant", "mix-emitted", f"txs={len(emitted)}")
 
     swept_ok = True
-    for i, wallet in enumerate(refundees):
+    for i, (wallet, md) in enumerate(zip(refundees, mds)):
         _dest_priv, dest_pub = env.new_keypair(f"recipient{i}-dest")
         _txs, total = mixer.sweep_chunks(
-            wallet, list(service.masker_pubs.values())[i], env.ledger, dest_pub, cfg["k"]
+            wallet, service.masker_pubs[md], env.ledger, dest_pub, cfg["k"]
         )
-        expected = service.truth.refund_totals[customers[i].name]
-        swept_ok = swept_ok and total == expected
+        swept_ok = swept_ok and total == service.truth.refund_totals[md]
         env.log(f"recipient{i}", "swept-chunks", f"total={total}")
     env.ledger.advance_height(1)
 
@@ -968,7 +963,7 @@ def _run_mixer(env: Env) -> list[Assertion]:
     return [
         Assertion("emissions-span-multiple-txs", len(emitted) >= 2
                   if n > 1 else len(emitted) >= 1),
-        Assertion("every-emission-mixed", _every_tx_mixed(service.truth, emitted)),
+        Assertion("every-emission-mixed", n < 2 or not service.truth.unmixed_txids()),
         Assertion("sweep-recovers-all-chunks", swept_ok),
         Assertion(
             "equal-chunk-ambiguity",
@@ -1052,7 +1047,7 @@ def _run_aggregate(env: Env) -> list[Assertion]:
             proofs_ok and n_proofs == n * cfg["k"],
             f"{n_proofs} proofs",
         ),
-        Assertion("joint-emissions-mixed", _every_tx_mixed(service.truth, joint_txs)),
+        Assertion("joint-emissions-mixed", n < 2 or not service.truth.unmixed_txids()),
         Assertion(
             "unlinkability-ambiguity",
             report.feasible_assignments > 1 if n > 1 else True,

@@ -488,19 +488,14 @@ def build_refund_tc1(
     """Joint-refund transaction: one n-of-n script-hash output per refundee.
 
     Each refund entry is (customer_keys, refundee_key, value) where
-    customer_keys is a single masked child key or a tuple of them (multi
-    co-signer locking); the committed script requires every listed key plus
+    customer_keys is a tuple of masked child keys, more than one for multi
+    co-signer locking; the committed script requires every listed key plus
     the refundee to sign.  Change returns to the funding key m1.
     """
     if not refunds:
         raise ValueError("no refund entries")
     outputs = []
     for customer_keys, refundee_key, value in refunds:
-        if value <= 0:
-            raise ValueError("refund value must be positive")
-        # a bare point is (x, y); a key group is a tuple of points
-        if isinstance(customer_keys[0], int):
-            customer_keys = (customer_keys,)
         script = NOfNScript(customer_keys + (refundee_key,))
         outputs.append(TxOutput(value, ScriptHash(script.script_hash())))
     return build_funded_tx(outputs, merchant_funding, (merchant_priv_m1, merchant_key_m1))
@@ -518,8 +513,6 @@ def build_refund_tc2(
     """Fallback refund: a time-locked P2PKH to the masked customer child."""
     if lock_height <= current_height:
         raise BadLockHeight(f"lock {lock_height} not past height {current_height}")
-    if value <= 0:
-        raise ValueError("refund value must be positive")
     return build_funded_tx(
         [TxOutput(value, PayToPubkeyHash(key_hash(masked_customer_key)))],
         merchant_funding,

@@ -38,7 +38,7 @@ MAIN = build_main_tc(
     [(C_PUB, 30_000)],
 )
 TC1 = build_refund_tc1(
-    [(C_PUB, R_PUB, 30_000)], [FundingOutpoint(b"\x02" * 32, 1, 40_000)], M_PUB, M_PRIV
+    [((C_PUB,), R_PUB, 30_000)], [FundingOutpoint(b"\x02" * 32, 1, 40_000)], M_PUB, M_PRIV
 )
 REDEEM = build_redeem(
     TC1, 0, [(C_PRIV, C_PUB), (R_PRIV, R_PUB)], R_PUB, reveal_script=two_of_two(C_PUB, R_PUB)

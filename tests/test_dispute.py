@@ -255,17 +255,16 @@ def test_recovery_reproduces_wiped_database(harness):
     result = recover_database(harness.merchant.wallet, harness.ledger)
     after = sorted(r.serialize() for r in result.records)
     assert after == before
-    assert result.unmatched == []
+    assert len(result.records) == len(harness.merchant.sessions)
 
 
 def test_recovery_pending_session_partial_record(harness):
-    run_sessions(harness, 2, ["joint", None])
+    issues = run_sessions(harness, 2, ["joint", None])
     result = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(result.records) == 2
     zero = bytes(32)
-    pending = [r for r in result.records if r.redeem_txid == zero]
-    assert len(pending) == 1
-    assert len(result.pending) == 1
+    pending = [r.main_txid for r in result.records if r.redeem_txid == zero]
+    assert pending == [issues[1][1].record.main_txid]
 
 
 def test_recovery_keeps_refunds_whose_fallback_is_in_flight(harness):
@@ -277,9 +276,9 @@ def test_recovery_keeps_refunds_whose_fallback_is_in_flight(harness):
     assert sorted(r.serialize() for r in result.records) == sorted(
         r.serialize() for r in harness.merchant.records
     )
-    assert [r.redeem_txid == bytes(32) for r in result.records].count(True) == 1
-    assert result.pending == [issues[1][1].record.main_txid]
-    assert result.unmatched == []
+    pending = [r.main_txid for r in result.records if r.redeem_txid == bytes(32)]
+    assert pending == [issues[1][1].record.main_txid]
+    assert len(result.records) == len(issues)
 
 
 def test_recovery_keeps_a_refund_pair_still_in_the_mempool(harness):
@@ -296,8 +295,10 @@ def test_recovery_keeps_a_refund_pair_still_in_the_mempool(harness):
     assert [r.serialize() for r in result.records] == [
         r.serialize() for r in harness.merchant.records
     ]
-    assert result.pending == [issue.record.main_txid]
-    assert result.unmatched == []
+    assert [r.main_txid for r in result.records if r.redeem_txid == bytes(32)] == [
+        issue.record.main_txid
+    ]
+    assert len(result.records) == 1
 
 
 def test_recovery_idempotent(harness):
@@ -479,7 +480,8 @@ def test_recovery_equals_the_monitored_records(name, seed, tmp_path):
     result = recover_database(env.merchant.wallet, env.ledger)
     kept = sorted(env.merchant.records, key=lambda r: r.main_txid)
     assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]
-    assert result.unmatched == []
+    payments = {session.main_txid for session in env.merchant.sessions.values()}
+    assert {r.main_txid for r in result.records} == payments
 
 
 def test_recovery_queries_each_output_once(tmp_path, monkeypatch):
@@ -534,7 +536,7 @@ def test_widest_refund_is_claimed_and_recovered(harness):
     assert [r.serialize() for r in result.records] == [
         r.serialize() for r in harness.merchant.records
     ]
-    assert result.unmatched == []
+    assert len(result.records) == 1
 
 
 def test_monitor_before_the_refund_pair_confirms(paid_session):
@@ -594,4 +596,4 @@ def test_recovery_gives_each_payment_of_a_repeat_customer_its_own_refund(
     kept = sorted(harness.merchant.records, key=lambda r: r.main_txid)
     assert len({r.main_txid for r in kept}) == 2
     assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]
-    assert result.unmatched == []
+    assert len(result.records) == 2

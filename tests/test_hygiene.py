@@ -1,12 +1,15 @@
 """Source hygiene: no unused imports, definitions, parameters or fields.
 
 An `ast` scan in place of a linter.  A name imported by a module of
-`src/refundsim` must be used in that module (or listed in its `__all__`),
-and every function, method and class defined there must be named somewhere
-in `src/`, `tests/` or `perfbench/` other than its own definition: as a
-loaded name, an attribute, an imported name or a word in a non-docstring
-string (perfbench's tracer names its targets in strings).  Dunder methods
-are called implicitly and are exempt.
+`src/refundsim` must be used in that module (or listed in its `__all__`).
+Every function and class defined there must be named somewhere in `src/`
+or `perfbench/` other than its own definition: as a loaded name, an
+attribute, an imported name or a word in a non-docstring string
+(perfbench's tracer names its targets in strings).  A method counts only
+when it is named as an attribute or in a string, so a local name that
+shares its name does not keep it.  Dunder methods are called implicitly and
+are exempt.  A definition or result only tests read is no part of the
+program.
 
 Four more checks keep state and options nobody reads or sets out of the
 package: every parameter is read in its function's body; every defaulted
@@ -14,9 +17,9 @@ parameter of a public function is passed, by keyword or by position, by
 some call in `src/` or `perfbench/` whose callee has the function's name
 (an option only tests set is no option of the program); every enum member
 is named in `src/` or `perfbench/` outside its own definition; and every
-class field or `self.` attribute is loaded as an attribute somewhere in the
-three trees.  Matching is by name, so a dead field that shares its name
-with a live one elsewhere goes unseen.
+class field or `self.` attribute is loaded as an attribute somewhere in
+`src/` or `perfbench/`.  Matching is by name, so a dead field that shares
+its name with a live one elsewhere goes unseen.
 
 A last check keeps each object's private state its own: an attribute whose
 name starts with `_` is read or written only on `self` or `cls`.
@@ -28,7 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "refundsim"
-TREES = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 PROGRAM_TREES = [ROOT / "src", ROOT / "perfbench"]
 
 
@@ -47,15 +49,16 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every identifier the module names outside a definition's own name."""
-    names = set()
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every identifier the module names outside a definition's own name,
+    and those of them it names as an attribute or in a string."""
+    names, members = set(), set()
     docstrings = _docstrings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[0])
             names.add(node.name.rsplit(".", 1)[-1])
@@ -64,8 +67,19 @@ def _references(tree: ast.Module) -> set[str]:
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return names
+            members.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names | members, members
+
+
+def _program_references() -> tuple[set[str], set[str]]:
+    """`_references` over every module in `src/` and `perfbench/`."""
+    names, members = set(), set()
+    for tree_root in PROGRAM_TREES:
+        for path in tree_root.rglob("*.py"):
+            found, found_members = _references(_parse(path))
+            names |= found
+            members |= found_members
+    return names, members
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -103,20 +117,24 @@ def test_no_unused_imports():
 
 
 def test_every_definition_is_referenced():
-    referenced = set()
-    for tree_root in TREES:
-        for path in tree_root.rglob("*.py"):
-            referenced |= _references(_parse(path))
+    referenced, as_member = _program_references()
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        methods = {
+            id(item)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if node.name not in referenced:
+            if node.name not in (as_member if id(node) in methods else referenced):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unreferenced == [], f"defined but named nowhere: {unreferenced}"
+    assert unreferenced == [], f"defined but named nowhere in the program: {unreferenced}"
 
 
 # -- dead parameters and fields ------------------------------------------------------
@@ -253,10 +271,7 @@ def _is_enum(cls: ast.ClassDef) -> bool:
 
 
 def test_every_enum_member_is_named():
-    named = set()
-    for tree_root in PROGRAM_TREES:
-        for path in tree_root.rglob("*.py"):
-            named |= _references(_parse(path))
+    named, _members = _program_references()
     unnamed = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(_parse(path)):
@@ -273,7 +288,7 @@ def test_every_enum_member_is_named():
 
 def test_every_field_is_read():
     read = set()
-    for tree_root in TREES:
+    for tree_root in PROGRAM_TREES:
         for path in tree_root.rglob("*.py"):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -302,7 +317,7 @@ def test_every_field_is_read():
             for field_name, line in fields.items():
                 if field_name not in read:
                     unread.append(f"{path.name}:{line} {cls.name}.{field_name}")
-    assert unread == [], f"fields never read: {unread}"
+    assert unread == [], f"fields the program never reads: {unread}"
 
 
 # -- private state -----------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_find_by_pubkey_roles_full_flow():
 
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key, R_PUB, 30_000)],
+        [((masked_key,), R_PUB, 30_000)],
         [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
     )
     tc2 = build_refund_tc2(
@@ -194,7 +194,7 @@ def test_find_by_pubkey_matches_full_scan():
     )
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key, R_PUB, 30_000)], [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
+        [((masked_key,), R_PUB, 30_000)], [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
     )
     tc2 = build_refund_tc2(
         masked_key, 30_000, [FundingOutpoint(sid, 2, 100_000)],
@@ -321,7 +321,7 @@ def test_each_signature_verified_once(monkeypatch):
     ledger, sid = seeded_ledger()
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key, R_PUB, 30_000)],
+        [((masked_key,), R_PUB, 30_000)],
         [FundingOutpoint(sid, 1, 100_000)], M_PUB, M_PRIV,
     )
     calls = 0

@@ -191,10 +191,11 @@ def test_three_customers_interleaved():
 
 def test_uneven_chunk_counts_never_hide_an_unmixed_emission():
     """A customer with two refund entries brings twice the chunks of one
-    with a single entry.  Every emitted transaction mixes customers, or the
-    service flags the emission as unmixed (the fix-up swap used to take the
-    only foreign chunk of a mixed group, which then went out single-origin
-    and unflagged)."""
+    with a single entry.  Interleaving gives a, b | a, b | a, a, and no group
+    holds two foreign chunks to swap into the last, so exactly that one
+    transaction is single-origin, and the ground truth names it (the fix-up
+    swap used to take the only foreign chunk of a mixed group, which then
+    went out single-origin and unnamed)."""
     from conftest import Harness
 
     harness = Harness(tag=b"swap")
@@ -210,11 +211,8 @@ def test_uneven_chunk_counts_never_hide_an_unmixed_emission():
         service.enqueue_refund(request.merchant_data, customer.name)
     emitted = service.try_emit()
     assert len(emitted) == 3
-    every_tx_mixed = all(
-        len({f.origin for f in service.truth.chunk_facts if f.txid == txid(tx)}) > 1
-        for tx in emitted
-    )
-    assert every_tx_mixed or service.emitted_unmixed
+    unmixed = service.truth.unmixed_txids()
+    assert len(unmixed) == 1 and unmixed < {txid(tx) for tx in emitted}
 
 
 def test_single_customer_timeout_emits_unmixed():
@@ -223,7 +221,7 @@ def test_single_customer_timeout_emits_unmixed():
     harness.ledger.advance_height(MIX_TIMEOUT_BLOCKS)
     emitted = service.try_emit()
     assert emitted
-    assert service.emitted_unmixed
+    assert service.truth.unmixed_txids() == {txid(tx) for tx in emitted}
 
 
 def test_batch_timeout_starts_with_its_first_chunk():
@@ -242,10 +240,11 @@ def test_batch_timeout_starts_with_its_first_chunk():
     service.enqueue_refund(request.merchant_data, late.name)
     harness.ledger.advance_height(MIX_TIMEOUT_BLOCKS - 1)
     assert service.try_emit() == []
-    assert not service.emitted_unmixed
+    assert service.truth.unmixed_txids() == set()
     harness.ledger.advance_height(1)
-    assert service.try_emit()
-    assert service.emitted_unmixed
+    late_txs = service.try_emit()
+    assert late_txs
+    assert service.truth.unmixed_txids() == {txid(tx) for tx in late_txs}
 
 
 def test_emitted_chunk_values_equal():
@@ -386,9 +385,8 @@ def finished_mix(n_customers=2, totals=None, seed=7, tag=b"an"):
 def test_analyzer_equal_chunks_ambiguous():
     harness, service = finished_mix()
     report = analyze_linkage(harness.ledger, service.truth, rng_seed=1)
-    assert report.n_outputs == 8
+    assert len(service.truth.chunk_facts) == 8
     assert report.feasible_assignments == 70  # C(8,4) value-consistent splits
-    assert report.baseline == 0.5
 
 
 def test_analyzer_single_customer_certain():
@@ -404,6 +402,31 @@ def test_analyzer_unequal_totals_pinpointed():
     report = analyze_linkage(harness.ledger, service.truth, rng_seed=1)
     assert report.feasible_assignments == 1
     assert report.accuracy == 1.0
+
+
+def test_repeat_customer_refunds_are_scored_per_refund():
+    """A customer refunded twice in one batch has two refunds, each with its
+    own total and payment height.  Keyed by customer name, the second
+    overwrote the first, no assignment was consistent and the adversary
+    scored 0."""
+    from conftest import Harness
+
+    harness = Harness(tag=b"repeat")
+    a, b = harness.customer("a", b"repeat"), harness.customer("b", b"repeat")
+    harness.fund([(a, 100_000), (b, 100_000)], merchant_keys=8)
+    service = MixerService(harness.merchant, k=2, outputs_per_tx=2, rng_seed=1)
+    for customer, total in ((a, 60_000), (a, 40_000), (b, 100_000)):
+        request = harness.merchant.create_request(total)
+        refundee = CustomerWallet(b"repeat-refundee-%d" % total)
+        msg = customer.pay(request, [RefundEntry(refundee.xpub, total)], encrypt=True)
+        harness.merchant.process_payment(msg)
+        harness.ledger.advance_height(1)
+        service.enqueue_refund(request.merchant_data, customer.name)
+    assert len(service.try_emit()) == 3
+    assert sorted(service.truth.refund_totals.values()) == [40_000, 60_000, 100_000]
+    report = analyze_linkage(harness.ledger, service.truth, rng_seed=1)
+    assert report.feasible_assignments == 1
+    assert report.accuracy == 1.0 and report.target_correct
 
 
 def test_analyzer_accuracy_spread_over_seeds():
@@ -657,6 +680,6 @@ def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued):
     with pytest.raises(MixerError):
         getattr(service, enqueue)(request.merchant_data, customer.name)
     assert queued(service) == []
-    assert service.truth.customers == []
-    assert harness.merchant.session_state(request.merchant_data) is SessionState.PAID
+    assert service.truth.origin_names == {}
+    assert harness.merchant.sessions[request.merchant_data].state is SessionState.PAID
     assert harness.merchant.wallet.allocate() == untouched.allocate()

@@ -231,12 +231,11 @@ def test_process_payment_replay_rejected(paid_session):
 
 def test_session_expires_after_window(paid_session):
     harness, _alice, _, request, _msg = paid_session
-    assert harness.merchant.refundable(request.merchant_data)
+    session = harness.merchant.refundable_session(request.merchant_data)
     harness.ledger.advance_height(harness.merchant.window_blocks + 1)
-    assert not harness.merchant.refundable(request.merchant_data)
-    assert (
-        harness.merchant.session_state(request.merchant_data) is SessionState.EXPIRED
-    )
+    with pytest.raises(WindowExpired):
+        harness.merchant.refundable_session(request.merchant_data)
+    assert session.state is SessionState.PAID  # expiry is judged, not stored
     with pytest.raises(WindowExpired):
         harness.merchant.issue_refund(request.merchant_data)
 
@@ -248,8 +247,8 @@ def test_email_update_replaces_entries(paid_session):
     harness, _alice, _, request, _msg = paid_session
     new_priv, new_pub = keygen(b"new-refundee")
     update = RefundAddressUpdate(request.merchant_data, (RefundEntry(new_pub, 30_000),))
-    assert harness.merchant.update_refund_addresses(update)
-    assert harness.merchant.sessions[request.merchant_data].entries[0].refundee == new_pub
+    harness.merchant.update_refund_addresses(update)
+    assert harness.merchant.sessions[request.merchant_data].entries == update.new_entries
     assert not harness.merchant.sessions[request.merchant_data].values_changed
 
 
@@ -306,7 +305,7 @@ def test_child_key_addressing_recomputable_by_both_sides(paid_session):
     issue = harness.merchant.issue_refund(request.merchant_data)
     harness.ledger.advance_height(1)
     m1_pub = issue.tc1.inputs[0].witness[0][1]
-    for position, _entry, group in issue.entry_outputs:
+    for position, group in enumerate(issue.entry_keys):
         merchant_view = group[0]
         child_priv = alice.wallet.child_private(position)
         customer_view = SECP256K1.g_mul(unmask_child_private(child_priv, m1_pub))
@@ -348,8 +347,9 @@ def test_joint_redeem_and_monitor(paid_session):
     harness.merchant.monitor()
     record = harness.merchant.sessions[request.merchant_data].refund.records[0]
     assert record.redeem_txid == txid(redeem)
+    assert harness.merchant.records == [record]
     assert (
-        harness.merchant.session_state(request.merchant_data)
+        harness.merchant.sessions[request.merchant_data].state
         is SessionState.REDEEMED
     )
     with pytest.raises(AlreadySpent):
@@ -655,7 +655,7 @@ def test_multi_signer_per_cosigner_fallbacks(harness):
     assert sorted(t.outputs[0].value for t in issue.tc2s) == [25_000, 25_000]
     assert len(issue.records) == 2
     # each entry's script is a plain 2-of-2 (one co-signer plus refundee)
-    for _pos, _entry, group in issue.entry_outputs:
+    for group in issue.entry_keys:
         assert len(group) == 1
 
 
@@ -667,10 +667,12 @@ def test_multi_signer_email_value_change_locks_everyone(harness):
     )
     update = RefundAddressUpdate(request.merchant_data, tampered)
     harness.merchant.update_refund_addresses(update)
-    assert harness.merchant.sessions[request.merchant_data].values_changed
+    session = harness.merchant.sessions[request.merchant_data]
+    assert session.values_changed
     issue = harness.merchant.issue_refund(request.merchant_data)
     # every committed script now requires both co-signers plus the refundee
-    for position, entry, group in issue.entry_outputs:
+    assert len(issue.entry_keys) == len(session.entries)
+    for position, (group, entry) in enumerate(zip(issue.entry_keys, session.entries)):
         assert len(group) == 2
         script = NOfNScript(
             group + (entry.refundee_point,)
@@ -702,8 +704,9 @@ def test_value_shifting_update_leaves_the_shifter_a_missing_signer(harness, move
     harness.ledger.advance_height(1)
     with pytest.raises(MissingSigner):
         eve.redeem_with_refundee(friend_priv, friend_pub)
-    position, entry, group = issue.entry_outputs[1]
-    assert entry == shifted[1] and len(group) == 2
+    position, group = 1, issue.entry_keys[1]
+    assert harness.merchant.sessions[request.merchant_data].entries[1] == shifted[1]
+    assert len(group) == 2
     # each signer counts its own children: entry 1 takes child 1 of both
     unmasker = ChildUnmasker(signer_keys(issue.tc1)[0])
     eve_masked = eve.wallet.masked_private(unmasker, 1)

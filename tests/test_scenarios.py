@@ -181,7 +181,7 @@ def test_search_completeness_against_scenario_keys(tmp_path):
     m2_pub = issue.tc2.inputs[0].witness[0][1]
     expected.append((m2_pub, tx_id(issue.tc2)))
     # the masked entry key appears in the revealed redeem script
-    masked = issue.entry_outputs[0][2][0]
+    masked = issue.entry_keys[0][0]
     expected.append((masked, issue.records[0].redeem_txid))
     # the customer parent key is embedded in the payment's data carrier
     customer_pub = session.customer_xpubs[0].pubkey

@@ -222,7 +222,7 @@ def test_refund_tc1_output_counts():
     masked = mask_child(C_PUB, M_PRIV)
     for n in (1, 3):
         _, _, sid = fresh_chain([(M_PUB, 200_000)])
-        refunds = [(masked, R_PUB, 10_000 + i) for i in range(n)]
+        refunds = [((masked,), R_PUB, 10_000 + i) for i in range(n)]
         tx = build_refund_tc1(
             refunds, [FundingOutpoint(sid, 0, 200_000)], M_PUB, M_PRIV
         )
@@ -236,7 +236,7 @@ def test_refund_tc1_insufficient():
     _, _, sid = fresh_chain([(M_PUB, 5_000)])
     with pytest.raises(InsufficientFunds):
         build_refund_tc1(
-            [(masked, R_PUB, 10_000)], [FundingOutpoint(sid, 0, 5_000)], M_PUB, M_PRIV
+            [((masked,), R_PUB, 10_000)], [FundingOutpoint(sid, 0, 5_000)], M_PUB, M_PRIV
         )
 
 
@@ -260,7 +260,7 @@ def test_redeem_two_of_two_both_signers():
     ledger, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key, R_PUB, 30_000)],
+        [((masked_key,), R_PUB, 30_000)],
         [FundingOutpoint(sid, 0, 50_000)],
         M_PUB,
         M_PRIV,
@@ -282,7 +282,7 @@ def test_redeem_missing_signer():
     _, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked, R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
+        [((masked,), R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
     )
     with pytest.raises(MissingSigner):
         build_redeem(tc1, 0, [(R_PRIV, R_PUB)], R_PUB, two_of_two(masked, R_PUB))
@@ -292,7 +292,7 @@ def test_redeem_script_mismatch():
     _, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked, R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
+        [((masked,), R_PUB, 30_000)], [FundingOutpoint(sid, 0, 50_000)], M_PUB, M_PRIV
     )
     with pytest.raises(ScriptMismatch):
         build_redeem(
@@ -390,7 +390,7 @@ def test_two_of_two_soundness_fuzz():
     ledger, _, sid = fresh_chain([(M_PUB, 50_000)])
     masked_key = mask_child(C_PUB, M_PRIV)
     tc1 = build_refund_tc1(
-        [(masked_key, R_PUB, 30_000)],
+        [((masked_key,), R_PUB, 30_000)],
         [FundingOutpoint(sid, 0, 50_000)],
         M_PUB, M_PRIV,
     )
