@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .curve import SECP256K1, Point
 from .keys import (
@@ -386,30 +387,35 @@ class RecoveryResult:
     telemetry: RecoveryTelemetry = field(default_factory=RecoveryTelemetry)
 
 
+def child_sweep(one: Callable[[int], Any], many: Callable[[Sequence[int]], list]) -> Iterator:
+    """``(index, result)`` for child indexes 0..MAX_CHILD_INDEX, in index order.
+
+    Indexes 0 and 1, where the hits land (a joint refund's at child 0, a
+    one-entry fallback's at child 1), go one at a time through ``one(index)``;
+    the rest is one ``many(indexes)`` batch, computed only if read.  A result
+    is a value or the `KeyDerivationError` computing it raised, so a reader
+    that stops at the first match or error sees what sweeping index by index
+    would.
+    """
+    for index in range(2):
+        try:
+            yield index, one(index)
+        except KeyDerivationError as exc:
+            yield index, exc
+    rest = range(2, MAX_CHILD_INDEX + 1)
+    yield from zip(rest, many(rest))
+
+
 def _match_masked_key(xpub: ExtendedPublicKey, masker: ChildMasker, target_check) -> bool:
     """Whether a child index 0..MAX_CHILD_INDEX has a masked point that passes
     the predicate.
 
-    Indexes 0 and 1 are masked one at a time, since the hits land there: a
-    joint refund's at child 0 and a one-entry fallback's at child 1.  The
-    rest of the sweep is one `ChildMasker.mask_many` batch, read in index
-    order, so the first match and the first error are those of masking
-    index by index.  A degenerate index is skipped.  The accepted index is
-    re-derived by `derive_child_public` and `mask_child`, the definition a
-    linkage proof replays; a disagreement with the masker raises
-    `MaskCheckFailed`.
+    The children are masked in `child_sweep` order.  A degenerate index is
+    skipped.  The accepted index is re-derived by `derive_child_public` and
+    `mask_child`, the definition a linkage proof replays; a disagreement
+    with the masker raises `MaskCheckFailed`.
     """
-
-    def masked_children():
-        for index in range(2):
-            try:
-                yield index, masker.mask(xpub, index)
-            except DegenerateChild as exc:
-                yield index, exc
-        sweep = range(2, MAX_CHILD_INDEX + 1)
-        yield from zip(sweep, masker.mask_many(xpub, sweep))
-
-    for index, masked in masked_children():
+    for index, masked in child_sweep(partial(masker.mask, xpub), partial(masker.mask_many, xpub)):
         if isinstance(masked, DegenerateChild):
             continue
         if isinstance(masked, KeyDerivationError):

@@ -18,9 +18,8 @@ this way: one ``mul`` for ``m*P`` per (masking key, extended key) pair, then
 two ``g_mul`` per index, or for a long sweep of indexes two batched walks
 (``mask_many``, over `CurveGroup.g_mul_many`).  Database recovery, the
 mixer's chunk keys and the aggregate emission's per-transaction masks use
-it.  A lone mask
-(`issue_refund`, linkage proofs) uses `mask_child`, the definition, which
-costs one ``mul`` per child; tests hold the two paths equal.
+it.  A lone mask (`issue_refund`, linkage proofs) uses `mask_child`, the
+definition, which costs one ``mul`` per child; tests hold the two paths equal.
 
 The customer computes the same shared point from its side,
 
@@ -28,11 +27,10 @@ The customer computes the same shared point from its side,
 
 with ``x`` its private key and ``M = m*G`` the masker's public key, so every
 child it tries under one masker multiplies the same base ``M``.
-`ChildUnmasker` serves the several indexes tried under one masker: the first
-two through `unmask_child_private`, the definition (one ``mul`` each), where
-refund discovery's hits land; from the third on through ``M``'s fixed-base
-table (`CurveGroup.fixed_base`), built once, at under half a ``mul`` per
-index.  Tests hold it equal to the definition.
+`unmask_children` unmasks a sweep of children in one
+`CurveGroup.mul_many` batch, which builds ``M``'s comb once; a lone unmask
+uses `unmask_child_private`, the definition, at one ``mul``.  Tests hold
+the two paths equal.
 
 All functions are pure; curve parameters are injectable for tests and default
 to secp256k1.
@@ -223,6 +221,21 @@ def unmask_child_private(
     return (child_priv + offset) % curve.n
 
 
+def unmask_children(
+    child_privs: Sequence[int], merchant_pub: Point, curve: CurveGroup = SECP256K1
+) -> list:
+    """``unmask_child_private(c, merchant_pub)`` for each of `child_privs`, as
+    the key it returns or the `IdentityPoint` it raises; the shared points
+    ``c * M`` come from one ``mul_many`` walk of ``M``'s comb."""
+    if merchant_pub is None:
+        raise IdentityPoint("merchant key is the identity")
+    return [
+        IdentityPoint("shared point is the identity") if shared is None
+        else (child_priv + point_hash_scalar(shared, curve)) % curve.n
+        for child_priv, shared in zip(child_privs, curve.mul_many(child_privs, merchant_pub))
+    ]
+
+
 class ChildMasker:
     """Masks children of extended keys under one masking key, by linearity.
 
@@ -305,35 +318,3 @@ class ChildMasker:
                 "masked key is the identity"
             )
         return results
-
-
-class ChildUnmasker:
-    """Unmasks child private keys masked under one masker's public key ``M``.
-
-    ``unmask(child_priv)`` equals ``unmask_child_private(child_priv, M)`` and
-    raises where it would.  The first two unmasks go through that definition:
-    a customer's refund discovery finds a joint refund at its first index and
-    a one-entry session's fallback at its second, so a hit costs no table.
-    The third builds ``M``'s fixed-base table, which every later unmask uses
-    in place of a ``mul``.
-    """
-
-    def __init__(self, masker_pub: Point, curve: CurveGroup = SECP256K1):
-        if masker_pub is None:
-            raise IdentityPoint("merchant key is the identity")
-        self.masker_pub = masker_pub
-        self.curve = curve
-        self._uses = 0
-        self._table = None
-
-    def unmask(self, child_priv: int) -> int:
-        curve = self.curve
-        self._uses += 1
-        if self._uses <= 2:
-            return unmask_child_private(child_priv, self.masker_pub, curve)
-        if self._table is None:
-            self._table = curve.fixed_base(self.masker_pub)
-        shared = self._table(child_priv)
-        if shared is None:
-            raise IdentityPoint("shared point is the identity")
-        return (child_priv + point_hash_scalar(shared, curve)) % curve.n

@@ -31,7 +31,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .curve import SECP256K1, Point
-from .keys import ChildMasker, ChildUnmasker, ExtendedPublicKey
+from .keys import ChildMasker, ExtendedPublicKey, KeyDerivationError
 from .ledger import SimLedger
 from .protocol import (
     CustomerWallet,
@@ -360,14 +360,13 @@ def sweep_chunks(
     chunk_count: int,
 ) -> tuple[list[Transaction], int]:
     """Refundee-side claim of every chunk addressed to its masked children
-    0..chunk_count-1 (`derive_chunk_keys`), by child index, then in chain
-    order; the ledger's key index names the transactions paying each child.
-    """
-    claimed = []
-    total = 0
-    unmasker = ChildUnmasker(masker_pub)
-    for index in range(chunk_count):
-        masked_priv = refundee_wallet.masked_private(unmasker, index)
+    0..chunk_count-1 (`derive_chunk_keys`), unmasked in one batch, by child
+    index, then in chain order; the ledger's key index names the
+    transactions paying each child."""
+    claimed, total = [], 0
+    for masked_priv in refundee_wallet.masked_privates(masker_pub, range(chunk_count)):
+        if isinstance(masked_priv, KeyDerivationError):
+            raise masked_priv
         masked_point = SECP256K1.g_mul(masked_priv)
         wanted = key_hash(masked_point)
         for tid, tx in ledger.find_by_pubkey(masked_point):
@@ -533,7 +532,7 @@ def analyze_linkage(
     return LinkageReport(
         accuracy=correct / len(outputs) if outputs else 0.0,
         feasible_assignments=feasible,
-        target_correct=chosen[0] == outputs[0].origin,
+        target_correct=bool(outputs) and chosen[0] == outputs[0].origin,
     )
 
 
@@ -705,16 +704,15 @@ class AggregateService:
         """Customer and refundee jointly claim every chunk of a session."""
         redeems = []
         for detail in self.details[merchant_data]:
-            chunk = detail.chunk
-            unmasker = ChildUnmasker(detail.masking_pub)  # two unmasks: no table
+            chunk, masker_pub = detail.chunk, detail.masking_pub
             masked_c, masked_r = detail.script.keys
             joint_tx = self.ledger.get_transaction(detail.joint_txid)
             redeem = build_redeem(
                 joint_tx,
                 detail.joint_vout,
                 [
-                    (customer_wallet.masked_private(unmasker, chunk.flat_index), masked_c),
-                    (refundee_wallet.masked_private(unmasker, chunk.chunk_index), masked_r),
+                    (customer_wallet.masked_private(masker_pub, chunk.flat_index), masked_c),
+                    (refundee_wallet.masked_private(masker_pub, chunk.chunk_index), masked_r),
                 ],
                 dest=dest,
                 reveal_script=detail.script,

@@ -27,6 +27,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import dropwhile
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -36,8 +37,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from . import dispute
 from .curve import SECP256K1, Point
 from .keys import (
-    ChildUnmasker,
     ExtendedPublicKey,
+    KeyDerivationError,
     KeyMismatch,
     derive_child_private,
     dh_shared,
@@ -45,6 +46,8 @@ from .keys import (
     mask_child,
     next_usable_index,
     seed_scalar,
+    unmask_child_private,
+    unmask_children,
 )
 from .ledger import SimLedger
 from .transactions import (
@@ -504,12 +507,24 @@ class CustomerWallet:
             )
         return self._children[index]
 
-    def masked_private(self, unmasker: ChildUnmasker, index: int) -> int:
-        """Private key of child `index` as masked under the unmasker's masker key.
+    def masked_private(self, masker_pub: Point, index: int) -> int:
+        """Private key of child `index` as masked under `masker_pub`."""
+        return unmask_child_private(self.child_private(index), masker_pub)
 
-        Keep one unmasker per masker key across the indexes tried under it.
-        """
-        return unmasker.unmask(self.child_private(index))
+    def masked_privates(self, masker_pub: Point, indexes: Sequence[int]) -> list:
+        """``masked_private(masker_pub, i)`` for each of `indexes`, as the key
+        it returns or the `KeyDerivationError` it raises, unmasked in one
+        `unmask_children` batch."""
+        results: list = [None] * len(indexes)
+        children: dict[int, int] = {}  # position -> child private key
+        for pos, index in enumerate(indexes):
+            try:
+                children[pos] = self.child_private(index)
+            except KeyDerivationError as exc:
+                results[pos] = exc
+        for pos, masked in zip(children, unmask_children(list(children.values()), masker_pub)):
+            results[pos] = masked
+        return results
 
 
 # -- merchant-side sessions --------------------------------------------------------
@@ -1003,21 +1018,23 @@ class Customer:
         Candidates are the ``shape`` refunds, by `dispute.refund_locks`;
         ``lookup`` is the lock a masked child point would carry.
         Under each funder of a candidate, children 0..`dispute.MAX_CHILD_INDEX`
-        are tried, through one unmasker per funder.  A repeat customer's
+        are unmasked in `dispute.child_sweep` order.  A repeat customer's
         earlier refunds are spent and skipped; if every output found is
         spent, the first is returned, for the claim to report as already
         spent.
         """
-        unmaskers: dict[Point, ChildUnmasker] = {}
         first_spent = None
         for tid, tx in txs:
             locks = dispute.refund_locks(tx, shape)
             if not locks:
                 continue
             for funder in signer_keys(tx):
-                unmasker = unmaskers.setdefault(funder, ChildUnmasker(funder))
-                for index in range(dispute.MAX_CHILD_INDEX + 1):
-                    masked_priv = self.wallet.masked_private(unmasker, index)
+                for _index, masked_priv in dispute.child_sweep(
+                    partial(self.wallet.masked_private, funder),
+                    partial(self.wallet.masked_privates, funder),
+                ):
+                    if isinstance(masked_priv, KeyDerivationError):
+                        raise masked_priv
                     masked_point = SECP256K1.g_mul(masked_priv)
                     out_idx = locks.get(lookup(masked_point))
                     if out_idx is None:

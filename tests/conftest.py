@@ -13,6 +13,36 @@ from refundsim.protocol import Customer, IdentityRegistry, KeyRoleLog, Merchant
 from refundsim.transactions import FundingOutpoint, build_seed_tx, txid
 
 
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record(owner, name)`` wraps ``owner.name`` to log each call's
+    positional arguments, and returns the log.
+
+    A function imported with ``from .keys import unmask_child_private`` is a
+    separate binding in the importing module, so, as perfbench's tracer
+    does, the wrapper is installed under every name in every ``refundsim.*``
+    module that is bound to the original, as well as on ``owner``.
+    """
+
+    def record(owner, name):
+        original = getattr(owner, name)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "refundsim" or module_name.startswith("refundsim."):
+                for binding, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, binding, recorded)
+        return calls
+
+    return record
+
+
 @pytest.fixture(scope="session")
 def toy_curve():
     """Tiny prime-order group, small enough to brute force."""

@@ -391,35 +391,43 @@ def test_toy_comb_every_width_base_and_scalar(toy_curve, bits):
 
 
 def test_toy_fixed_base_every_point_and_scalar(toy_curve):
-    """Every base and every scalar up to 2n + 1 (so 0, n - 1 and the multiples
-    of n), over GLV halves of every sign pairing."""
-    n = toy_curve.n
-    signs = {(k1 < 0, k2 < 0) for k1, k2 in map(toy_curve._split, range(n)) if k1 and k2}
-    assert len(signs) == 4
+    """One `mul_many` batch per base: every base and every scalar up to
+    2n + 1 (so 0, n - 1 and the multiples of n), over GLV halves of every
+    sign pairing."""
+    ks = range(2 * toy_curve.n + 2)
+    assert len(_toy_glv_signs(toy_curve, ks)) == 4
     for base in ref.toy_all_points()[1:]:
-        table = toy_curve.fixed_base(base)
-        for k in range(2 * n + 2):
-            assert table(k) == ref.ref_mul(k, base, ref.TOY_P, ref.TOY_N), (base, k)
+        got = toy_curve.mul_many(ks, base)
+        assert len(got) == len(ks)
+        for k, pt in zip(ks, got):
+            assert pt == ref.ref_mul(k, base, ref.TOY_P, ref.TOY_N), (base, k)
 
 
 def test_fixed_base_rejects_the_identity(toy_curve):
-    with pytest.raises(ValueError):
-        toy_curve.fixed_base(None)
+    for ks in ([1, 2], []):
+        with pytest.raises(ValueError):
+            toy_curve.mul_many(ks, None)
+
+
+def test_mul_many_builds_one_comb_per_batch(toy_curve, record_calls):
+    """A batch builds its base's 4-bit comb once; an empty batch is empty."""
+    builds = record_calls(CurveGroup, "_build_comb")
+    base = toy_curve.g_mul(5)
+    toy_curve.mul_many([1, 2, 3], base)
+    assert builds == [(toy_curve, base, 4)]
+    assert toy_curve.mul_many([], base) == []
 
 
 @settings(max_examples=15, deadline=None)
 @given(pt=points, ks=st.lists(scalars, min_size=1, max_size=8))
 def test_fixed_base_matches_mul(pt, ks):
-    table = SECP256K1.fixed_base(pt)
-    for k in ks:
-        assert table(k) == SECP256K1.mul(k, pt)
+    assert SECP256K1.mul_many(ks, pt) == [SECP256K1.mul(k, pt) for k in ks]
 
 
 def test_fixed_base_edge_scalars():
     pt = ref.ref_mul(0xC0FFEE, ref.G)
-    table = SECP256K1.fixed_base(pt)
-    for k in EDGE_SCALARS + [N, 2 * N, 5 * N + 1]:
-        assert table(k) == ref.ref_mul(k, pt), hex(k)
-    generator = SECP256K1.fixed_base(ref.G)
-    for k in EDGE_SCALARS:
-        assert generator(k) == SECP256K1.g_mul(k), hex(k)
+    ks = EDGE_SCALARS + [N, 2 * N, 5 * N + 1]
+    for k, got in zip(ks, SECP256K1.mul_many(ks, pt), strict=True):
+        assert got == ref.ref_mul(k, pt), hex(k)
+    for k, got in zip(EDGE_SCALARS, SECP256K1.mul_many(EDGE_SCALARS, ref.G), strict=True):
+        assert got == SECP256K1.g_mul(k), hex(k)

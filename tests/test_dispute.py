@@ -15,6 +15,7 @@ from refundsim.dispute import (
     RecordStore,
     RefundRecord,
     StorageModel,
+    child_sweep,
     generate_linkage_proof,
     mccorry_storage,
     record_size,
@@ -22,7 +23,7 @@ from refundsim.dispute import (
     verify_linkage_proof,
 )
 from refundsim import protocol
-from refundsim.keys import ChildMasker, KeyMismatch, keygen
+from refundsim.keys import ChildMasker, DegenerateChild, IdentityPoint, KeyMismatch, keygen
 from refundsim.protocol import MerchantWallet, RefundEntry
 from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import txid
@@ -338,6 +339,33 @@ def test_recovery_masks_with_one_mul_per_key_pair(harness, monkeypatch):
     again = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(muls) == 2 * first
     assert again.records == result.records
+
+
+def test_child_sweep_order_and_laziness():
+    """Indexes 0 and 1 one at a time, with an error `one` raises yielded in
+    its place, then 2..MAX_CHILD_INDEX from one `many` batch, computed only
+    once read, errors included, in index order."""
+    batches = []
+
+    def one(index):
+        if index == 1:
+            raise DegenerateChild("child 1")
+        return index
+
+    def many(indexes):
+        batches.append(list(indexes))
+        return [IdentityPoint("masked") if i == 5 else i for i in indexes]
+
+    sweep = child_sweep(one, many)
+    assert next(sweep) == (0, 0)
+    index, error = next(sweep)
+    assert index == 1 and isinstance(error, DegenerateChild)
+    assert batches == []
+    rest = list(sweep)
+    assert batches == [list(range(2, MAX_CHILD_INDEX + 1))]
+    assert [i for i, _result in rest] == batches[0]
+    assert [i for i, result in rest if isinstance(result, IdentityPoint)] == [5]
+    assert all(result == i for i, result in rest if i != 5)
 
 
 def test_recovery_raises_when_the_batch_mask_is_wrong(harness, monkeypatch):

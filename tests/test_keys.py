@@ -10,7 +10,6 @@ import reference as ref
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
     ChildMasker,
-    ChildUnmasker,
     DegenerateChild,
     ExtendedPublicKey,
     IdentityPoint,
@@ -25,6 +24,7 @@ from refundsim.keys import (
     next_usable_index,
     point_hash_scalar,
     unmask_child_private,
+    unmask_children,
 )
 
 VECTORS = Path(__file__).parent / "vectors" / "key_vectors.txt"
@@ -470,56 +470,60 @@ def test_batch_mask_one_mul_per_parent(monkeypatch):
     assert muls == [parent.pubkey for parent in parents]
 
 
-# -- batch unmasking through a fixed-base table -------------------------------------
+# -- batch unmasking through a fixed-base comb --------------------------------------
 
 
-def _check_unmasker_against_definition(curve, parents, masker_privs, indexes):
-    """ChildUnmasker against derive_child_private + unmask_child_private, one
-    unmasker per (parent, masker) over `indexes`; returns the outcomes seen."""
+def _check_unmask_children_against_definition(curve, parents, masker_privs, indexes):
+    """unmask_children against derive_child_private + unmask_child_private:
+    one batch per (parent, masker) over the children `indexes` derive;
+    returns the outcomes seen."""
     seen = set()
     for priv, parent in parents:
-        children = {
-            i: _outcome(lambda: derive_child_private(priv, parent, i, curve=curve))
-            for i in indexes
-        }
+        children = [
+            _outcome(lambda: derive_child_private(priv, parent, i, curve=curve)) for i in indexes
+        ]
+        seen |= {child for child in children if isinstance(child, type)}
+        children = [child for child in children if not isinstance(child, type)]
         for m in masker_privs:
             m_pub = curve.g_mul(m)
-            unmasker = ChildUnmasker(m_pub, curve=curve)
-            for i in indexes:
-                child = children[i]
-                if isinstance(child, type):
-                    seen.add(child)
-                    continue
+            batch = unmask_children(children, m_pub, curve=curve)
+            assert len(batch) == len(children)
+            for child, got in zip(children, batch):
                 want = _outcome(lambda: unmask_child_private(child, m_pub, curve=curve))
-                assert _outcome(lambda: unmasker.unmask(child)) == want, (parent, m, i)
+                assert (type(got) if isinstance(got, Exception) else got) == want, (parent, m)
                 seen.add("key")
     return seen
 
 
 def test_toy_unmasker_matches_definition(toy_curve):
-    """Every parent key under a few maskers, indexes 0..16: the first two
-    through the definition, the rest through the table."""
+    """Every parent key under a few maskers, indexes 0..16, each sweep one batch."""
     chain = b"\x07" * 32
     parents = [
         (p, ExtendedPublicKey(toy_curve.g_mul(p), chain)) for p in range(1, toy_curve.n)
     ]
-    seen = _check_unmasker_against_definition(
+    seen = _check_unmask_children_against_definition(
         toy_curve, parents, [1, 2, ref.TOY_LAM, toy_curve.n - 1], range(17)
     )
     assert seen == {"key", DegenerateChild}
 
 
 def test_toy_unmasker_identity_cases(toy_curve):
-    """An identity masker key, and a child key of 0 mod n whose shared point
-    is the identity, raise IdentityPoint on both paths."""
+    """An identity masker key raises IdentityPoint, as the definition does;
+    a child key of 0 mod n, whose shared point is the identity, is answered
+    with an IdentityPoint in its place, and its neighbours still unmask."""
     with pytest.raises(IdentityPoint):
-        ChildUnmasker(None, curve=toy_curve)
-    unmasker = ChildUnmasker(toy_curve.g_mul(5), curve=toy_curve)
-    for use in range(4):  # two definitional unmasks, then two through the table
+        unmask_child_private(1, None, curve=toy_curve)
+    with pytest.raises(IdentityPoint):
+        unmask_children([1], None, curve=toy_curve)
+    m_pub = toy_curve.g_mul(5)
+    assert unmask_children([], m_pub, curve=toy_curve) == []
+    children = [toy_curve.n * use for use in range(4)] + [1, 2]
+    batch = unmask_children(children, m_pub, curve=toy_curve)
+    for child, got in zip(children[:4], batch):
         with pytest.raises(IdentityPoint):
-            unmask_child_private(toy_curve.n * use, toy_curve.g_mul(5), curve=toy_curve)
-        with pytest.raises(IdentityPoint):
-            unmasker.unmask(toy_curve.n * use)
+            unmask_child_private(child, m_pub, curve=toy_curve)
+        assert isinstance(got, IdentityPoint)
+    assert batch[4:] == [unmask_child_private(c, m_pub, curve=toy_curve) for c in (1, 2)]
 
 
 def test_unmasker_matches_definition_secp256k1():
@@ -529,23 +533,13 @@ def test_unmasker_matches_definition_secp256k1():
         priv, pub = keygen(b"unmask-parent-%d" % i)
         parents.append((priv, ExtendedPublicKey(pub, bytes([i + 1]) * 32)))
     maskers = [keygen(b"unmask-masker-%d" % i)[0] for i in range(3)]
-    seen = _check_unmasker_against_definition(SECP256K1, parents, maskers, range(17))
+    seen = _check_unmask_children_against_definition(SECP256K1, parents, maskers, range(17))
     assert seen == {"key"}
 
 
-def test_unmasker_builds_one_table_after_two_definitions(monkeypatch):
-    muls, tables = [], []
-    real_mul, real_fixed_base = SECP256K1.mul, SECP256K1.fixed_base
-    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
-    monkeypatch.setattr(
-        SECP256K1, "fixed_base", lambda pt: tables.append(pt) or real_fixed_base(pt)
-    )
+def test_unmask_children_builds_one_comb_and_makes_no_mul(record_calls):
+    muls = record_calls(SECP256K1, "mul")
+    batches = record_calls(SECP256K1, "mul_many")
     m_pub = keygen(b"table-masker")[1]
-    unmasker = ChildUnmasker(m_pub)
-    for child in range(1, 3):
-        unmasker.unmask(child)
-    assert (muls, tables) == ([m_pub, m_pub], [])
-    for child in range(3, 18):
-        unmasker.unmask(child)
-    assert (muls, tables) == ([m_pub, m_pub], [m_pub])
-
+    unmask_children(list(range(1, 16)), m_pub)
+    assert (muls, batches) == ([], [(list(range(1, 16)), m_pub)])

@@ -9,8 +9,8 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refundsim import dispute, protocol
-from refundsim.curve import SECP256K1
+from refundsim import dispute, keys
+from refundsim.curve import SECP256K1, CurveGroup
 from refundsim.keys import derive_child_public, keygen, mask_child, unmask_child_private
 from refundsim.ledger import SimLedger
 from refundsim.mixer import (
@@ -20,6 +20,7 @@ from refundsim.mixer import (
     MIX_TIMEOUT_BLOCKS,
     MixBatch,
     MixChunk,
+    MixGroundTruth,
     MixerError,
     MixerService,
     _feasible_assignments,
@@ -354,6 +355,20 @@ def test_sweep_matches_full_scan():
     assert sweep_chunks(refundees[0], masker, ledger, dest, 4) == ([], 0)
 
 
+def test_sweep_unmasks_its_children_in_one_batch(record_calls):
+    """The k children of a sweep cost one comb of the masker key and no `mul`."""
+    harness, service, refundees = twice_paid_refundee()
+    masker = list(service.masker_pubs.values())[0]
+    _priv, dest = keygen(b"twice-dest")
+    muls = record_calls(SECP256K1, "mul")
+    batches = record_calls(SECP256K1, "mul_many")
+    builds = record_calls(CurveGroup, "_build_comb")
+    sweep_chunks(refundees[0], masker, harness.ledger, dest, 4)
+    assert muls == []
+    assert [(len(ks), base) for ks, base in batches] == [(4, masker)]
+    assert [(base, bits) for _curve, base, bits in builds] == [(masker, 4)]
+
+
 def test_no_metadata_leakage_in_emissions():
     harness, service, _customers, refundees = mixer_env(None, tag=b"leak")
     service.try_emit()
@@ -402,6 +417,15 @@ def test_analyzer_unequal_totals_pinpointed():
     report = analyze_linkage(harness.ledger, service.truth, rng_seed=1)
     assert report.feasible_assignments == 1
     assert report.accuracy == 1.0
+
+
+def test_analyzer_of_no_refunds_links_nothing():
+    """With no refund and no chunk the one consistent assignment is empty,
+    and it links no target (it used to raise IndexError)."""
+    report = analyze_linkage(None, MixGroundTruth())
+    assert (report.accuracy, report.feasible_assignments, report.target_correct) == (
+        0.0, 1, False,
+    )
 
 
 def test_repeat_customer_refunds_are_scored_per_refund():
@@ -629,9 +653,9 @@ def test_aggregate_joint_redeem_and_proofs():
             assert check.ok, check.reason
 
 
-def test_fallback_scan_skips_time_locked_joint_emissions(monkeypatch):
+def test_fallback_scan_skips_time_locked_joint_emissions(record_calls):
     """Aggregate joint emissions are time-locked but pay script hashes, so
-    they are joint refunds: the fallback scan builds no unmasker for their
+    they are joint refunds: the fallback scan unmasks nothing under their
     funders, although they confirm between the payment and the fallback."""
     harness, service, customers, _r, _mds = aggregate_env(n_customers=1, tag=b"agg-fb")
     joint_txs, fallback_txs = service.emit()
@@ -639,15 +663,13 @@ def test_fallback_scan_skips_time_locked_joint_emissions(monkeypatch):
     harness.ledger.advance_height(
         max(tx.lock_height for tx in fallback_txs) - harness.ledger.height + 1
     )
-    built = []
-    real_unmasker = protocol.ChildUnmasker
-    monkeypatch.setattr(
-        protocol, "ChildUnmasker", lambda pub: built.append(pub) or real_unmasker(pub)
-    )
+    unmasks = record_calls(keys, "unmask_child_private")
+    batches = record_calls(keys, "unmask_children")
     found = customers[0].find_fallback()
     assert found is not None and found.tx in fallback_txs
     joint_funders = {pub for tx in joint_txs for txin in tx.inputs for _sig, pub in txin.witness}
-    assert built and joint_funders.isdisjoint(built)
+    maskers = {masker_pub for _child, masker_pub in unmasks + batches}
+    assert unmasks and joint_funders.isdisjoint(maskers)
 
 
 def test_aggregate_analyzer_still_ambiguous():

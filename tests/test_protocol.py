@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from refundsim import dispute, keys, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
-    ChildUnmasker,
+    DegenerateChild,
     KeyMismatch,
     derive_child_private,
     dh_shared,
@@ -708,8 +708,7 @@ def test_value_shifting_update_leaves_the_shifter_a_missing_signer(harness, move
     assert harness.merchant.sessions[request.merchant_data].entries[1] == shifted[1]
     assert len(group) == 2
     # each signer counts its own children: entry 1 takes child 1 of both
-    unmasker = ChildUnmasker(signer_keys(issue.tc1)[0])
-    eve_masked = eve.wallet.masked_private(unmasker, 1)
+    eve_masked = eve.wallet.masked_private(signer_keys(issue.tc1)[0], 1)
     assert SECP256K1.g_mul(eve_masked) in group
     with pytest.raises(MissingSigner):
         build_redeem(
@@ -890,6 +889,25 @@ def test_merchant_wallet_public_keys_match_keygen():
     assert [wallet.key(i) for i in range(20)] == [single.key(i) for i in range(20)]
 
 
+def test_masked_privates_match_masked_private(monkeypatch):
+    """The batch answers each index with the key `masked_private` returns,
+    or with the error its child derivation raises, in its place."""
+    wallet = CustomerWallet(b"batch-unmask")
+    m_pub = keygen(b"batch-unmask-masker")[1]
+    want = [wallet.masked_private(m_pub, i) for i in range(6)]
+    real_child_private = wallet.child_private
+
+    def child_private(index):
+        if index == 3:
+            raise DegenerateChild("degenerate child at index 3")
+        return real_child_private(index)
+
+    monkeypatch.setattr(wallet, "child_private", child_private)
+    got = wallet.masked_privates(m_pub, range(6))
+    assert isinstance(got[3], DegenerateChild)
+    assert got[:3] + got[4:] == want[:3] + want[4:]
+
+
 def test_wallet_checks_its_key_pair_once(monkeypatch):
     """Seventeen children cost one g_mul of the wallet key, at the first
     derivation; a wallet whose key no longer matches still fails there."""
@@ -928,11 +946,12 @@ def test_repeat_customer_claims_every_refund(harness, path):
         claim()
 
 
-def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, monkeypatch):
+def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, record_calls):
     """Counted: a fallback session whose walk passes two earlier customers'
-    fallbacks makes two `mul` under each funder it tries and builds one table
-    for each funder whose fallback is not its own; the definitions of child
-    derivation and unmasking are still on its path."""
+    fallbacks makes two `mul` under each funder it tries, for children 0 and
+    1, and builds one comb for each funder whose fallback is not its own, to
+    unmask children 2..16 in one batch; the definitions of child derivation
+    and unmasking are still on its path."""
     customers = [harness.customer(f"walk{i}") for i in range(3)]
     refundees = [keygen(b"walk-refundee-%d" % i) for i in range(3)]
     harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
@@ -945,49 +964,38 @@ def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, mon
     harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
     settle_fallbacks(harness)
 
-    muls, tables, unmasks, derives = [], [], [], []
-    real_mul, real_fixed_base = SECP256K1.mul, SECP256K1.fixed_base
-    real_unmask, real_derive = keys.unmask_child_private, protocol.derive_child_private
-    monkeypatch.setattr(SECP256K1, "mul", lambda k, pt: muls.append(pt) or real_mul(k, pt))
-    monkeypatch.setattr(
-        SECP256K1, "fixed_base", lambda pt: tables.append(pt) or real_fixed_base(pt)
-    )
-    monkeypatch.setattr(
-        keys, "unmask_child_private", lambda *a, **kw: unmasks.append(a) or real_unmask(*a, **kw)
-    )
-    monkeypatch.setattr(
-        protocol, "derive_child_private",
-        lambda *a, **kw: derives.append(a) or real_derive(*a, **kw),
-    )
+    muls = record_calls(SECP256K1, "mul")
+    batches = record_calls(SECP256K1, "mul_many")
+    unmasks = record_calls(keys, "unmask_child_private")
+    derives = record_calls(keys, "derive_child_private")
     found = last.find_fallback()
     assert found is not None and found.txid == txid(issue.tc2)
-    funders = set(muls)
-    assert len(funders) == 3  # two earlier fallbacks, then its own
-    assert all(muls.count(funder) == 2 for funder in funders)
-    assert len(tables) == 2 and set(tables) < funders
+    funders = [pt for _k, pt in muls]
+    assert len(set(funders)) == 3  # two earlier fallbacks, then its own
+    assert all(funders.count(funder) == 2 for funder in funders)
+    combs = [base for _ks, base in batches]
+    assert len(combs) == 2 and set(combs) < set(funders)
+    assert signer_keys(found.tx)[0] not in combs
     assert len(unmasks) == len(muls) and derives
 
 
-def test_joint_discovery_cost_does_not_grow_with_position(harness, monkeypatch):
-    """Counted, not timed: the sixth session's joint discovery unmasks as
-    many candidate keys as the first one's."""
-    unmasks = []
-    real_unmask = keys.unmask_child_private
-
-    def counting_unmask(*args, **kwargs):
-        unmasks.append(args)
-        return real_unmask(*args, **kwargs)
-
-    monkeypatch.setattr(keys, "unmask_child_private", counting_unmask)
+def test_joint_discovery_cost_does_not_grow_with_position(harness, record_calls):
+    """Counted, not timed: every session's joint discovery, the sixth's as
+    the first's, unmasks child 0 alone, at one `mul` and no comb."""
+    logs = [
+        record_calls(SECP256K1, "mul"),
+        record_calls(SECP256K1, "mul_many"),
+        record_calls(keys, "unmask_child_private"),
+    ]
     customers = [harness.customer(f"joint{i}") for i in range(6)]
     harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
     per_session = []
     for i, customer in enumerate(customers):
         r_priv, r_pub = keygen(b"joint-refundee-%d" % i)
         pay_and_issue(harness, customer, r_pub)
-        before = len(unmasks)
+        before = [len(log) for log in logs]
+        assert customer.find_joint_refund(r_pub) is not None
+        per_session.append([len(log) - n for log, n in zip(logs, before)])
         customer.redeem_with_refundee(r_priv, r_pub)
-        per_session.append(len(unmasks) - before)
         harness.ledger.advance_height(1)
-    assert per_session[0] >= 1
-    assert per_session[-1] == per_session[0], per_session
+    assert per_session == [[1, 0, 1]] * 6, per_session
