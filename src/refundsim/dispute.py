@@ -370,9 +370,10 @@ def fill_redeem(record: RefundRecord, joint: list[bytes], ledger: SimLedger) -> 
 class RecoveryTelemetry:
     """Operation counters for the blockchain-scan rebuild.
 
-    ``key_ops`` counts masked-child reconstruction attempts, one per
-    (refund, payment) pair tried; a payment that confirmed after the refund
-    was issued is not tried.
+    ``key_ops`` counts the (refund, payment) pairs considered, not the
+    masked sweeps run: a pair whose payment already holds a refund of that
+    shape is counted but decided without masking, and a payment that
+    confirmed after the refund was issued is not considered.
     ``search_ops`` counts the ledger's answered queries: every
     ``find_by_pubkey`` and every ``is_spent``.
     """
@@ -440,11 +441,22 @@ def recover_database(merchant_wallet, ledger: SimLedger) -> RecoveryResult:
     `MerchantWallet.key`, which checks it against the batch.  Masked-child
     reconstruction ties each refund to its payment: a fallback through its
     locked key hash, a joint refund through the scripts its redeems reveal,
-    each under every extended key the payment embeds.  `fill_redeem` fills
-    each record's redeem slot, so refunds nobody has redeemed yet yield
-    records with a zeroed slot.  Masking costs one ``mul`` per (masking
-    key, extended key) pair tried, plus one definitional check per hit
-    (`_match_masked_key`).
+    each under every extended key the payment embeds.
+
+    The refunds are walked once, in wallet-key order.  Every refund issue
+    allocates its joint funding key before its fallback funding keys, so a
+    fallback is read after its companion joint refund.  Each refund goes to
+    the first payment that confirmed before it was issued (a joint refund is
+    dated by its confirmation, a fallback by its companion's) and whose slot
+    for it is free: a payment holds one joint refund, and one fallback per
+    extended key.  A fallback's record is built when it is matched, with the
+    joint refund holding its payment's joint slot, or else its companion;
+    `fill_redeem` fills the redeem slot, so refunds nobody has redeemed yet
+    yield records with a zeroed slot.  ``key_ops`` counts every (refund,
+    payment) pair considered; a pair whose payment already holds a refund of
+    that shape is decided without masking.  Masking costs one ``mul`` per
+    (masking key, extended key) pair swept, plus one definitional check per
+    hit (`_match_masked_key`).
     """
     telemetry = RecoveryTelemetry()
     queries_before = ledger.queries
@@ -471,26 +483,22 @@ def recover_database(merchant_wallet, ledger: SimLedger) -> RecoveryResult:
             note_refund(tid, tx, signer)
 
     # a fallback locks a masked child's key hash; a joint refund is tied
-    # through its redeems' revealed scripts, so an unredeemed one matches none.
-    # A repeat customer's payments embed the same extended key, so a refund
-    # goes to the first payment that confirmed before the refund was issued
-    # (a joint refund is dated by its confirmation, a fallback by its
-    # companion's) and holds no refund of its shape yet: one joint refund,
-    # and one fallback per extended key.
-    refunds = dict(sorted(refunds.items(), key=lambda kv: kv[1][3]))
+    # through its redeems' revealed scripts, so an unredeemed one matches none
     height = ledger.confirmation_height
-    joint: dict[bytes, list[bytes]] = {}  # joint refund txid -> its spenders
-    matched: dict[bytes, bytes] = {}  # refund txid -> main txid
-    held: set[tuple[bytes, Optional[ExtendedPublicKey]]] = set()  # (main, None): a joint
-    issued: Optional[int] = None  # the latest joint refund's date; None while pending
-    for tid, (tx, shape, priv, _idx) in refunds.items():
+    result = RecoveryResult(telemetry=telemetry)
+    spenders: dict[bytes, list[bytes]] = {}  # joint refund txid -> its spenders
+    # a payment's slots: (main, None) -> its joint refund, (main, xpub) -> a fallback
+    held: dict[tuple[bytes, Optional[ExtendedPublicKey]], bytes] = {}
+    companion: Optional[bytes] = None  # the latest joint refund read
+    issued: Optional[int] = None  # its date; None while pending
+    for tid, (tx, shape, priv, _idx) in sorted(refunds.items(), key=lambda kv: kv[1][3]):
         is_joint = shape is RefundShape.JOINT
         if is_joint:
-            issued = height(tid)
-            joint[tid] = joint_spenders(ledger, tid)
+            companion, issued = tid, height(tid)
+            spenders[tid] = joint_spenders(ledger, tid)
             revealed = {
                 key
-                for spender in joint[tid]
+                for spender in spenders[tid]
                 for txin in ledger.get_transaction(spender).inputs
                 if txin.prev_txid == tid and txin.reveal_script
                 for key in txin.reveal_script.keys
@@ -506,34 +514,16 @@ def recover_database(merchant_wallet, ledger: SimLedger) -> RecoveryResult:
             if issued is not None and height(main_id) >= issued:
                 continue
             telemetry.key_ops += 1
-            hit = next(
-                (x for x in xpubs if _match_masked_key(x, masker, target)),
-                None,
-            )
-            slot = (main_id, None if is_joint else hit)
-            if hit is not None and slot not in held:
-                matched[tid] = main_id
-                held.add(slot)
-                break
-
-    # every refund issue allocates its joint funding key immediately before
-    # its fallback funding key(s), and the wallet hands out funded keys in
-    # index order; walking refunds by wallet-key index therefore pairs each
-    # fallback with its companion joint refund, unless a redeem tied the
-    # payment's joint refund already
-    tc1_of_main = {main_id: tid for tid, main_id in matched.items() if tid in joint}
-    result = RecoveryResult(telemetry=telemetry)
-    companion: Optional[bytes] = None
-    for tid, (_tx, shape, _priv, _idx) in refunds.items():
-        if shape is RefundShape.JOINT:
-            companion = tid
-            continue
-        main_id = matched.get(tid)
-        tc1_id = tc1_of_main.get(main_id, companion)
-        if main_id is None or tc1_id is None:
-            continue
-        record = fill_redeem(RefundRecord(main_id, tc1_id, tid), joint[tc1_id], ledger)
-        result.records.append(record)
+            free = [x for x in xpubs if (main_id, None if is_joint else x) not in held]
+            hit = next((x for x in free if _match_masked_key(x, masker, target)), None)
+            if hit is None:
+                continue
+            held[main_id, None if is_joint else hit] = tid
+            tc1_id = held.get((main_id, None), companion)
+            if not is_joint and tc1_id is not None:
+                record = RefundRecord(main_id, tc1_id, tid)
+                result.records.append(fill_redeem(record, spenders[tc1_id], ledger))
+            break
 
     telemetry.search_ops = ledger.queries - queries_before
     result.records.sort(key=lambda r: r.main_txid)

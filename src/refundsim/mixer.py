@@ -274,10 +274,14 @@ def _refund_plans(
 ) -> tuple[MerchantSession, list[SplitPlan]]:
     """A refundable session and the `k`-chunk split of each of its entries.
 
-    Every entry must name a refundee extended key.  Nothing is taken,
-    queued or recorded here, so a refused session leaves no partial state.
+    The session must have one payment signer, since every chunk is locked
+    to the payer's children, and every entry must name a refundee extended
+    key.  Nothing is taken, queued or recorded here, so a refused session
+    leaves no partial state.
     """
     session = merchant.refundable_session(merchant_data)
+    if session.multi_signer:
+        raise MixerError("mixing takes sessions with one payment signer")
     if not all(isinstance(e.refundee, ExtendedPublicKey) for e in session.entries):
         raise MixerError("mixing requires refundee extended keys")
     return session, [split_value(entry.value, k) for entry in session.entries]
@@ -308,8 +312,9 @@ class MixerService:
     def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> None:
         """Split a refundable session's entries into chunks and batch them.
 
-        Every refund entry must name a refundee extended key; all entries
-        are checked before the masking key is taken or a chunk queued.
+        The session must have one payment signer and every refund entry
+        must name a refundee extended key; both are checked before the
+        masking key is taken or a chunk queued.
         Emission waits for enough distinct customers or the batch timeout,
         which starts when a chunk is queued into an empty batch.
         """
@@ -559,7 +564,7 @@ class AggregateFallbackChunk:
     value: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregateChunkDetail:
     record: dispute.RefundRecord
     chunk: AggregateChunk
@@ -720,18 +725,28 @@ class AggregateService:
             result = self.ledger.broadcast(redeem)
             if not result:
                 raise MixerError(f"joint chunk redeem rejected: {result.reason}")
-            detail.record = detail.record.with_redeem(result.txid)
             redeems.append(redeem)
         return redeems
 
     def chunk_proofs(self, merchant_data: bytes) -> list[dispute.LinkageProof]:
-        """One linkage proof per redeemed chunk of a session."""
+        """One linkage proof per chunk of a session.
+
+        Each chunk's redeem is the confirmed spender of its joint output,
+        read from the ledger as `Merchant.monitor` reads redeems; a chunk
+        that is unspent, or whose joint emission has not confirmed, raises
+        `NotRedeemed`.
+        """
         proofs = []
         for detail in self.details[merchant_data]:
+            spender = None
+            if self.ledger.get_transaction(detail.joint_txid) is not None:
+                spender = self.ledger.is_spent(detail.joint_txid, detail.joint_vout)[1]
+            if spender is None:
+                raise dispute.NotRedeemed("chunk has no confirmed joint redeem")
             child = (detail.chunk.customer_xpub, detail.chunk.flat_index)
             proofs.append(
                 dispute.generate_linkage_proof(
-                    detail.record, detail.masking_priv, self.ledger,
+                    detail.record.with_redeem(spender), detail.masking_priv, self.ledger,
                     {detail.joint_vout: child},
                 )
             )

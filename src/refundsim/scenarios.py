@@ -135,6 +135,14 @@ _FLAGS = {"unequal"}  # the only keys that may be 0
 # in its own process): 1.0-1.2 s at 12, 1.8-2.4 s at 13, 3.0-3.9 s at 14 and
 # 6.5-7.6 s at 15.
 RECOVERY_MAX_WALLET_K = 14
+# Recovery's story signs and confirms every session, and its rebuild walks
+# every (refund, payment) pair, so its time grows with the sessions.
+# Measured as above, with lock_blocks at its smallest (2 * sessions - 2) and
+# the smallest wallet_k that holds 4 * sessions keys: 3.5-3.9 s at 128
+# sessions, 4.2-4.9 s at 144, 4.4-4.7 s at 160, 4.4-4.5 s at 176 and
+# 5.2-5.5 s at 192.  Each limit holds with the other keys small: 176
+# sessions with wallet_k=14 take 7.3-8.4 s.
+RECOVERY_MAX_SESSIONS = 176
 # Counting linkage assignments over unequal refund totals
 # (`mixer.analyze_linkage`) grows exponentially with the customers and with
 # their chunks.  Within a 5 s budget, a Mixer run with unequal=1 takes at
@@ -257,6 +265,10 @@ class Scenario:
             if 6 + merged["lock_blocks"] <= 3 + 2 * sessions:
                 raise ConfigError(
                     f"{sessions} Recovery sessions need lock_blocks >= {2 * sessions - 2}"
+                )
+            if sessions > RECOVERY_MAX_SESSIONS:
+                raise ConfigError(
+                    f"config sessions={sessions} is above its maximum {RECOVERY_MAX_SESSIONS}"
                 )
         return merged
 

@@ -22,7 +22,7 @@ from refundsim.dispute import (
     recover_database,
     verify_linkage_proof,
 )
-from refundsim import protocol
+from refundsim import dispute, protocol
 from refundsim.keys import ChildMasker, DegenerateChild, IdentityPoint, KeyMismatch, keygen
 from refundsim.protocol import MerchantWallet, RefundEntry
 from refundsim.scenarios import Scenario, ScenarioName, run_scenario
@@ -237,9 +237,8 @@ def run_sessions(harness, count, redeem_plan, settle=True):
             customer.redeem_with_refundee(r_priv)
             harness.ledger.advance_height(1)
         elif kind == "fallback":
-            harness.ledger.advance_height(
-                max(0, issue.tc2.lock_height - harness.ledger.height)
-            )
+            if harness.ledger.height < issue.tc2.lock_height:
+                harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
             customer.redeem_fallback()
             harness.ledger.advance_height(1)
     max_lock = max(issue.tc2.lock_height for _r, issue, _c, _p in issues)
@@ -339,6 +338,27 @@ def test_recovery_masks_with_one_mul_per_key_pair(harness, monkeypatch):
     again = recover_database(harness.merchant.wallet, harness.ledger)
     assert len(muls) == 2 * first
     assert again.records == result.records
+
+
+@pytest.mark.parametrize("every_third, count, sweeps, key_ops", [
+    ("joint", 3, 6, 12), ("joint", 8, 16, 72), ("joint", 16, 32, 272),
+    ("fallback", 3, 5, 9), ("fallback", 8, 20, 63), ("fallback", 16, 52, 227),
+])
+def test_recovery_never_sweeps_a_held_payment(
+    harness, record_calls, every_third, count, sweeps, key_ops
+):
+    """Refunds issued in payment order: a payment that already holds a refund
+    of the shape tried is decided without masking, so a history redeemed
+    jointly throughout sweeps once per refund.  A joint refund nobody redeemed
+    leaves its payment's joint slot free, and later joint refunds sweep it.
+    ``key_ops`` counts every pair considered: the sweeps a walk that masked
+    every pair would run."""
+    plan = [every_third if i % 3 == 2 else "joint" for i in range(count)]
+    run_sessions(harness, count, plan)
+    calls = record_calls(dispute, "_match_masked_key")
+    result = recover_database(harness.merchant.wallet, harness.ledger)
+    assert len(result.records) == count
+    assert (len(calls), result.telemetry.key_ops) == (sweeps, key_ops)
 
 
 def test_child_sweep_order_and_laziness():
@@ -625,3 +645,25 @@ def test_recovery_gives_each_payment_of_a_repeat_customer_its_own_refund(
     assert len({r.main_txid for r in kept}) == 2
     assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]
     assert len(result.records) == 2
+
+
+def test_recovery_pairs_a_repeat_customers_unredeemed_refund_with_its_own(harness):
+    """A repeat customer leaves its first joint refund unredeemed and redeems
+    the second.  The second joint refund takes the first payment's free joint
+    slot, but the first fallback, matched before it, keeps its companion: each
+    record names its own refund pair and redeem, as monitor kept them."""
+    from test_protocol import pay_and_issue, settle_fallbacks
+
+    alice = harness.customer("alice")
+    (_p1, r1_pub), (r2_priv, r2_pub) = keygen(b"first-refundee"), keygen(b"second-refundee")
+    harness.fund([(alice, 100_000)], merchant_keys=8)
+    first, second = pay_and_issue(harness, alice, r1_pub), pay_and_issue(harness, alice, r2_pub)
+    settle_fallbacks(harness)
+    alice.redeem_with_refundee(r2_priv, r2_pub)
+    harness.ledger.advance_height(1)
+    harness.merchant.monitor()
+    assert first.record.redeem_txid == bytes(32) != second.record.redeem_txid
+    wallet = harness.merchant.wallet
+    result = recover_database(MerchantWallet(wallet.master_seed, wallet.size), harness.ledger)
+    kept = sorted(harness.merchant.records, key=lambda r: r.main_txid)
+    assert [r.serialize() for r in result.records] == [r.serialize() for r in kept]

@@ -33,7 +33,7 @@ from refundsim.mixer import (
     split_value,
     sweep_chunks,
 )
-from refundsim.protocol import CustomerWallet, RefundEntry, SessionState
+from refundsim.protocol import CustomerWallet, RefundEntry, SessionState, pay_joint
 from refundsim.scenarios import Scenario, ScenarioName, run_scenario
 from refundsim.transactions import (
     PayToPubkeyHash,
@@ -653,6 +653,40 @@ def test_aggregate_joint_redeem_and_proofs():
             assert check.ok, check.reason
 
 
+def test_chunk_proofs_read_redeems_from_the_chain():
+    """A chunk redeemed without `joint_redeem_all` still gets a proof that
+    verifies: its redeem is read off the ledger, and only once it confirms."""
+    harness, service, customers, refundees, mds = aggregate_env(n_customers=1, tag=b"agg-own")
+    _joint_txs, fallback_txs = service.emit()
+    harness.ledger.advance_height(4)
+    _p, dest = keygen(b"agg-own-dest")
+    for detail in service.details[mds[0]]:
+        masked_c, masked_r = detail.script.keys
+        redeem = build_redeem(
+            harness.ledger.get_transaction(detail.joint_txid),
+            detail.joint_vout,
+            [
+                (customers[0].wallet.masked_private(detail.masking_pub, detail.chunk.flat_index),
+                 masked_c),
+                (refundees[0].masked_private(detail.masking_pub, detail.chunk.chunk_index),
+                 masked_r),
+            ],
+            dest=dest,
+            reveal_script=detail.script,
+        )
+        assert harness.ledger.broadcast(redeem)
+    with pytest.raises(dispute.NotRedeemed):
+        service.chunk_proofs(mds[0])
+    # a proof replays only from a full chain, fallback emissions included
+    max_lock = max(tx.lock_height for tx in fallback_txs)
+    harness.ledger.advance_height(max_lock - harness.ledger.height + 1)
+    proofs = service.chunk_proofs(mds[0])
+    assert len(proofs) == 4
+    for proof in proofs:
+        check = dispute.verify_linkage_proof(proof, harness.ledger)
+        assert check.ok, check.reason
+
+
 def test_fallback_scan_skips_time_locked_joint_emissions(record_calls):
     """Aggregate joint emissions are time-locked but pay script hashes, so
     they are joint refunds: the fallback scan unmasks nothing under their
@@ -680,27 +714,48 @@ def test_aggregate_analyzer_still_ambiguous():
     assert report.feasible_assignments > 1
 
 
+def _plain_key_session(harness, request):
+    """One payer whose second entry names a plain key."""
+    customer = harness.customer("payer", b"reject")
+    harness.fund([(customer, 100_000)], merchant_keys=8)
+    wallet = CustomerWallet(b"reject-refundee")
+    plan = [RefundEntry(wallet.xpub, 50_000), RefundEntry(keygen(b"plain")[1], 30_000)]
+    return customer.pay(request, plan)
+
+
+def _two_signer_session(harness, request):
+    """Two co-payers, each entry naming an extended key and bound to its payer:
+    every chunk would lock to the first payer's children."""
+    dave, eve = harness.customer("dave", b"reject"), harness.customer("eve", b"reject")
+    harness.fund([(dave, 50_000), (eve, 50_000)], merchant_keys=8)
+    plan = [
+        RefundEntry(CustomerWallet(b"reject-" + c.name.encode()).xpub, 50_000,
+                    cosigner_pubkey=c.wallet.pub)
+        for c in (dave, eve)
+    ]
+    return pay_joint(request, [(dave, 50_000), (eve, 50_000)], plan)
+
+
+@pytest.mark.parametrize("pay", [_plain_key_session, _two_signer_session],
+                         ids=["plain-key", "two-signers"])
 @pytest.mark.parametrize("service_cls, enqueue, queued", [
     (MixerService, "enqueue_refund", lambda s: s.batch.entries),
     (AggregateService, "aggregate_refund", lambda s: s.pending_joint + s.pending_fallback),
 ])
-def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued):
-    """A session whose second entry names a plain key is refused before any
-    chunk is queued or wallet key taken; the session stays paid."""
+def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued, pay):
+    """A session with a plain-key entry, or with two payment signers, is
+    refused before any chunk is queued or wallet key taken; the session
+    stays paid."""
     from conftest import Harness
 
     harness = Harness(tag=b"reject", lock_blocks=30, window_blocks=400)
-    customer = harness.customer("payer", b"reject")
-    wallet = CustomerWallet(b"reject-refundee")
-    harness.fund([(customer, 100_000)], merchant_keys=8)
     service = service_cls(harness.merchant, k=4, rng_seed=3)
     request = harness.merchant.create_request(100_000)
-    plan = [RefundEntry(wallet.xpub, 50_000), RefundEntry(keygen(b"plain")[1], 30_000)]
-    harness.merchant.process_payment(customer.pay(request, plan))
+    harness.merchant.process_payment(pay(harness, request))
     harness.ledger.advance_height(1)
     untouched = copy.deepcopy(harness.merchant.wallet)
     with pytest.raises(MixerError):
-        getattr(service, enqueue)(request.merchant_data, customer.name)
+        getattr(service, enqueue)(request.merchant_data, "payer")
     assert queued(service) == []
     assert service.truth.origin_names == {}
     assert harness.merchant.sessions[request.merchant_data].state is SessionState.PAID

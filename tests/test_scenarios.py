@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from refundsim.cli import main
 from refundsim.protocol import Merchant
 from refundsim.scenarios import (
+    RECOVERY_MAX_SESSIONS,
     RECOVERY_MAX_WALLET_K,
     UNEQUAL_MAX_CUSTOMERS,
     UNEQUAL_MAX_K,
@@ -296,7 +297,10 @@ RELATIONAL = [
     ("Mixer", "k=40"),
     ("Aggregate", "outputs_per_tx=1"),
     ("Recovery", "wallet_k=2"),
+    ("Recovery", "sessions=100,lock_blocks=1000"),
+    # above the measured sessions limit, with lock and wallet long enough
     ("Recovery", "sessions=200,lock_blocks=1000"),
+    ("Recovery", f"sessions={RECOVERY_MAX_SESSIONS + 1},lock_blocks=1000,wallet_k=10"),
     # session 2's fallback lock already passed when the story waits for it
     ("Recovery", "sessions=200"),
     ("Recovery", "sessions=32"),
@@ -414,7 +418,7 @@ REFUND_EDGES = {
     "Recovery": {
         "amount": [1, 2, 3, 50_000, 29_999],
         "refund_value": [1, 2, 3, 30_000, 50_001],
-        "sessions": [1, 2, 3, 4, 31, 32, 65],
+        "sessions": [1, 2, 3, 4, 31, 32, 65, RECOVERY_MAX_SESSIONS + 1],
         "wallet_k": [1, 2, 3, 4, 8, RECOVERY_MAX_WALLET_K, RECOVERY_MAX_WALLET_K + 1],
         "lock_blocks": [*LOCK_EDGES, 60],
     },
