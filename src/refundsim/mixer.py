@@ -19,8 +19,11 @@ The aggregate mode combines mixing with the joint-refund protection: every
 chunk is locked to customer and refundee together, with a per-transaction
 masking key, plus a time-locked fallback row for the customer — so proofs of
 linkage stay available to the merchant while outsiders still see nothing.
-Both modes check a session by `_refund_plans`, emit by `_emit_mixed` and
-obey `check_mixable`; each keeps only its own keys, scripts and rows.
+Both modes share one base, `_MixingService`: it holds the merchant, the
+chunk count, the emission shape, the rng and the ground truth, checks a
+session by `_refund_plans` and emits by `_emit_mixed`.  Each mode obeys
+`check_mixable`, keeps only its own keys, scripts and rows, and marks the
+sessions it takes `REFUND_ISSUED`; the ground truth only records.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .curve import SECP256K1, Point
 from .keys import ChildMasker, ExtendedPublicKey, KeyDerivationError
@@ -65,28 +68,14 @@ class ChunkTooSmall(MixerError):
 # -- splitting -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    total: int
-    k: int
-    chunks: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.chunks) != self.total:
-            raise ValueError("chunks must sum to the total")
-        if max(self.chunks) - min(self.chunks) > 1:
-            raise ValueError("chunks must differ by at most one unit")
-
-
-def split_value(total: int, k: int) -> SplitPlan:
+def split_value(total: int, k: int) -> tuple[int, ...]:
     """Split a value into k near-equal chunks; the remainder spreads left-first."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if total < k:
         raise ChunkTooSmall(f"cannot split {total} into {k} nonzero chunks")
     base, extra = divmod(total, k)
-    chunks = tuple(base + 1 if i < extra else base for i in range(k))
-    return SplitPlan(total, k, chunks)
+    return tuple(base + 1 if i < extra else base for i in range(k))
 
 
 def derive_chunk_keys(
@@ -95,7 +84,9 @@ def derive_chunk_keys(
     """Masked refundee children at indexes 0..k-1, one per chunk.
 
     The refundee recovers each private key from its wallet plus the masking
-    public key, which travels out of band (sealed acknowledgment path).
+    public key.  No acknowledgment carries that key: the refundee reads it
+    from `MixerService.masker_pubs`, which stands in for an out-of-band
+    channel.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -111,32 +102,6 @@ class MixChunk:
     masked_point: Point
     value: int
     origin: bytes  # session id, merchant-internal only
-
-
-@dataclass
-class MixBatch:
-    """Pending chunks from one or more customers awaiting mixed emission."""
-
-    min_customers: int = 2
-    created_height: int = 0  # where the first pending chunk was queued
-    entries: list[MixChunk] = field(default_factory=list)
-
-    def add(self, chunk: MixChunk) -> None:
-        self.entries.append(chunk)
-
-    def origins(self) -> list[bytes]:
-        seen = []
-        for entry in self.entries:
-            if entry.origin not in seen:
-                seen.append(entry.origin)
-        return seen
-
-    def ready(self, height: int) -> bool:
-        if not self.entries:
-            return False
-        if len(self.origins()) >= self.min_customers:
-            return True
-        return height >= self.created_height + MIX_TIMEOUT_BLOCKS
 
 
 def _interleave_by_origin(entries: Sequence, rng: random.Random) -> list:
@@ -206,32 +171,6 @@ def check_spans_txs(origins: int, chunks_per_origin: int, outputs_per_tx: int) -
         raise ValueError(f"all {chunks} chunks fit in one transaction of {outputs_per_tx}")
 
 
-def _emit_mixed(
-    service,
-    entries: Sequence,
-    base_height: int,
-    role: str,
-    label: str,
-    outputs: Callable[[list, ChildMasker], list[TxOutput]],
-) -> Iterator[tuple[Transaction, bytes, list, int, tuple[int, Point]]]:
-    """Fund, sign and broadcast one mixed transaction per group of `entries`.
-
-    Draws from ``service.rng`` in a fixed order: the origin interleave
-    first, then per group the output shuffle and the lock jitter in
-    [0, ``service.jitter_window``).  Each group's funding key is reserved
-    under `role` and masks the group's `outputs`; the transaction is
-    broadcast under `label`.  Yields (tx, txid, group, lock height,
-    funding key pair) per transaction, in emission order.
-    """
-    merchant, rng = service.merchant, service.rng
-    for group in _partition(_interleave_by_origin(entries, rng), service.outputs_per_tx):
-        rng.shuffle(group)
-        lock = base_height + rng.randrange(service.jitter_window)
-        priv, pub, funding = merchant.reserve_funded_key(sum(c.value for c in group), role)
-        tx = build_funded_tx(outputs(group, ChildMasker(priv)), funding, (priv, pub), lock)
-        yield tx, merchant.broadcast(tx, label), group, lock, (priv, pub)
-
-
 @dataclass(frozen=True)
 class ChunkFact:
     """Ground truth for one emitted chunk output."""
@@ -254,8 +193,7 @@ class MixGroundTruth:
     chunk_facts: list[ChunkFact] = field(default_factory=list)
 
     def record(self, session: MerchantSession, customer_name: str, total: int) -> None:
-        """Mark a session's refund issued and note what the adversary may know of it."""
-        session.state = SessionState.REFUND_ISSUED
+        """Note what the adversary may know of a session's refund."""
         origin = session.merchant_data
         self.origin_names[origin] = customer_name
         self.refund_totals[origin] = total
@@ -269,25 +207,67 @@ class MixGroundTruth:
         return {tid for tid, found in origins.items() if len(found) < 2}
 
 
-def _refund_plans(
-    merchant: Merchant, merchant_data: bytes, k: int
-) -> tuple[MerchantSession, list[SplitPlan]]:
-    """A refundable session and the `k`-chunk split of each of its entries.
+class _MixingService:
+    """What both mixing modes share: the merchant, the chunk count, the
+    emission shape, the rng and the ground truth, plus the session check
+    and the mixed emission built on them."""
 
-    The session must have one payment signer, since every chunk is locked
-    to the payer's children, and every entry must name a refundee extended
-    key.  Nothing is taken, queued or recorded here, so a refused session
-    leaves no partial state.
-    """
-    session = merchant.refundable_session(merchant_data)
-    if session.multi_signer:
-        raise MixerError("mixing takes sessions with one payment signer")
-    if not all(isinstance(e.refundee, ExtendedPublicKey) for e in session.entries):
-        raise MixerError("mixing requires refundee extended keys")
-    return session, [split_value(entry.value, k) for entry in session.entries]
+    def __init__(
+        self, merchant: Merchant, k: int, outputs_per_tx: int, jitter_window: int,
+        rng_seed: int,
+    ):
+        self.merchant = merchant
+        self.ledger = merchant.ledger
+        self.k = k
+        self.outputs_per_tx = outputs_per_tx
+        self.jitter_window = jitter_window
+        self.rng = random.Random(rng_seed)
+        self.truth = MixGroundTruth()
+
+    def _refund_plans(
+        self, merchant_data: bytes
+    ) -> tuple[MerchantSession, list[tuple[int, ...]]]:
+        """A refundable session and the `k`-chunk split of each of its entries.
+
+        The session must have one payment signer, since every chunk is locked
+        to the payer's children, and every entry must name a refundee extended
+        key.  Nothing is taken, queued or recorded here, so a refused session
+        leaves no partial state.
+        """
+        session = self.merchant.refundable_session(merchant_data)
+        if session.multi_signer:
+            raise MixerError("mixing takes sessions with one payment signer")
+        if not all(isinstance(e.refundee, ExtendedPublicKey) for e in session.entries):
+            raise MixerError("mixing requires refundee extended keys")
+        return session, [split_value(entry.value, self.k) for entry in session.entries]
+
+    def _emit_mixed(
+        self,
+        entries: Sequence,
+        base_height: int,
+        role: str,
+        label: str,
+        outputs: Callable[[list, ChildMasker], list[TxOutput]],
+    ) -> Iterator[tuple[Transaction, bytes, list, int, tuple[int, Point]]]:
+        """Fund, sign and broadcast one mixed transaction per group of `entries`.
+
+        Draws from `rng` in a fixed order: the origin interleave first, then
+        per group the output shuffle and the lock jitter in
+        [0, `jitter_window`).  Each group's funding key is reserved under
+        `role` and masks the group's `outputs`; the transaction is broadcast
+        under `label`.  Yields (tx, txid, group, lock height, funding key
+        pair) per transaction, in emission order.
+        """
+        merchant, rng = self.merchant, self.rng
+        for group in _partition(_interleave_by_origin(entries, rng), self.outputs_per_tx):
+            rng.shuffle(group)
+            lock = base_height + rng.randrange(self.jitter_window)
+            priv, pub, funding = merchant.reserve_funded_key(sum(c.value for c in group), role)
+            tx = build_funded_tx(outputs(group, ChildMasker(priv)), funding, (priv, pub), lock)
+            yield tx, merchant.broadcast(tx, label), group, lock, (priv, pub)
 
 
-class MixerService:
+class MixerService(_MixingService):
     """Drives splitting, batching and mixed emission for one merchant."""
 
     def __init__(
@@ -299,52 +279,57 @@ class MixerService:
         jitter_window: int = 3,
         rng_seed: int = 0,
     ):
-        self.merchant = merchant
-        self.ledger = merchant.ledger
-        self.k = k
-        self.outputs_per_tx = outputs_per_tx
-        self.jitter_window = jitter_window
-        self.rng = random.Random(rng_seed)
-        self.batch = MixBatch(min_customers=min_customers)
-        self.truth = MixGroundTruth()
+        super().__init__(merchant, k, outputs_per_tx, jitter_window, rng_seed)
+        self.min_customers = min_customers
+        self.pending: list[MixChunk] = []
+        self.pending_since = 0  # height at which the first pending chunk was queued
         self.masker_pubs: dict[bytes, Point] = {}  # session -> out-of-band mask key
 
+    def ready(self) -> bool:
+        """Pending chunks from `min_customers` customers, or pending for
+        `MIX_TIMEOUT_BLOCKS`."""
+        if not self.pending:
+            return False
+        if len({chunk.origin for chunk in self.pending}) >= self.min_customers:
+            return True
+        return self.ledger.height >= self.pending_since + MIX_TIMEOUT_BLOCKS
+
     def enqueue_refund(self, merchant_data: bytes, customer_name: str) -> None:
-        """Split a refundable session's entries into chunks and batch them.
+        """Split a refundable session's entries into chunks and queue them.
 
         The session must have one payment signer and every refund entry
         must name a refundee extended key; both are checked before the
         masking key is taken or a chunk queued.
-        Emission waits for enough distinct customers or the batch timeout,
-        which starts when a chunk is queued into an empty batch.
+        Emission waits for enough distinct customers or the timeout, which
+        starts when a chunk is queued while none is pending.
         """
-        session, plans = _refund_plans(self.merchant, merchant_data, self.k)
-        if not self.batch.entries:
-            self.batch.created_height = self.ledger.height
+        session, plans = self._refund_plans(merchant_data)
+        if not self.pending:
+            self.pending_since = self.ledger.height
         masker_idx = self.merchant.wallet.allocate()
         masker_priv, masker_pub = self.merchant.wallet.key(masker_idx)
         self.merchant.key_log.register(masker_pub, "chunk-masking-key")
         self.masker_pubs[merchant_data] = masker_pub
-        for entry, plan in zip(session.entries, plans):
+        for entry, chunks in zip(session.entries, plans):
             masked = derive_chunk_keys(entry.refundee, self.k, masker_priv)
-            for chunk_value, masked_key in zip(plan.chunks, masked):
+            for chunk_value, masked_key in zip(chunks, masked):
                 self.merchant.key_log.register(masked_key, "masked-chunk-key")
-                self.batch.add(MixChunk(masked_key, chunk_value, merchant_data))
-        self.truth.record(session, customer_name, sum(plan.total for plan in plans))
+                self.pending.append(MixChunk(masked_key, chunk_value, merchant_data))
+        session.state = SessionState.REFUND_ISSUED
+        self.truth.record(session, customer_name, sum(e.value for e in session.entries))
 
     def try_emit(self) -> list[Transaction]:
-        """Emit a ready batch: interleaved origins, shuffled outputs, jittered heights.
+        """Emit ready chunks: interleaved origins, shuffled outputs, jittered heights.
 
-        A batch that never reached two customers is emitted anyway at
+        Chunks that never reached two customers are emitted anyway at
         timeout (funds must move); `MixGroundTruth.unmixed_txids` names
         every transaction holding a single customer's chunks.
         """
-        batch = self.batch
-        if not batch.ready(self.ledger.height):
+        if not self.ready():
             return []
         emitted = []
-        for tx, tid, chunks, lock, _key in _emit_mixed(
-            self, batch.entries, self.ledger.height + 1, "mix-funding", "emission",
+        for tx, tid, chunks, lock, _key in self._emit_mixed(
+            self.pending, self.ledger.height + 1, "mix-funding", "emission",
             lambda chunks, _masker: [
                 TxOutput(c.value, PayToPubkeyHash(key_hash(c.masked_point))) for c in chunks
             ],
@@ -353,7 +338,7 @@ class MixerService:
             self.truth.chunk_facts.extend(
                 ChunkFact(tid, vout, c.value, c.origin, lock) for vout, c in enumerate(chunks)
             )
-        batch.entries.clear()
+        self.pending.clear()
         return emitted
 
 
@@ -550,17 +535,9 @@ class AggregateChunk:
 
     origin: bytes
     customer_xpub: ExtendedPublicKey
-    refundee_xpub: ExtendedPublicKey
+    refundee_xpub: Optional[ExtendedPublicKey]  # None on a fallback row
     chunk_index: int
-    flat_index: int  # customer child index: entry * k + chunk
-    value: int
-
-
-@dataclass(frozen=True)
-class AggregateFallbackChunk:
-    origin: bytes
-    customer_xpub: ExtendedPublicKey
-    flat_index: int  # fallback row: n_entries * k + chunk
+    flat_index: int  # customer child: entry * k + chunk, fallback n_entries * k + chunk
     value: int
 
 
@@ -578,7 +555,7 @@ class AggregateChunkDetail:
         return self.record.refund_tc1_txid
 
 
-class AggregateService:
+class AggregateService(_MixingService):
     """Joint-locked chunk refunds, batch-mixed across customers.
 
     Per chunk the joint transaction locks (masked customer child, masked
@@ -596,44 +573,25 @@ class AggregateService:
         jitter_window: int = 3,
         rng_seed: int = 0,
     ):
-        self.merchant = merchant
-        self.ledger = merchant.ledger
-        self.k = k
-        self.outputs_per_tx = outputs_per_tx
-        self.jitter_window = jitter_window
-        self.rng = random.Random(rng_seed)
+        super().__init__(merchant, k, outputs_per_tx, jitter_window, rng_seed)
         self.pending_joint: list[AggregateChunk] = []
-        self.pending_fallback: list[AggregateFallbackChunk] = []
-        self.truth = MixGroundTruth()
+        self.pending_fallback: list[AggregateChunk] = []
         self.details: dict[bytes, list[AggregateChunkDetail]] = {}
 
     def aggregate_refund(self, merchant_data: bytes, customer_name: str) -> None:
         """Queue a session's chunked joint+fallback refund for mixed emission."""
-        session, plans = _refund_plans(self.merchant, merchant_data, self.k)
+        session, plans = self._refund_plans(merchant_data)
         xpub = session.customer_xpubs[0]
-        total = sum(plan.total for plan in plans)
-        fallback_plan = split_value(total, self.k)
-        for i, (entry, plan) in enumerate(zip(session.entries, plans)):
-            for j, chunk_value in enumerate(plan.chunks):
-                self.pending_joint.append(
-                    AggregateChunk(
-                        origin=merchant_data,
-                        customer_xpub=xpub,
-                        refundee_xpub=entry.refundee,
-                        chunk_index=j,
-                        flat_index=i * self.k + j,
-                        value=chunk_value,
-                    )
-                )
-        for j, chunk_value in enumerate(fallback_plan.chunks):
-            self.pending_fallback.append(
-                AggregateFallbackChunk(
-                    origin=merchant_data,
-                    customer_xpub=xpub,
-                    flat_index=len(plans) * self.k + j,
-                    value=chunk_value,
-                )
+        total = sum(entry.value for entry in session.entries)
+        rows = [(entry.refundee, chunks) for entry, chunks in zip(session.entries, plans)]
+        rows.append((None, split_value(total, self.k)))  # the customer's fallback row
+        for i, (refundee, chunks) in enumerate(rows):
+            pending = self.pending_fallback if refundee is None else self.pending_joint
+            pending.extend(
+                AggregateChunk(merchant_data, xpub, refundee, j, i * self.k + j, value)
+                for j, value in enumerate(chunks)
             )
+        session.state = SessionState.REFUND_ISSUED
         self.truth.record(session, customer_name, total)
         self.details[merchant_data] = []
 
@@ -654,8 +612,8 @@ class AggregateService:
 
         joint_txs = []
         placements: dict[AggregateChunk, tuple[bytes, int, tuple[int, Point]]] = {}
-        for tx, tid, chunks, lock, key in _emit_mixed(
-            self, self.pending_joint, height + 1,
+        for tx, tid, chunks, lock, key in self._emit_mixed(
+            self.pending_joint, height + 1,
             "aggregate-joint-funding", "aggregate joint emission", joint_outputs,
         ):
             joint_txs.append(tx)
@@ -664,8 +622,8 @@ class AggregateService:
                 self.truth.chunk_facts.append(ChunkFact(tid, vout, c.value, c.origin, lock))
         fallback_txs = []
         fallback_place: dict[tuple[bytes, int], bytes] = {}
-        for tx, tid, chunks, _lock, _key in _emit_mixed(
-            self, self.pending_fallback, height + self.merchant.lock_blocks,
+        for tx, tid, chunks, _lock, _key in self._emit_mixed(
+            self.pending_fallback, height + self.merchant.lock_blocks,
             "aggregate-fallback-funding", "aggregate fallback emission",
             lambda chunks, masker: [
                 TxOutput(
@@ -677,7 +635,7 @@ class AggregateService:
         ):
             fallback_txs.append(tx)
             for c in chunks:
-                fallback_place[c.origin, c.flat_index % self.k] = tid
+                fallback_place[c.origin, c.chunk_index] = tid
         # assemble per-chunk records: a chunk's fallback is its session's
         # fallback chunk with the same chunk position
         for chunk in self.pending_joint:

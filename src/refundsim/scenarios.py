@@ -136,13 +136,18 @@ _FLAGS = {"unequal"}  # the only keys that may be 0
 # 6.5-7.6 s at 15.
 RECOVERY_MAX_WALLET_K = 14
 # Recovery's story signs and confirms every session, and its rebuild walks
-# every (refund, payment) pair, so its time grows with the sessions.
-# Measured as above, with lock_blocks at its smallest (2 * sessions - 2) and
-# the smallest wallet_k that holds 4 * sessions keys: 3.5-3.9 s at 128
-# sessions, 4.2-4.9 s at 144, 4.4-4.7 s at 160, 4.4-4.5 s at 176 and
-# 5.2-5.5 s at 192.  Each limit holds with the other keys small: 176
-# sessions with wallet_k=14 take 7.3-8.4 s.
-RECOVERY_MAX_SESSIONS = 176
+# every (refund, payment) pair, so its time grows with the sessions as well
+# as with the wallet, and the two costs add.  Within the 5 s budget, a
+# wallet of 2^wallet_k keys takes at most RECOVERY_MAX_SESSIONS[wallet_k]
+# sessions.  Measured as above, with lock_blocks at its smallest
+# (2 * sessions - 2), in passes whose speeds differed by up to a third: at
+# wallet_k 10, 3.2-4.7 s at 128 sessions and 3.7-5.6 s at 144; at 11,
+# 3.2-4.2 s at 112 and 3.2-5.1 s at 128; at 12, 3.5-4.6 s at 112 and
+# 4.6-6.1 s at 128; at 13, 2.8-4.4 s at 64 and 3.5-5.5 s at 80; at 14,
+# 3.0-4.6 s at 16 and 3.3-5.5 s at 32.  Below wallet_k 10 the wallet's
+# capacity (4 * sessions <= 2^wallet_k) binds first: 128 sessions at
+# wallet_k 9 take 2.9-4.8 s.
+RECOVERY_MAX_SESSIONS = {10: 128, 11: 112, 12: 112, 13: 64, 14: 16}
 # Counting linkage assignments over unequal refund totals
 # (`mixer.analyze_linkage`) grows exponentially with the customers and with
 # their chunks.  Within a 5 s budget, a Mixer run with unequal=1 takes at
@@ -266,9 +271,11 @@ class Scenario:
                 raise ConfigError(
                     f"{sessions} Recovery sessions need lock_blocks >= {2 * sessions - 2}"
                 )
-            if sessions > RECOVERY_MAX_SESSIONS:
+            most = RECOVERY_MAX_SESSIONS.get(merged["wallet_k"], sessions)
+            if sessions > most:
                 raise ConfigError(
-                    f"config sessions={sessions} is above its maximum {RECOVERY_MAX_SESSIONS}"
+                    f"config sessions={sessions} is above its maximum {most} "
+                    f"at wallet_k={merged['wallet_k']}"
                 )
         return merged
 

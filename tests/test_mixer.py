@@ -18,7 +18,6 @@ from refundsim.mixer import (
     ChunkFact,
     ChunkTooSmall,
     MIX_TIMEOUT_BLOCKS,
-    MixBatch,
     MixChunk,
     MixGroundTruth,
     MixerError,
@@ -59,11 +58,11 @@ def brute_force_valid_splits(total, k):
 
 
 def test_split_even():
-    assert split_value(100, 4).chunks == (25, 25, 25, 25)
+    assert split_value(100, 4) == (25, 25, 25, 25)
 
 
 def test_split_remainder_matches_bruteforce():
-    got = split_value(10, 3).chunks
+    got = split_value(10, 3)
     assert got == (4, 3, 3)
     assert got in brute_force_valid_splits(10, 3)
 
@@ -83,10 +82,10 @@ def test_property_split_conserves_and_balances(total, k):
         with pytest.raises(ChunkTooSmall):
             split_value(total, k)
         return
-    plan = split_value(total, k)
-    assert sum(plan.chunks) == total
-    assert max(plan.chunks) - min(plan.chunks) <= 1
-    assert len(plan.chunks) == k
+    chunks = split_value(total, k)
+    assert sum(chunks) == total
+    assert max(chunks) - min(chunks) <= 1
+    assert len(chunks) == k
 
 
 # -- chunk keys -------------------------------------------------------------------
@@ -111,14 +110,22 @@ def test_chunk_keys_distinct():
 
 
 def test_batch_not_ready_until_quorum_or_timeout():
-    batch = MixBatch(min_customers=2, created_height=5)
-    assert not batch.ready(6)
-    batch.add(MixChunk(SECP256K1.g, 10, b"a"))
-    assert not batch.ready(6)
-    assert not batch.ready(5 + MIX_TIMEOUT_BLOCKS - 1)
-    assert batch.ready(5 + MIX_TIMEOUT_BLOCKS)  # timeout
-    batch.add(MixChunk(SECP256K1.g, 10, b"b"))
-    assert batch.ready(6)  # quorum
+    from conftest import Harness
+
+    service = MixerService(Harness(tag=b"ready").merchant, min_customers=2)
+    service.pending_since = 5
+
+    def ready_at(height):
+        service.ledger.height = height
+        return service.ready()
+
+    assert not ready_at(6)
+    service.pending.append(MixChunk(SECP256K1.g, 10, b"a"))
+    assert not ready_at(6)
+    assert not ready_at(5 + MIX_TIMEOUT_BLOCKS - 1)
+    assert ready_at(5 + MIX_TIMEOUT_BLOCKS)  # timeout
+    service.pending.append(MixChunk(SECP256K1.g, 10, b"b"))
+    assert ready_at(6)  # quorum
 
 
 def test_mixing_rules_hold_exactly():
@@ -739,7 +746,7 @@ def _two_signer_session(harness, request):
 @pytest.mark.parametrize("pay", [_plain_key_session, _two_signer_session],
                          ids=["plain-key", "two-signers"])
 @pytest.mark.parametrize("service_cls, enqueue, queued", [
-    (MixerService, "enqueue_refund", lambda s: s.batch.entries),
+    (MixerService, "enqueue_refund", lambda s: s.pending),
     (AggregateService, "aggregate_refund", lambda s: s.pending_joint + s.pending_fallback),
 ])
 def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued, pay):
@@ -760,3 +767,25 @@ def test_rejected_enqueue_leaves_no_partial_state(service_cls, enqueue, queued, 
     assert service.truth.origin_names == {}
     assert harness.merchant.sessions[request.merchant_data].state is SessionState.PAID
     assert harness.merchant.wallet.allocate() == untouched.allocate()
+
+
+def test_merchant_session_state_has_one_writer():
+    """Each service marks the sessions it takes REFUND_ISSUED; the ground
+    truth only records, and leaves a session it is shown as it was."""
+    harness, service, _c, _r = mixer_env(None, n_customers=1, tag=b"owner")
+    agg_harness, agg, _ac, _ar, _mds = aggregate_env(n_customers=1, tag=b"owner")
+    for h, s in ((harness, service), (agg_harness, agg)):
+        assert s.truth.origin_names
+        for md in s.truth.origin_names:
+            assert h.merchant.sessions[md].state is SessionState.REFUND_ISSUED
+    customer = harness.customer("bystander", b"owner")
+    harness.fund([(customer, 50_000)], merchant_keys=0)
+    request = harness.merchant.create_request(50_000)
+    refundee = CustomerWallet(b"owner-refundee")
+    harness.merchant.process_payment(
+        customer.pay(request, [RefundEntry(refundee.xpub, 50_000)])
+    )
+    harness.ledger.advance_height(1)
+    session = harness.merchant.sessions[request.merchant_data]
+    MixGroundTruth().record(session, customer.name, 50_000)
+    assert session.state is SessionState.PAID

@@ -4,7 +4,7 @@ import signal
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from refundsim.cli import main
 from refundsim.protocol import Merchant
@@ -298,9 +298,16 @@ RELATIONAL = [
     ("Aggregate", "outputs_per_tx=1"),
     ("Recovery", "wallet_k=2"),
     ("Recovery", "sessions=100,lock_blocks=1000"),
-    # above the measured sessions limit, with lock and wallet long enough
     ("Recovery", "sessions=200,lock_blocks=1000"),
-    ("Recovery", f"sessions={RECOVERY_MAX_SESSIONS + 1},lock_blocks=1000,wallet_k=10"),
+    # above the measured sessions limit of its wallet_k, with lock and wallet
+    # long enough
+    ("Recovery", "sessions=177,lock_blocks=1000,wallet_k=10"),
+    *(
+        ("Recovery", f"sessions={most + 1},lock_blocks=1000,wallet_k={wallet_k}")
+        for wallet_k, most in RECOVERY_MAX_SESSIONS.items()
+    ),
+    # many sessions with the largest wallet: each key is in range, 7-8 s together
+    ("Recovery", "sessions=176,lock_blocks=350,wallet_k=14"),
     # session 2's fallback lock already passed when the story waits for it
     ("Recovery", "sessions=200"),
     ("Recovery", "sessions=32"),
@@ -418,7 +425,7 @@ REFUND_EDGES = {
     "Recovery": {
         "amount": [1, 2, 3, 50_000, 29_999],
         "refund_value": [1, 2, 3, 30_000, 50_001],
-        "sessions": [1, 2, 3, 4, 31, 32, 65, RECOVERY_MAX_SESSIONS + 1],
+        "sessions": [1, 2, 3, 4, 31, 32, 65, max(RECOVERY_MAX_SESSIONS.values()) + 1],
         "wallet_k": [1, 2, 3, 4, 8, RECOVERY_MAX_WALLET_K, RECOVERY_MAX_WALLET_K + 1],
         "lock_blocks": [*LOCK_EDGES, 60],
     },
@@ -439,6 +446,8 @@ def _refund_case(name):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.one_of(*map(_refund_case, REFUND_EDGES)))
+# many sessions with the largest wallet: each key is in range, 7-8 s together
+@example(("Recovery", {"sessions": 176, "lock_blocks": 350, "wallet_k": 14}, False))
 def test_refund_configs_pass_or_are_config_errors(case):
     """Every edge config of the refund scenarios and Recovery, defended or
     (where the story has a baseline) not, either passes or is a
