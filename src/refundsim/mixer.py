@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .curve import SECP256K1, Point
+from .curve import Point
 from .keys import ChildMasker, ExtendedPublicKey, KeyDerivationError
 from .ledger import SimLedger
 from .protocol import (
@@ -350,14 +350,14 @@ def sweep_chunks(
     chunk_count: int,
 ) -> tuple[list[Transaction], int]:
     """Refundee-side claim of every chunk addressed to its masked children
-    0..chunk_count-1 (`derive_chunk_keys`), unmasked in one batch, by child
-    index, then in chain order; the ledger's key index names the
-    transactions paying each child."""
+    0..chunk_count-1 (`derive_chunk_keys`), unmasked with their points in one
+    batch, by child index, then in chain order; the ledger's key index names
+    the transactions paying each child."""
     claimed, total = [], 0
-    for masked_priv in refundee_wallet.masked_privates(masker_pub, range(chunk_count)):
-        if isinstance(masked_priv, KeyDerivationError):
-            raise masked_priv
-        masked_point = SECP256K1.g_mul(masked_priv)
+    for masked in refundee_wallet.masked_keys(masker_pub, range(chunk_count)):
+        if isinstance(masked, KeyDerivationError):
+            raise masked
+        masked_priv, masked_point = masked
         wanted = key_hash(masked_point)
         for tid, tx in ledger.find_by_pubkey(masked_point):
             for vout, out in enumerate(tx.outputs):

@@ -31,10 +31,7 @@ from functools import partial
 from itertools import dropwhile
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-
-from . import dispute
+from . import aead, dispute
 from .curve import SECP256K1, Point
 from .keys import (
     ExtendedPublicKey,
@@ -201,12 +198,12 @@ class SealedRefundTo:
     sender_pubkey: Point
 
 
-def _seal_key(dh_secret: bytes) -> ChaCha20Poly1305:
-    return ChaCha20Poly1305(hashlib.sha256(dh_secret).digest())
+def _seal_key(dh_secret: bytes) -> bytes:
+    return hashlib.sha256(dh_secret).digest()
 
 
 def _seal_nonce(merchant_data: bytes) -> bytes:
-    return hashlib.sha256(merchant_data).digest()[:12]
+    return hashlib.sha256(merchant_data).digest()[: aead.NONCE_BYTES]
 
 
 def seal_refund_entries(
@@ -215,21 +212,29 @@ def seal_refund_entries(
     plaintext = struct.pack(">H", len(entries)) + b"".join(
         _wb(e.encode()) for e in entries
     )
-    return _seal_key(dh_secret).encrypt(_seal_nonce(merchant_data), plaintext, merchant_data)
+    return aead.encrypt(
+        _seal_key(dh_secret), _seal_nonce(merchant_data), plaintext, merchant_data
+    )
 
 
 def unseal_refund_entries(
     ciphertext: bytes, dh_secret: bytes, merchant_data: bytes
 ) -> tuple[RefundEntry, ...]:
+    """The entries `seal_refund_entries` sealed; UndecryptableRefundTo if the
+    blob does not authenticate under this key, or authenticates but does not
+    parse."""
     try:
-        plaintext = _seal_key(dh_secret).decrypt(
-            _seal_nonce(merchant_data), ciphertext, merchant_data
+        plaintext = aead.decrypt(
+            _seal_key(dh_secret), _seal_nonce(merchant_data), ciphertext, merchant_data
         )
-    except InvalidTag as exc:
+    except ValueError as exc:
         raise UndecryptableRefundTo("sealed refund_to does not decrypt") from exc
-    cur = ByteReader(plaintext, "big")
-    entries = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
-    cur.done()
+    try:
+        cur = ByteReader(plaintext, "big")
+        entries = tuple(RefundEntry.decode(cur.lv()) for _ in range(cur.u16()))
+        cur.done()
+    except ValueError as exc:
+        raise UndecryptableRefundTo(f"sealed refund_to does not parse: {exc}") from exc
     return entries
 
 
@@ -525,6 +530,22 @@ class CustomerWallet:
         for pos, masked in zip(children, unmask_children(list(children.values()), masker_pub)):
             results[pos] = masked
         return results
+
+    def masked_key(self, masker_pub: Point, index: int) -> tuple[int, Point]:
+        """``masked_private(masker_pub, index)`` and its point."""
+        masked_priv = self.masked_private(masker_pub, index)
+        return masked_priv, SECP256K1.g_mul(masked_priv)
+
+    def masked_keys(self, masker_pub: Point, indexes: Sequence[int]) -> list:
+        """``masked_key(masker_pub, i)`` for each of `indexes`, as the pair or
+        the `KeyDerivationError` it raises, the points from one `g_mul_many`
+        walk."""
+        results = self.masked_privates(masker_pub, indexes)
+        privs = [k for k in results if not isinstance(k, KeyDerivationError)]
+        points = iter(SECP256K1.g_mul_many(privs, [None] * len(privs)))
+        return [
+            k if isinstance(k, KeyDerivationError) else (k, next(points)) for k in results
+        ]
 
 
 # -- merchant-side sessions --------------------------------------------------------
@@ -1018,10 +1039,10 @@ class Customer:
         Candidates are the ``shape`` refunds, by `dispute.refund_locks`;
         ``lookup`` is the lock a masked child point would carry.
         Under each funder of a candidate, children 0..`dispute.MAX_CHILD_INDEX`
-        are unmasked in `dispute.child_sweep` order.  A repeat customer's
-        earlier refunds are spent and skipped; if every output found is
-        spent, the first is returned, for the claim to report as already
-        spent.
+        are unmasked, with their points, in `dispute.child_sweep` order.  A
+        repeat customer's earlier refunds are spent and skipped; if every
+        output found is spent, the first is returned, for the claim to report
+        as already spent.
         """
         first_spent = None
         for tid, tx in txs:
@@ -1029,13 +1050,13 @@ class Customer:
             if not locks:
                 continue
             for funder in signer_keys(tx):
-                for _index, masked_priv in dispute.child_sweep(
-                    partial(self.wallet.masked_private, funder),
-                    partial(self.wallet.masked_privates, funder),
+                for _index, masked in dispute.child_sweep(
+                    partial(self.wallet.masked_key, funder),
+                    partial(self.wallet.masked_keys, funder),
                 ):
-                    if isinstance(masked_priv, KeyDerivationError):
-                        raise masked_priv
-                    masked_point = SECP256K1.g_mul(masked_priv)
+                    if isinstance(masked, KeyDerivationError):
+                        raise masked
+                    masked_priv, masked_point = masked
                     out_idx = locks.get(lookup(masked_point))
                     if out_idx is None:
                         continue

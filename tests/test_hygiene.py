@@ -21,12 +21,18 @@ class field or `self.` attribute is loaded as an attribute somewhere in
 `src/` or `perfbench/`.  Matching is by name, so a dead field that shares
 its name with a live one elsewhere goes unseen.
 
-A last check keeps each object's private state its own: an attribute whose
+A check keeps each object's private state its own: an attribute whose
 name starts with `_` is read or written only on `self` or `cls`.
+
+A last check keeps the package on the standard library: importing it loads
+no other module (`cryptography` is a test-only oracle for `refundsim.aead`).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -335,3 +341,29 @@ def test_private_attributes_stay_private():
                 continue
             reached.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert reached == [], f"private attributes reached from outside: {reached}"
+
+
+# -- dependencies -------------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+bare = {name.partition(".")[0] for name in sys.modules}
+import refundsim
+for info in pkgutil.iter_modules(refundsim.__path__, "refundsim."):
+    importlib.import_module(info.name)
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(*sorted(loaded - bare - set(sys.stdlib_module_names) - {"refundsim"}))
+"""
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    """In a fresh interpreter, importing `refundsim` and every submodule adds
+    no module outside `sys.stdlib_module_names` to those the bare
+    interpreter had loaded (its site hooks may load a few)."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert probe.stdout.split() == [], f"non-stdlib modules loaded: {probe.stdout}"

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refundsim import dispute, keys, protocol
+from refundsim import aead, dispute, keys, protocol
 from refundsim.curve import SECP256K1
 from refundsim.keys import (
     DegenerateChild,
@@ -191,6 +191,31 @@ def test_encrypted_refund_to_roundtrip(harness):
     harness.merchant.process_payment(msg)
     stored = harness.merchant.sessions[request.merchant_data].entries
     assert stored == (RefundEntry(R_PUB, 30_000),)
+
+
+def test_sealed_refund_to_that_authenticates_but_does_not_parse(harness):
+    """A sealed blob whose tag verifies under the merchant's key but whose
+    plaintext is no entry list is UndecryptableRefundTo, a ProtocolError (it
+    used to escape as a bare ValueError); the session stays Created and
+    nothing is broadcast."""
+    alice = harness.customer("alice")
+    harness.fund([(alice, 50_000)])
+    request = harness.merchant.create_request(50_000)
+    msg = alice.pay(request, [RefundEntry(R_PUB, 30_000)], encrypt=True)
+    md = request.merchant_data
+    secret = dh_shared(alice.wallet.priv, request.merchant_pubkey)
+    garbage = aead.encrypt(
+        protocol._seal_key(secret), protocol._seal_nonce(md), b"\x00\x01\x05garbage", md
+    )
+    with pytest.raises(UndecryptableRefundTo, match="does not parse"):
+        unseal_refund_entries(garbage, secret, md)
+    forged = dataclasses.replace(
+        msg, sealed_refund_to=SealedRefundTo(garbage, alice.wallet.pub)
+    )
+    with pytest.raises(UndecryptableRefundTo):
+        harness.merchant.process_payment(forged)
+    assert harness.merchant.sessions[md].state is SessionState.CREATED
+    assert not harness.ledger.mempool
 
 
 # -- merchant payment processing ----------------------------------------------------
@@ -946,12 +971,9 @@ def test_repeat_customer_claims_every_refund(harness, path):
         claim()
 
 
-def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, record_calls):
-    """Counted: a fallback session whose walk passes two earlier customers'
-    fallbacks makes two `mul` under each funder it tries, for children 0 and
-    1, and builds one comb for each funder whose fallback is not its own, to
-    unmask children 2..16 in one batch; the definitions of child derivation
-    and unmasking are still on its path."""
+def fallback_past_two_fallbacks(harness):
+    """A third customer's confirmed fallback, after two earlier customers'
+    confirmed fallbacks (their joint refunds claimed): ``(customer, issue)``."""
     customers = [harness.customer(f"walk{i}") for i in range(3)]
     refundees = [keygen(b"walk-refundee-%d" % i) for i in range(3)]
     harness.fund([(c, 50_000) for c in customers], merchant_keys=12)
@@ -963,6 +985,16 @@ def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, rec
     issue = pay_and_issue(harness, last, refundees[2][1])
     harness.ledger.advance_height(issue.tc2.lock_height - harness.ledger.height)
     settle_fallbacks(harness)
+    return last, issue
+
+
+def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, record_calls):
+    """Counted: a fallback session whose walk passes two earlier customers'
+    fallbacks makes two `mul` under each funder it tries, for children 0 and
+    1, and builds one comb for each funder whose fallback is not its own, to
+    unmask children 2..16 in one batch; the definitions of child derivation
+    and unmasking are still on its path."""
+    last, issue = fallback_past_two_fallbacks(harness)
 
     muls = record_calls(SECP256K1, "mul")
     batches = record_calls(SECP256K1, "mul_many")
@@ -977,6 +1009,22 @@ def test_fallback_discovery_costs_two_muls_and_one_table_per_funder(harness, rec
     assert len(combs) == 2 and set(combs) < set(funders)
     assert signer_keys(found.tx)[0] not in combs
     assert len(unmasks) == len(muls) and derives
+
+
+def test_fallback_discovery_takes_each_batch_of_points_from_one_walk(harness, record_calls):
+    """Counted: a fallback walk that passes two earlier customers' fallbacks
+    makes one `g_mul` per single child (0 and 1) under each funder it tries,
+    and takes the points of each funder's batch of children 2..16 from one
+    `g_mul_many` walk, where one `g_mul` per child would make 36."""
+    last, issue = fallback_past_two_fallbacks(harness)
+    last.wallet.child_private(0)  # the wallet's one key-pair check, done first
+
+    g_muls = record_calls(SECP256K1, "g_mul")
+    walks = record_calls(SECP256K1, "g_mul_many")
+    found = last.find_fallback()
+    assert found is not None and found.txid == txid(issue.tc2)
+    assert len(g_muls) == 3 * 2
+    assert [len(scalars) for scalars, _starts in walks] == [dispute.MAX_CHILD_INDEX - 1] * 2
 
 
 def test_joint_discovery_cost_does_not_grow_with_position(harness, record_calls):
